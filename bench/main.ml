@@ -604,14 +604,13 @@ let e18 () =
 (* ---------- E19: beyond FO — MSO and existential SO ---------- *)
 
 let e19 () =
-  let module So_eval = Fmtk_so.So_eval in
   let module So_queries = Fmtk_so.So_queries in
   pf "EVEN over linear orders, MSO-definable (FO cannot, Theorem 3.1):@.";
   pf "  %4s %8s@." "n" "MSO-even";
   List.iter
     (fun n ->
       pf "  %4d %8b@." n
-        (So_eval.sat (Gen.linear_order n) So_queries.even_on_orders))
+        (Eval.sat (Gen.linear_order n) So_queries.even_on_orders))
     [ 4; 5; 6; 7; 8; 9 ];
   pf "Connectivity, MSO-definable (FO cannot, Corollary 3.2):@.";
   let cases =
@@ -624,7 +623,7 @@ let e19 () =
   List.iter
     (fun (name, g) ->
       pf "  %-10s MSO: %b  BFS: %b@." name
-        (So_eval.sat g So_queries.connectivity)
+        (Eval.sat g So_queries.connectivity)
         (Graph.connected g))
     cases;
   pf "Fagin's theorem flavour — NP queries in existential SO:@.";
@@ -632,7 +631,7 @@ let e19 () =
   List.iter
     (fun (name, g) ->
       pf "    %-14s ∃MSO: %-5b brute force: %b@." name
-        (So_eval.sat g So_queries.three_colorable)
+        (Eval.sat g So_queries.three_colorable)
         (So_queries.three_colorable_direct g))
     [
       ("K3", Graph.symmetric_closure (Gen.complete 3));
@@ -644,7 +643,7 @@ let e19 () =
   List.iter
     (fun (name, g) ->
       pf "    %-14s ∃SO: %-5b backtracking: %b@." name
-        (So_eval.sat g So_queries.hamiltonian_path)
+        (Eval.sat g So_queries.hamiltonian_path)
         (So_queries.hamiltonian_path_direct g))
     [
       ("path 4", Gen.path 4);
@@ -658,7 +657,7 @@ let e19 () =
       (fun n ->
         let g = Graph.symmetric_closure (Gen.cycle n) in
         bench (Printf.sprintf "3COL via ∃MSO n=%-2d" n) (fun () ->
-            So_eval.sat g So_queries.three_colorable))
+            Eval.sat g So_queries.three_colorable))
       [ 4; 6; 8 ]
   in
   run_bechamel (Bechamel.Test.make_grouped ~name:"E19" tests)
@@ -667,23 +666,21 @@ let e19 () =
 
 let e20 () =
   let module Fp = Fmtk_fixpoint.Fp_formula in
-  let module Fp_eval = Fmtk_fixpoint.Fp_eval in
   pf "TC as an IFP formula — stages grow with the data (FO cannot iterate):@.";
   pf "  %6s %8s %14s %18s@." "n" "stages" "tuples tested" "matches matrix TC";
   List.iter
     (fun n ->
       let g = Gen.successor n in
-      let stats = Fp_eval.new_stats () in
-      let ans = Fp_eval.answers ~stats g Fp.transitive_closure ~vars:[ "u"; "v" ] in
-      pf "  %6d %8d %14d %18b@." n stats.Fp_eval.stages
-        stats.Fp_eval.tuples_tested
+      let stats = Eval.new_stats () in
+      let ans = Eval.definable_relation ~stats g Fp.transitive_closure ~vars:[ "u"; "v" ] in
+      pf "  %6d %8d %14d %18b@." n stats.Eval.stages stats.Eval.tuples_tested
         (Fmtk_structure.Tuple.Set.equal ans (Graph.transitive_closure g)))
     [ 4; 8; 12; 16 ];
   pf "Connectivity and EVEN-with-order in FO(IFP):@.";
   List.iter
     (fun (name, g) ->
       pf "  %-12s IFP-CONN: %-5b BFS: %b@." name
-        (Fp_eval.sat g Fp.connectivity) (Graph.connected g))
+        (Eval.sat g Fp.connectivity) (Graph.connected g))
     [
       ("cycle 8", Gen.cycle 8);
       ("2 cycles", Gen.union_of [ Gen.cycle 4; Gen.cycle 4 ]);
@@ -691,7 +688,7 @@ let e20 () =
   List.iter
     (fun n ->
       pf "  L%-3d IFP-EVEN: %b (expected %b)@." n
-        (Fp_eval.sat (Gen.linear_order n) Fp.even_on_orders)
+        (Eval.sat (Gen.linear_order n) Fp.even_on_orders)
         (n mod 2 = 0))
     [ 6; 7; 8; 9 ];
   pf
@@ -706,7 +703,7 @@ let e20 () =
         let db = Engine.Db.of_structure g in
         [
           bench (Printf.sprintf "IFP answers  n=%-3d" n) (fun () ->
-              Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ]);
+              Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ]);
           bench (Printf.sprintf "semi-naive   n=%-3d" n) (fun () ->
               Engine.seminaive Programs.transitive_closure db);
         ])
@@ -773,8 +770,8 @@ let e22 () =
     (fun k ->
       let phi = Counting.degree_at_least_sentence k in
       let fo = Counting.expand phi in
-      pf "  %4d %14d %14d %14d %14d@." k (Counting.rank phi)
-        (Counting.size phi)
+      pf "  %4d %14d %14d %14d %14d@." k (Formula.quantifier_rank phi)
+        (Formula.size phi)
         (Formula.quantifier_rank fo) (Formula.size fo))
     [ 1; 2; 4; 8; 16 ];
   pf "Shape: counting stays constant; the expansion grows with k (rank k+1, size Θ(k²)).@.";
@@ -795,7 +792,7 @@ let e22 () =
     if not (via_cnt = via_fo && via_fo = via_agg) then agree := false
   done;
   pf "  three-way agreement on 50 random instances: %b@." !agree;
-  pf "@.Wall-clock: counting scan vs expanded FO evaluation (Bechamel):@.";
+  pf "@.Wall-clock: counting scan vs expanded FO, both compiled (Bechamel):@.";
   let g = Gen.random_graph ~rng:r 24 0.5 in
   let tests =
     List.concat_map
@@ -804,7 +801,8 @@ let e22 () =
         let fo = Counting.expand phi in
         [
           bench (Printf.sprintf "counting  k=%d" k) (fun () -> Counting.sat g phi);
-          bench (Printf.sprintf "expansion k=%d" k) (fun () -> Eval.sat g fo);
+          bench (Printf.sprintf "expansion k=%d" k) (fun () ->
+              Fmtk_eval.Compiled.sat g fo);
         ])
       [ 2; 4 ]
   in

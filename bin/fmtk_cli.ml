@@ -585,7 +585,7 @@ let mso_cmd =
     with
     | Error _ as e -> e
     | Ok phi ->
-        Format.printf "%b@." (Fmtk_so.So_eval.sat ~budget s phi);
+        Format.printf "%b@." (Eval.sat ~budget s phi);
         Ok ()
   in
   let query =
@@ -605,23 +605,22 @@ let ifp_cmd =
   let run s query budget =
     exec @@ fun () ->
     let module Fp = Fmtk_fixpoint.Fp_formula in
-    let module Fp_eval = Fmtk_fixpoint.Fp_eval in
-    let stats = Fp_eval.new_stats () in
+    let stats = Eval.new_stats () in
     match
       match query with
       | "tc" ->
           let tuples =
-            Fp_eval.answers ~stats ~budget s Fp.transitive_closure
+            Eval.definable_relation ~stats ~budget s Fp.transitive_closure
               ~vars:[ "u"; "v" ]
           in
           Format.printf "tc: %d pairs@." (Tuple.Set.cardinal tuples);
           Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) tuples;
           Ok ()
       | "conn" ->
-          Format.printf "%b@." (Fp_eval.sat ~stats ~budget s Fp.connectivity);
+          Format.printf "%b@." (Eval.sat ~stats ~budget s Fp.connectivity);
           Ok ()
       | "even" ->
-          Format.printf "%b@." (Fp_eval.sat ~stats ~budget s Fp.even_on_orders);
+          Format.printf "%b@." (Eval.sat ~stats ~budget s Fp.even_on_orders);
           Ok ()
       | other ->
           Error (`Msg (Printf.sprintf "unknown IFP query %S (tc|conn|even)" other))
@@ -629,7 +628,7 @@ let ifp_cmd =
     | Error _ as e -> e
     | Ok () ->
         Format.printf "(%d fixpoint stages, %d tuples tested)@."
-          stats.Fp_eval.stages stats.Fp_eval.tuples_tested;
+          stats.Eval.stages stats.Eval.tuples_tested;
         Ok ()
   in
   let query =

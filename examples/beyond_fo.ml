@@ -7,10 +7,9 @@ module Gen = Fmtk_structure.Gen
 module Graph = Fmtk_structure.Graph
 module Structure = Fmtk_structure.Structure
 module Signature = Fmtk_logic.Signature
-module So_eval = Fmtk_so.So_eval
+module Eval = Fmtk_eval.Eval
 module So_queries = Fmtk_so.So_queries
 module Fp = Fmtk_fixpoint.Fp_formula
-module Fp_eval = Fmtk_fixpoint.Fp_eval
 module Ef = Fmtk_games.Ef
 
 let header title = Format.printf "@.== %s ==@." title
@@ -25,44 +24,44 @@ let () =
   List.iter
     (fun n ->
       Format.printf "  |L| = %d : MSO-even = %b@." n
-        (So_eval.sat (Gen.linear_order n) So_queries.even_on_orders))
+        (Eval.sat (Gen.linear_order n) So_queries.even_on_orders))
     [ 5; 6; 7; 8 ];
 
   header "MSO expresses connectivity (Corollary 3.2 said FO cannot)";
   let g1 = Gen.cycle 6 and g2 = Gen.union_of [ Gen.cycle 3; Gen.cycle 3 ] in
   Format.printf "  one 6-cycle:    MSO = %b, BFS = %b@."
-    (So_eval.sat g1 So_queries.connectivity)
+    (Eval.sat g1 So_queries.connectivity)
     (Graph.connected g1);
   Format.printf "  two 3-cycles:   MSO = %b, BFS = %b@."
-    (So_eval.sat g2 So_queries.connectivity)
+    (Eval.sat g2 So_queries.connectivity)
     (Graph.connected g2);
 
   header "Existential SO reaches NP (Fagin)";
   let k4 = Graph.symmetric_closure (Gen.complete 4) in
   let c5 = Graph.symmetric_closure (Gen.cycle 5) in
   Format.printf "  3COL(K4) via ∃MSO = %b (brute force %b)@."
-    (So_eval.sat k4 So_queries.three_colorable)
+    (Eval.sat k4 So_queries.three_colorable)
     (So_queries.three_colorable_direct k4);
   Format.printf "  3COL(C5) via ∃MSO = %b (brute force %b)@."
-    (So_eval.sat c5 So_queries.three_colorable)
+    (Eval.sat c5 So_queries.three_colorable)
     (So_queries.three_colorable_direct c5);
   Format.printf "  Hamiltonian path on a directed 4-cycle via ∃SO = %b@."
-    (So_eval.sat (Gen.cycle 4) So_queries.hamiltonian_path);
+    (Eval.sat (Gen.cycle 4) So_queries.hamiltonian_path);
 
   header "Fixpoint logic: iteration as a first-class construct";
-  let stats = Fp_eval.new_stats () in
+  let stats = Eval.new_stats () in
   let chain = Gen.successor 10 in
-  let tc = Fp_eval.answers ~stats chain Fp.transitive_closure ~vars:[ "u"; "v" ] in
+  let tc = Eval.definable_relation ~stats chain Fp.transitive_closure ~vars:[ "u"; "v" ] in
   Format.printf "  TC of a 10-chain via [IFP]: %d pairs in %d stages@."
     (Fmtk_structure.Tuple.Set.cardinal tc)
-    stats.Fp_eval.stages;
+    stats.Eval.stages;
   Format.printf "  IFP-connectivity of two 4-cycles: %b@."
-    (Fp_eval.sat (Gen.union_of [ Gen.cycle 4; Gen.cycle 4 ]) Fp.connectivity);
+    (Eval.sat (Gen.union_of [ Gen.cycle 4; Gen.cycle 4 ]) Fp.connectivity);
   List.iter
     (fun n ->
       Format.printf "  IFP-EVEN on L%d = %b  (Immerman–Vardi: order + fixpoint)@."
         n
-        (Fp_eval.sat (Gen.linear_order n) Fp.even_on_orders))
+        (Eval.sat (Gen.linear_order n) Fp.even_on_orders))
     [ 8; 9 ];
   Format.printf
     "@.The hierarchy, executed: FO < FO(IFP) ≤ PTIME, MSO ∋ CONN, ∃SO = NP.@."

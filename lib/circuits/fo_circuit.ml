@@ -17,8 +17,9 @@ let atom_input rname tup =
 let compile sg ~size phi =
   if not (Formula.is_sentence phi) then
     invalid_arg "Fo_circuit.compile: not a sentence";
-  if not (Formula.wf sg phi) then
-    invalid_arg "Fo_circuit.compile: sentence not well-formed over signature";
+  (match Formula.check sg phi with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Fo_circuit.compile: " ^ msg));
   if Signature.consts sg <> [] then
     invalid_arg "Fo_circuit.compile: constants not supported";
   let c = Circuit.create () in
@@ -56,6 +57,9 @@ let compile sg ~size phi =
         Circuit.or_ c (List.init size (fun e -> go ((x, e) :: env) g))
     | Formula.Forall (x, g) ->
         Circuit.and_ c (List.init size (fun e -> go ((x, e) :: env) g))
+    | _ ->
+        invalid_arg
+          ("Fo_circuit.compile: not first-order: " ^ Formula.to_string f)
   in
   let output = go [] phi in
   { size; circuit = c; output; signature = sg }

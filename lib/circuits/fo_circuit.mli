@@ -15,9 +15,10 @@ module Structure = Fmtk_structure.Structure
 type compiled
 
 (** [compile sg ~size phi] builds the circuit for domain [{0..size-1}].
-    [phi] must be a sentence well-formed over [sg]; constants are not
-    supported (the circuit family is schema-level, constants would pin
-    domain elements). *)
+    [phi] must be a first-order sentence well-formed over [sg]; constants
+    are not supported (the circuit family is schema-level, constants would
+    pin domain elements).
+    @raise Invalid_argument otherwise. *)
 val compile : Fmtk_logic.Signature.t -> size:int -> Formula.t -> compiled
 
 (** Ground-atom input name: [R(d1,..,dk)] is ["R:d1,..,dk"]. *)

@@ -1,141 +1,19 @@
-module Term = Fmtk_logic.Term
-module Formula = Fmtk_logic.Formula
-module Structure = Fmtk_structure.Structure
+include Fmtk_logic.Formula
 
-type t =
-  | True
-  | False
-  | Eq of Term.t * Term.t
-  | Rel of string * Term.t list
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Exists of string * t
-  | Forall of string * t
-  | Count_geq of int * string * t
+let sat = Fmtk_eval.Compiled.sat
 
-let rec of_fo = function
-  | Formula.True -> True
-  | Formula.False -> False
-  | Formula.Eq (a, b) -> Eq (a, b)
-  | Formula.Rel (r, ts) -> Rel (r, ts)
-  | Formula.Not f -> Not (of_fo f)
-  | Formula.And (f, g) -> And (of_fo f, of_fo g)
-  | Formula.Or (f, g) -> Or (of_fo f, of_fo g)
-  | Formula.Implies (f, g) -> Implies (of_fo f, of_fo g)
-  | Formula.Iff (f, g) ->
-      And (Implies (of_fo f, of_fo g), Implies (of_fo g, of_fo f))
-  | Formula.Exists (x, f) -> Exists (x, of_fo f)
-  | Formula.Forall (x, f) -> Forall (x, of_fo f)
-
-let add_name acc x = if List.mem x acc then acc else acc @ [ x ]
-
-let free_vars f =
-  let rec go bound acc = function
-    | True | False -> acc
-    | Eq (a, b) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (Term.vars a @ Term.vars b)
-    | Rel (_, ts) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (List.concat_map Term.vars ts)
-    | Not f -> go bound acc f
-    | And (f, g) | Or (f, g) | Implies (f, g) -> go bound (go bound acc f) g
-    | Exists (x, f) | Forall (x, f) | Count_geq (_, x, f) ->
-        go (x :: bound) acc f
-  in
-  go [] [] f
-
-let rec rank = function
-  | True | False | Eq _ | Rel _ -> 0
-  | Not f -> rank f
-  | And (f, g) | Or (f, g) | Implies (f, g) -> max (rank f) (rank g)
-  | Exists (_, f) | Forall (_, f) | Count_geq (_, _, f) -> 1 + rank f
-
-let rec size = function
-  | True | False | Eq _ | Rel _ -> 1
-  | Not f | Exists (_, f) | Forall (_, f) | Count_geq (_, _, f) -> 1 + size f
-  | And (f, g) | Or (f, g) | Implies (f, g) -> 1 + size f + size g
-
-let eval_term s env = function
-  | Term.Var x -> (
-      match List.assoc_opt x env with
-      | Some e -> e
-      | None -> invalid_arg (Printf.sprintf "Counting: unbound variable %S" x))
-  | Term.Const c -> (
-      match Structure.const s c with
-      | e -> e
-      | exception Not_found ->
-          invalid_arg (Printf.sprintf "Counting: uninterpreted constant %S" c))
-
-let holds s phi ~env =
-  let n = Structure.size s in
-  let rec go env = function
-    | True -> true
-    | False -> false
-    | Eq (a, b) -> eval_term s env a = eval_term s env b
-    | Rel (r, ts) -> (
-        let tup = Array.of_list (List.map (eval_term s env) ts) in
-        match Structure.mem s r tup with
-        | b -> b
-        | exception Not_found ->
-            invalid_arg (Printf.sprintf "Counting: unknown relation %S" r))
-    | Not f -> not (go env f)
-    | And (f, g) -> go env f && go env g
-    | Or (f, g) -> go env f || go env g
-    | Implies (f, g) -> (not (go env f)) || go env g
-    | Exists (x, f) ->
-        let rec scan e = e < n && (go ((x, e) :: env) f || scan (e + 1)) in
-        scan 0
-    | Forall (x, f) ->
-        let rec scan e = e >= n || (go ((x, e) :: env) f && scan (e + 1)) in
-        scan 0
-    | Count_geq (k, x, f) ->
-        if k <= 0 then true
-        else
-          let rec scan e found =
-            if found >= k then true
-            else if e >= n then false
-            else if n - e + found < k then false (* cannot reach k anymore *)
-            else scan (e + 1) (if go ((x, e) :: env) f then found + 1 else found)
-          in
-          scan 0 0
-  in
-  go env phi
-
-let sat s phi =
-  match free_vars phi with
-  | [] -> holds s phi ~env:[]
-  | fv ->
-      invalid_arg
-        (Printf.sprintf "Counting.sat: free variables %s" (String.concat ", " fv))
-
-let rec expand = function
-  | True -> Formula.True
-  | False -> Formula.False
-  | Eq (a, b) -> Formula.Eq (a, b)
-  | Rel (r, ts) -> Formula.Rel (r, ts)
-  | Not f -> Formula.Not (expand f)
-  | And (f, g) -> Formula.And (expand f, expand g)
-  | Or (f, g) -> Formula.Or (expand f, expand g)
-  | Implies (f, g) -> Formula.Implies (expand f, expand g)
-  | Exists (x, f) -> Formula.Exists (x, expand f)
-  | Forall (x, f) -> Formula.Forall (x, expand f)
-  | Count_geq (k, x, f) ->
-      if k <= 0 then Formula.True
+let rec expand f =
+  match f with
+  | Count_geq (k, x, g) ->
+      if k <= 0 then True
       else
-        let body = expand f in
-        let avoid = x :: Formula.all_vars body in
+        let body = expand g in
+        let avoid = x :: all_vars body in
         (* k fresh witnesses. *)
         let witnesses =
           List.fold_left
             (fun acc _ ->
-              let w = Formula.fresh_var (avoid @ acc) x in
+              let w = fresh_var (avoid @ acc) x in
               acc @ [ w ])
             [] (List.init k Fun.id)
         in
@@ -143,15 +21,10 @@ let rec expand = function
           | [] -> []
           | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
         in
-        let distinct =
-          List.map
-            (fun (a, b) -> Formula.neq (Formula.v a) (Formula.v b))
-            (pairs witnesses)
-        in
-        let instances =
-          List.map (fun w -> Formula.subst x (Formula.v w) body) witnesses
-        in
-        Formula.exists_many witnesses (Formula.conj (distinct @ instances))
+        let distinct = List.map (fun (a, b) -> neq (v a) (v b)) (pairs witnesses) in
+        let instances = List.map (fun w -> subst x (v w) body) witnesses in
+        exists_many witnesses (conj (distinct @ instances))
+  | _ -> map_sub expand f
 
-let min_out_degree k = Count_geq (k, "y", Rel ("E", [ Term.Var "x"; Term.Var "y" ]))
+let min_out_degree k = Count_geq (k, "y", Rel ("E", [ v "x"; v "y" ]))
 let degree_at_least_sentence k = Exists ("x", min_out_degree k)

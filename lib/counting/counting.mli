@@ -1,43 +1,26 @@
 (** FO with counting quantifiers — FO(Cnt).
 
     The survey's aggregate-operators discussion starts from counting:
-    [∃^{≥k} x φ] ("at least k elements satisfy φ"). Over finite
-    structures counting quantifiers add no expressive power — {!expand}
-    eliminates them — but they add succinctness: the expansion multiplies
-    quantifier rank and blows up size quadratically in [k], which is
-    precisely why SQL exposes COUNT rather than making you write the
-    expansion. Locality survives: FO(Cnt) queries are as Gaifman-local as
-    their expansions (exercised in the tests and experiment E22). *)
+    [∃^{≥k} x φ] ("at least k elements satisfy φ"), the
+    {!Fmtk_logic.Formula.Count_geq} constructor. Over finite structures
+    counting quantifiers add no expressive power — {!expand} eliminates
+    them — but they add succinctness: the expansion multiplies quantifier
+    rank and blows up size quadratically in [k], which is precisely why
+    SQL exposes COUNT rather than making you write the expansion. Locality
+    survives: FO(Cnt) queries are as Gaifman-local as their expansions
+    (exercised in the tests and experiment E22). *)
 
-type t =
-  | True
-  | False
-  | Eq of Fmtk_logic.Term.t * Fmtk_logic.Term.t
-  | Rel of string * Fmtk_logic.Term.t list
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Exists of string * t
-  | Forall of string * t
-  | Count_geq of int * string * t  (** [∃^{≥k} x. φ] *)
-
-val of_fo : Fmtk_logic.Formula.t -> t
-val free_vars : t -> string list
-
-(** Quantifier rank, counting a counting quantifier as one. *)
-val rank : t -> int
-
-(** Node count. *)
-val size : t -> int
+(** The formula type and its operations, re-exported so that
+    [Counting.Count_geq (k, x, φ)] and the other constructors resolve
+    here. *)
+include module type of struct
+  include Fmtk_logic.Formula
+end
 
 (** {1 Semantics} *)
 
-(** Direct evaluation: a counting quantifier scans the domain once,
-    short-circuiting at [k] witnesses. *)
-val holds :
-  Fmtk_structure.Structure.t -> t -> env:(string * int) list -> bool
-
+(** {!Fmtk_eval.Compiled.sat}: a counting quantifier is a bounded witness
+    scan, short-circuiting at [k] witnesses. *)
 val sat : Fmtk_structure.Structure.t -> t -> bool
 
 (** {1 Elimination} *)
@@ -46,7 +29,7 @@ val sat : Fmtk_structure.Structure.t -> t -> bool
     [∃x1..xk (⋀ distinct ∧ ⋀ φ(x/xi))] — plain FO, semantically
     equivalent (checked by tests), but with rank inflated by [k−1] per
     counting quantifier and size inflated by [Θ(k² + k·|φ|)]. *)
-val expand : t -> Fmtk_logic.Formula.t
+val expand : t -> t
 
 (** {1 Stock queries} *)
 

@@ -116,6 +116,9 @@ let rec compile_f f =
       else Join (compile_f g, domain_nonempty)
   | Formula.Forall (x, g) ->
       compile_f (Formula.Not (Formula.Exists (x, Formula.Not g)))
+  | _ ->
+      invalid_arg
+        ("Compile.compile: not first-order: " ^ Formula.to_string f)
 
 let compile f = compile_f f
 
@@ -151,28 +154,24 @@ let rec rr f =
   | Formula.Exists (x, g) ->
       let r = rr g in
       if SSet.mem x r then SSet.remove x r else raise Unsafe
-  | Formula.Forall _ | Formula.Implies _ | Formula.Iff _ ->
-      (* Removed by the SRNF rewriting below. *)
+  | _ ->
+      (* Forall, Implies and Iff are removed by the SRNF rewriting below;
+         extension nodes never reach here. *)
       assert false
 
 (* SRNF: eliminate ->, <->, forall; push negation through quantifiers only
    as needed. NNF is a valid SRNF input. *)
 let safe_range f =
-  let srnf = Transform.nnf f in
+  Formula.is_fo f
+  &&
   (* nnf leaves no Implies/Iff/…; Forall must be re-expressed. *)
   let rec deforall g =
     match g with
-    | Formula.True | Formula.False | Formula.Eq _ | Formula.Rel _ -> g
-    | Formula.Not h -> Formula.Not (deforall h)
-    | Formula.And (h, k) -> Formula.And (deforall h, deforall k)
-    | Formula.Or (h, k) -> Formula.Or (deforall h, deforall k)
-    | Formula.Implies (h, k) -> Formula.Implies (deforall h, deforall k)
-    | Formula.Iff (h, k) -> Formula.Iff (deforall h, deforall k)
-    | Formula.Exists (x, h) -> Formula.Exists (x, deforall h)
     | Formula.Forall (x, h) ->
         Formula.Not (Formula.Exists (x, Formula.Not (deforall h)))
+    | _ -> Formula.map_sub deforall g
   in
-  let g = deforall srnf in
+  let g = deforall (Transform.nnf f) in
   match rr g with
   | r -> SSet.equal r (SSet.of_list (Formula.free_vars g))
   | exception Unsafe -> false
@@ -181,15 +180,18 @@ let safe_range f =
 
 (* Planner-backed evaluation with adom-padded (natural) semantics. *)
 let answers_any ?budget s f =
-  let db = Database.of_structure s in
-  let fv = Formula.free_vars f in
-  let e = Algebra.Project (fv, compile f) in
-  match Planner.plan db e with
-  | Error m -> Error (`Msg m)
-  | Ok p -> (
-      match Physical.run ?budget db p with
-      | Error m -> Error (`Msg m)
-      | Ok rel -> Ok (fv, Relation.tuples rel))
+  if not (Formula.is_fo f) then
+    Error (`Msg ("not a first-order query: " ^ Formula.to_string f))
+  else
+    let db = Database.of_structure s in
+    let fv = Formula.free_vars f in
+    let e = Algebra.Project (fv, compile f) in
+    match Planner.plan db e with
+    | Error m -> Error (`Msg m)
+    | Ok p -> (
+        match Physical.run ?budget db p with
+        | Error m -> Error (`Msg m)
+        | Ok rel -> Ok (fv, Relation.tuples rel))
 
 let sat_any ?budget s f =
   match Formula.free_vars f with
@@ -209,12 +211,15 @@ let unsafe_msg f =
         the active domain): %a"
        Formula.pp f)
 
+(* A formula that is not first-order falls through to the [_any]
+   variants' refusal. *)
 let answers ?budget s f =
-  if not (safe_range f) then Error (unsafe_msg f)
+  if Formula.is_fo f && not (safe_range f) then Error (unsafe_msg f)
   else answers_any ?budget s f
 
 let sat ?budget s f =
-  if not (safe_range f) then Error (unsafe_msg f) else sat_any ?budget s f
+  if Formula.is_fo f && not (safe_range f) then Error (unsafe_msg f)
+  else sat_any ?budget s f
 
 (* Naive reference path: structural recursion over list-of-tuples
    relations — the oracle the planner is differentially tested against. *)

@@ -11,7 +11,12 @@
     default entry points [answers]/[sat] additionally {e refuse} queries
     that are not safe-range ({!safe_range}) — the textbook guarantee of
     domain independence; the [_any] variants evaluate any formula under
-    the adom-padded semantics. *)
+    the adom-padded semantics.
+
+    Every entry point refuses a formula with an extension node (counting,
+    fixpoint or second-order): {!compile} and {!answers_naive} raise
+    [Invalid_argument], the planned entry points return [`Msg], and
+    {!safe_range} is false on it. *)
 
 module Formula = Fmtk_logic.Formula
 

@@ -41,7 +41,7 @@ let compile_with a ~vars f =
   let scope0 : scope = List.mapi (fun i x -> (x, i)) vars in
   let rec go (scope : scope) depth f : int array -> bool =
     (match f with
-    | Formula.Exists _ | Formula.Forall _ ->
+    | Formula.Exists _ | Formula.Forall _ | Formula.Count_geq _ ->
         nslots := max !nslots (depth + 1)
     | _ -> ());
     match f with
@@ -109,6 +109,24 @@ let compile_with a ~vars f =
                && scan (e + 1))
           in
           scan 0
+    | Formula.Count_geq (k, x, g) ->
+        (* A bounded witness scan: stop at the k-th witness, or once too
+           few elements remain. *)
+        let slot = depth in
+        let cg = go ((x, slot) :: scope) (depth + 1) g in
+        fun env ->
+          let rec scan e found =
+            found >= k
+            || (n - e + found >= k
+               && (env.(slot) <- e;
+                   scan (e + 1) (if cg env then found + 1 else found)))
+          in
+          scan 0 0
+    | Formula.Ifp _ | Formula.Mem _ | Formula.Exists_set _
+    | Formula.Forall_set _ | Formula.Exists_rel _ | Formula.Forall_rel _ ->
+        invalid_arg
+          (Printf.sprintf "Compiled: fixpoint or second-order formula %s"
+             (Formula.to_string f))
   in
   let code = go scope0 (List.length vars) f in
   { structure = a; free = vars; nslots = !nslots; code }

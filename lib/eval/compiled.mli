@@ -9,8 +9,9 @@
     resolved at compile time, constants are interpreted at compile time,
     and every relational atom holds its relation's O(1) membership index
     ({!Fmtk_structure.Index}) with an arity-specialized allocation-free
-    probe. Experiment E23 measures the gap against the naive interpreter,
-    which remains the differential-testing oracle.
+    probe. A counting quantifier [∃^{≥k}x] compiles to a bounded witness
+    scan over its own binder slot. Experiment E23 measures the gap against
+    the naive interpreter, which remains the differential-testing oracle.
 
     A compiled formula reuses internal scratch buffers, so a single [t]
     must not be run from several domains at once — compile per domain
@@ -24,7 +25,7 @@ type t
 (** [compile a f] compiles [f] for evaluation on [a]. Free variables get
     argument slots in {!Formula.free_vars} order.
     @raise Invalid_argument if [f] mentions a relation or constant not
-    interpreted by [a]. *)
+    interpreted by [a], or has a fixpoint or second-order node. *)
 val compile : Structure.t -> Formula.t -> t
 
 (** Like {!compile} with an explicit argument-slot order; [vars] must

@@ -1,161 +1,7 @@
-module Structure = Fmtk_structure.Structure
-module Term = Fmtk_logic.Term
-module Tuple = Fmtk_structure.Tuple
-module Budget = Fmtk_runtime.Budget
+module Eval = Fmtk_eval.Eval
 
-type stats = { mutable stages : int; mutable tuples_tested : int }
+type stats = Eval.stats
 
-let new_stats () = { stages = 0; tuples_tested = 0 }
-
-let eval_term s fo_env = function
-  | Term.Var x -> (
-      match List.assoc_opt x fo_env with
-      | Some e -> e
-      | None -> invalid_arg (Printf.sprintf "Fp_eval: unbound variable %S" x))
-  | Term.Const c -> (
-      match Structure.const s c with
-      | e -> e
-      | exception Not_found ->
-          invalid_arg (Printf.sprintf "Fp_eval: uninterpreted constant %S" c))
-
-(* Environment for fixpoint-bound relation variables. *)
-type rel_env = (string * Tuple.Set.t) list
-
-type cache = (Fp_formula.t * (string * int) list, Tuple.Set.t) Hashtbl.t
-
-let holds_with_cache ~(cache : cache) ?stats ?(budget = Budget.unlimited) s
-    phi ~env =
-  let poller = Budget.poller budget in
-  let bump_stage () =
-    match stats with Some st -> st.stages <- st.stages + 1 | None -> ()
-  in
-  let bump_tuple () =
-    match stats with
-    | Some st -> st.tuples_tested <- st.tuples_tested + 1
-    | None -> ()
-  in
-  let n = Structure.size s in
-  let rec go (fo_env : (string * int) list) (renv : rel_env) f =
-    Budget.check poller;
-    match f with
-    | Fp_formula.True -> true
-    | Fp_formula.False -> false
-    | Fp_formula.Eq (a, b) -> eval_term s fo_env a = eval_term s fo_env b
-    | Fp_formula.Rel (r, ts) -> (
-        let tup = Array.of_list (List.map (eval_term s fo_env) ts) in
-        match List.assoc_opt r renv with
-        | Some set -> Tuple.Set.mem tup set
-        | None -> (
-            (* Base relations go through the structure's O(1) index;
-               fixpoint-bound relations above evolve stage by stage, so
-               they stay on the plain set. *)
-            match Structure.probe s r tup with
-            | b -> b
-            | exception Not_found ->
-                invalid_arg (Printf.sprintf "Fp_eval: unknown relation %S" r)))
-    | Fp_formula.Not f -> not (go fo_env renv f)
-    | Fp_formula.And (f, g) -> go fo_env renv f && go fo_env renv g
-    | Fp_formula.Or (f, g) -> go fo_env renv f || go fo_env renv g
-    | Fp_formula.Implies (f, g) -> (not (go fo_env renv f)) || go fo_env renv g
-    | Fp_formula.Exists (x, f) ->
-        let rec scan e =
-          e < n && (go ((x, e) :: fo_env) renv f || scan (e + 1))
-        in
-        scan 0
-    | Fp_formula.Forall (x, f) ->
-        let rec scan e =
-          e >= n || (go ((x, e) :: fo_env) renv f && scan (e + 1))
-        in
-        scan 0
-    | Fp_formula.Ifp (r, vars, body, args) as node ->
-        let k = List.length vars in
-        (* Outer free variables of the operator (not the fixpoint tuple
-           variables themselves) determine the fixpoint set. *)
-        let outer =
-          List.filter
-            (fun x -> not (List.mem x vars))
-            (Fp_formula.free_vars body)
-        in
-        let key =
-          ( node,
-            List.map
-              (fun x ->
-                match List.assoc_opt x fo_env with
-                | Some e -> (x, e)
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Fp_eval: unbound variable %S" x))
-              outer )
-        in
-        (* A nested fixpoint whose body mentions an enclosing fixpoint
-           relation varies with that relation's stages — don't cache it. *)
-        let use_cache = renv = [] in
-        let fixpoint =
-          match if use_cache then Hashtbl.find_opt cache key else None with
-          | Some set -> set
-          | None ->
-              let tuples = List.of_seq (Tuple.all n k) in
-              let rec iterate set =
-                bump_stage ();
-                let additions =
-                  List.filter
-                    (fun tup ->
-                      Budget.check poller;
-                      bump_tuple ();
-                      (not (Tuple.Set.mem tup set))
-                      &&
-                      let fo_env' =
-                        List.combine vars (Array.to_list tup) @ fo_env
-                      in
-                      go fo_env' ((r, set) :: renv) body)
-                    tuples
-                in
-                if additions = [] then set
-                else
-                  iterate
-                    (List.fold_left (fun s t -> Tuple.Set.add t s) set additions)
-              in
-              let set = iterate Tuple.Set.empty in
-              if use_cache then Hashtbl.replace cache key set;
-              set
-        in
-        let tup = Array.of_list (List.map (eval_term s fo_env) args) in
-        if Array.length tup <> k then
-          invalid_arg "Fp_eval: IFP argument arity mismatch";
-        Tuple.Set.mem tup fixpoint
-  in
-  go env [] phi
-
-(* Fixpoint-set cache keys include the operator node and its outer free
-   variables, so sharing one cache across calls on the same structure is
-   sound; each public entry point creates its own. *)
-let holds ?stats ?budget s phi ~env =
-  holds_with_cache ~cache:(Hashtbl.create 8) ?stats ?budget s phi ~env
-
-let sat ?stats ?budget s phi =
-  (match Fp_formula.free_vars phi with
-  | [] -> ()
-  | fv ->
-      invalid_arg
-        (Printf.sprintf "Fp_eval.sat: free variables %s" (String.concat ", " fv)));
-  holds ?stats ?budget s phi ~env:[]
-
-let answers ?stats ?budget s phi ~vars =
-  let fv = Fp_formula.free_vars phi in
-  List.iter
-    (fun x ->
-      if not (List.mem x vars) then
-        invalid_arg (Printf.sprintf "Fp_eval.answers: free variable %S not listed" x))
-    fv;
-  let n = Structure.size s in
-  let k = List.length vars in
-  let acc = ref Tuple.Set.empty in
-  (* Shared cache: the fixpoint sets are computed once, not per tuple. *)
-  let cache = Hashtbl.create 8 in
-  Seq.iter
-    (fun tup ->
-      let env = List.combine vars (Array.to_list tup) in
-      if holds_with_cache ~cache ?stats ?budget s phi ~env then
-        acc := Tuple.Set.add tup !acc)
-    (Tuple.all n k);
-  !acc
+let new_stats = Eval.new_stats
+let sat = Eval.sat
+let answers = Eval.definable_relation

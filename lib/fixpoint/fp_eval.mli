@@ -1,43 +1,23 @@
-(** Model checking for FO(IFP).
+(** FO(IFP) evaluation under the [Fp_eval] names: aliases of
+    {!Fmtk_eval.Eval}, which evaluates fixpoints. *)
 
-    Each fixpoint is computed bottom-up: stage [S_{i+1} = S_i ∪ {ā |
-    body(S_i, ā)}] until stable (at most [n^k] stages, each scanning
-    [n^k] candidate tuples — polynomial data complexity, in contrast to
-    the PSPACE combined complexity of plain FO with the formula as input). *)
-
-module Structure = Fmtk_structure.Structure
-
-(** Work counters: total fixpoint stages computed, and candidate tuples
-    tested across all stages. *)
-type stats = { mutable stages : int; mutable tuples_tested : int }
+type stats = Fmtk_eval.Eval.stats
 
 val new_stats : unit -> stats
 
-(** [sat ?stats s phi] for FO(IFP) sentences.
-    @raise Invalid_argument on free variables or unknown relations.
-    @raise Fmtk_runtime.Budget.Exhausted when the (default unlimited)
-    [budget] runs out — polled at every formula node and every candidate
-    tuple of every fixpoint stage. *)
+(** {!Fmtk_eval.Eval.sat}. *)
 val sat :
   ?stats:stats ->
   ?budget:Fmtk_runtime.Budget.t ->
-  Structure.t -> Fp_formula.t -> bool
-
-(** [holds ?stats s phi ~env] for open formulas. *)
-val holds :
-  ?stats:stats ->
-  ?budget:Fmtk_runtime.Budget.t ->
-  Structure.t ->
-  Fp_formula.t ->
-  env:(string * int) list ->
+  Fmtk_structure.Structure.t ->
+  Fmtk_logic.Formula.t ->
   bool
 
-(** [answers ?stats s phi ~vars] — the answer tuples of an open FO(IFP)
-    formula over the listed variables. *)
+(** {!Fmtk_eval.Eval.definable_relation}. *)
 val answers :
   ?stats:stats ->
   ?budget:Fmtk_runtime.Budget.t ->
-  Structure.t ->
-  Fp_formula.t ->
+  Fmtk_structure.Structure.t ->
+  Fmtk_logic.Formula.t ->
   vars:string list ->
   Fmtk_structure.Tuple.Set.t

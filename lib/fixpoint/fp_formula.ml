@@ -1,112 +1,27 @@
-module Term = Fmtk_logic.Term
 module Formula = Fmtk_logic.Formula
-
-type t =
-  | True
-  | False
-  | Eq of Term.t * Term.t
-  | Rel of string * Term.t list
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Exists of string * t
-  | Forall of string * t
-  | Ifp of string * string list * t * Term.t list
-
-let rec of_fo = function
-  | Formula.True -> True
-  | Formula.False -> False
-  | Formula.Eq (a, b) -> Eq (a, b)
-  | Formula.Rel (r, ts) -> Rel (r, ts)
-  | Formula.Not f -> Not (of_fo f)
-  | Formula.And (f, g) -> And (of_fo f, of_fo g)
-  | Formula.Or (f, g) -> Or (of_fo f, of_fo g)
-  | Formula.Implies (f, g) -> Implies (of_fo f, of_fo g)
-  | Formula.Iff (f, g) ->
-      And (Implies (of_fo f, of_fo g), Implies (of_fo g, of_fo f))
-  | Formula.Exists (x, f) -> Exists (x, of_fo f)
-  | Formula.Forall (x, f) -> Forall (x, of_fo f)
-
-let add_name acc x = if List.mem x acc then acc else acc @ [ x ]
-
-let free_vars f =
-  let rec go bound acc = function
-    | True | False -> acc
-    | Eq (a, b) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (Term.vars a @ Term.vars b)
-    | Rel (_, ts) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (List.concat_map Term.vars ts)
-    | Not f -> go bound acc f
-    | And (f, g) | Or (f, g) | Implies (f, g) -> go bound (go bound acc f) g
-    | Exists (x, f) | Forall (x, f) -> go (x :: bound) acc f
-    | Ifp (_, vars, body, args) ->
-        let acc = go (vars @ bound) acc body in
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (List.concat_map Term.vars args)
-  in
-  go [] [] f
+open Formula
 
 let positive_in r f =
   (* polarity: true = positive context *)
-  let rec go pol = function
-    | True | False | Eq _ -> true
+  let rec go pol f =
+    match f with
     | Rel (r', _) -> (not (String.equal r r')) || pol
-    | Not f -> go (not pol) f
-    | And (f, g) | Or (f, g) -> go pol f && go pol g
-    | Implies (f, g) -> go (not pol) f && go pol g
-    | Exists (_, f) | Forall (_, f) -> go pol f
-    | Ifp (r', vars, body, _) ->
-        ignore vars;
-        (* Occurrences of [r] inside an inner fixpoint that rebinds [r]
-           don't count. *)
-        if String.equal r r' then true else go pol body
+    | Not g -> go (not pol) g
+    | Implies (g, h) -> go (not pol) g && go pol h
+    | Iff (g, h) -> go pol g && go (not pol) g && go pol h && go (not pol) h
+    (* Occurrences of [r] under a binder that rebinds it don't count. *)
+    | Ifp (r', _, _, _) | Exists_rel (r', _, _) | Forall_rel (r', _, _)
+      when String.equal r r' ->
+        true
+    | _ -> List.for_all (go pol) (subformulas f)
   in
   go true f
 
-let rec ifp_depth = function
-  | True | False | Eq _ | Rel _ -> 0
-  | Not f | Exists (_, f) | Forall (_, f) -> ifp_depth f
-  | And (f, g) | Or (f, g) | Implies (f, g) -> max (ifp_depth f) (ifp_depth g)
-  | Ifp (_, _, body, _) -> 1 + ifp_depth body
-
-let rec pp ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Eq (a, b) -> Format.fprintf ppf "%a = %a" Term.pp a Term.pp b
-  | Rel (r, ts) ->
-      Format.fprintf ppf "%s(%a)" r
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           Term.pp)
-        ts
-  | Not f -> Format.fprintf ppf "!(%a)" pp f
-  | And (f, g) -> Format.fprintf ppf "(%a & %a)" pp f pp g
-  | Or (f, g) -> Format.fprintf ppf "(%a | %a)" pp f pp g
-  | Implies (f, g) -> Format.fprintf ppf "(%a -> %a)" pp f pp g
-  | Exists (x, f) -> Format.fprintf ppf "exists %s. %a" x pp f
-  | Forall (x, f) -> Format.fprintf ppf "forall %s. %a" x pp f
-  | Ifp (r, vars, body, args) ->
-      Format.fprintf ppf "[IFP %s(%s). %a](%a)" r (String.concat "," vars) pp
-        body
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           Term.pp)
-        args
-
-let to_string f = Format.asprintf "%a" pp f
+let rec ifp_depth f =
+  let sub = List.fold_left (fun m g -> max m (ifp_depth g)) 0 (subformulas f) in
+  match f with Ifp _ -> 1 + sub | _ -> sub
 
 (* ---- canonical definitions ---- *)
-
-let v x = Term.Var x
 
 let tc_body =
   Or

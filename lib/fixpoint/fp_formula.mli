@@ -1,54 +1,33 @@
-(** FO extended with an inflationary fixpoint operator — FO(IFP).
+(** FO(IFP): what is specific to fixpoint logic.
 
     The survey's complexity story culminates in fixpoint logics: FO cannot
     express transitive closure (Corollary 3.2), FO(IFP) can, and by the
     Immerman–Vardi theorem FO(IFP) captures exactly PTIME on ordered
-    structures. The operator
-    [Ifp (r, [x1..xk], body, [t1..tk])] denotes
-    [[IFP_{r,x̄} body](t̄)]: iterate [S ↦ S ∪ {ā | body(S, ā)}] from ∅
-    to its (inflationary, hence always existing) fixpoint and test [t̄]. *)
+    structures. The operator is the {!Fmtk_logic.Formula.Ifp} constructor
+    and {!Fmtk_eval.Eval} evaluates it; this module holds the analyses and
+    the canonical definitions. *)
 
-type t =
-  | True
-  | False
-  | Eq of Fmtk_logic.Term.t * Fmtk_logic.Term.t
-  | Rel of string * Fmtk_logic.Term.t list
-      (** signature relation or fixpoint-bound relation variable *)
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Exists of string * t
-  | Forall of string * t
-  | Ifp of string * string list * t * Fmtk_logic.Term.t list
-
-(** Embed a first-order formula. *)
-val of_fo : Fmtk_logic.Formula.t -> t
-
-(** Free first-order variables. *)
-val free_vars : t -> string list
+module Formula = Fmtk_logic.Formula
 
 (** [positive_in r f] — every occurrence of relation [r] in [f] is under an
     even number of negations ([Implies] counts as a negation of its left
-    side). Positive bodies make IFP coincide with the least fixpoint. *)
-val positive_in : string -> t -> bool
+    side, [Iff] as both polarities). Positive bodies make IFP coincide with
+    the least fixpoint. *)
+val positive_in : string -> Formula.t -> bool
 
 (** Nesting depth of fixpoint operators. *)
-val ifp_depth : t -> int
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+val ifp_depth : Formula.t -> int
 
 (** {1 The canonical FO(IFP) definitions} *)
 
 (** Transitive closure: [[IFP T(x,y). E(x,y) ∨ ∃z (T(x,z) ∧ E(z,y))]](u,v)
     with free variables [u], [v]. *)
-val transitive_closure : t
+val transitive_closure : Formula.t
 
 (** Connectivity as an FO(IFP) sentence (symmetric reachability is total). *)
-val connectivity : t
+val connectivity : Formula.t
 
 (** EVEN over linear orders, FO(IFP)-definable thanks to the order
     (the Immerman–Vardi phenomenon): the set of odd positions is a
     fixpoint; size is even iff the last position is not odd. *)
-val even_on_orders : t
+val even_on_orders : Formula.t

@@ -16,6 +16,9 @@ type t = {
 let make ?radius ?threshold phi ~degree_bound =
   if not (Formula.is_sentence phi) then
     invalid_arg "Bounded_degree.make: not a sentence";
+  (* Hanf's radius and threshold are the first-order ones. *)
+  if not (Formula.is_fo phi) then
+    invalid_arg "Bounded_degree.make: not first-order";
   let rank = Formula.quantifier_rank phi in
   let radius = Option.value ~default:(Hanf.fo_radius ~rank) radius in
   let threshold =

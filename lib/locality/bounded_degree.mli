@@ -24,7 +24,7 @@ type t
     default to the Theorem 3.10 bounds; override to trade cache granularity
     (both remain sound if ≥ the defaults; smaller values are accepted for
     experimentation but void the guarantee).
-    @raise Invalid_argument if [phi] is not a sentence. *)
+    @raise Invalid_argument if [phi] is not a first-order sentence. *)
 val make :
   ?radius:int -> ?threshold:int -> Formula.t -> degree_bound:int -> t
 

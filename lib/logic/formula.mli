@@ -1,10 +1,20 @@
-(** First-order formulas over relational signatures.
+(** Formulas over relational signatures: first-order logic and the
+    extensions the toolbox moves on to once FO's limits are proved.
 
-    The abstract syntax follows the paper: atoms are relation atoms and
+    The first-order core follows the paper: atoms are relation atoms and
     equalities; connectives are the usual Booleans; quantifiers bind one
     variable at a time. A {e sentence} is a formula without free variables;
     a formula with free variables [x1..xn] induces an n-ary query
-    (slide 10). *)
+    (slide 10).
+
+    The extension constructors add, on the same syntax, the counting
+    quantifier of FO(Cnt), the inflationary fixpoint of FO(IFP), and the
+    set and relation quantifiers of MSO and SO. A relation atom [Rel (r, _)]
+    names either a signature relation or a relation variable bound by an
+    enclosing [Ifp] or [Exists_rel]/[Forall_rel] — the innermost binder
+    wins. Consumers that only handle FO ({!Transform}, the compilers, the
+    parser's output) refuse the extensions rather than guess; see
+    {!is_fo}. *)
 
 type t =
   | True
@@ -18,6 +28,18 @@ type t =
   | Iff of t * t
   | Exists of string * t
   | Forall of string * t
+  | Count_geq of int * string * t
+      (** [Count_geq (k, x, φ)] is [∃^{≥k} x. φ]: at least [k] elements
+          satisfy [φ] — FO(Cnt). *)
+  | Ifp of string * string list * t * Term.t list
+      (** [Ifp (r, [x1..xk], body, [t1..tk])] is [[IFP_{r,x̄} body](t̄)]:
+          iterate [S ↦ S ∪ {ā | body(S, ā)}] from ∅ to its (inflationary,
+          hence always existing) fixpoint and test [t̄] — FO(IFP). *)
+  | Mem of Term.t * string  (** [t ∈ X] for a set variable [X] *)
+  | Exists_set of string * t  (** monadic second-order *)
+  | Forall_set of string * t
+  | Exists_rel of string * int * t  (** full second-order, given arity *)
+  | Forall_rel of string * int * t
 
 (** {1 Smart constructors} *)
 
@@ -50,38 +72,58 @@ val c : string -> Term.t
 
 (** {1 Structural measures} *)
 
-(** Quantifier rank (slide 41): maximal nesting depth of quantifiers. *)
+(** Quantifier rank (slide 41): maximal nesting depth of first-order and
+    counting quantifiers. Fixpoint and second-order binders do not
+    count. *)
 val quantifier_rank : t -> int
 
-(** Number of connectives, quantifiers and atoms. *)
+(** Number of connectives, quantifiers, binders and atoms. *)
 val size : t -> int
 
-(** Free variables, each listed once, in first-occurrence order. *)
+(** Free first-order variables, each listed once, in first-occurrence
+    order. *)
 val free_vars : t -> string list
 
-(** All variables (free and bound), each listed once. *)
+(** All first-order variables (free and bound), each listed once. *)
 val all_vars : t -> string list
 
 (** [is_sentence f] holds iff [f] has no free variables. *)
 val is_sentence : t -> bool
 
-(** Relation symbols used, with the arity of each use. *)
+(** [is_fo f] holds iff [f] has no extension node (counting, fixpoint or
+    second-order). *)
+val is_fo : t -> bool
+
+(** Signature relations used (relation variables excluded), with the
+    arity of each use. *)
 val rels_used : t -> (string * int) list
 
-(** [wf sg f] checks that every relation atom matches the arity declared in
-    [sg] and every constant is declared. *)
-val wf : Signature.t -> t -> bool
+(** [check sg f] checks [f]'s vocabulary against [sg]: every relation
+    atom names a declared relation, or a relation variable bound by an
+    enclosing [Ifp] or relation quantifier, at its arity; every [Mem]
+    names a bound set variable; every constant is declared. The error is
+    the first problem met, e.g. [undeclared relation "R"]. *)
+val check : Signature.t -> t -> (unit, string) result
 
 (** {1 Substitution} *)
 
 (** [subst x u f] capture-avoidingly substitutes term [u] for the free
-    occurrences of variable [x] in [f]; bound variables are renamed with
-    {!fresh_var} when needed. *)
+    occurrences of variable [x] in [f]; variables bound by a quantifier,
+    counting quantifier or fixpoint are renamed with {!fresh_var} when
+    needed. *)
 val subst : string -> Term.t -> t -> t
 
 (** [fresh_var avoid base] is a variable name not in [avoid], derived from
     [base]. *)
 val fresh_var : string list -> string -> string
+
+(** {1 Traversal} *)
+
+(** The immediate subformulas, left to right. *)
+val subformulas : t -> t list
+
+(** [map_sub g f] applies [g] to each immediate subformula of [f]. *)
+val map_sub : (t -> t) -> t -> t
 
 (** {1 Common sentences} *)
 

@@ -21,6 +21,5 @@ let subst x u = function
   | Var y when String.equal y x -> u
   | (Var _ | Const _) as t -> t
 
-let wf sg = function Var _ -> true | Const c -> Signature.mem_const sg c
 let pp ppf = function Var x -> Format.pp_print_string ppf x | Const c -> Format.fprintf ppf "'%s" c
 let to_string t = Format.asprintf "%a" pp t

@@ -15,8 +15,5 @@ val rename_var : from:string -> into:string -> t -> t
 (** [subst x u t] substitutes term [u] for variable [x] in [t]. *)
 val subst : string -> t -> t -> t
 
-(** [wf sg t] checks that any constant in [t] is declared in [sg]. *)
-val wf : Signature.t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,5 +1,9 @@
 open Formula
 
+(* Every transform here is first-order; extension nodes are refused. *)
+let not_fo fn f =
+  invalid_arg (Printf.sprintf "Transform.%s: not first-order: %s" fn (to_string f))
+
 let rec nnf f =
   match f with
   | True | False | Eq _ | Rel _ -> f
@@ -10,6 +14,7 @@ let rec nnf f =
   | Iff (g, h) -> And (Or (nnf_not g, nnf h), Or (nnf_not h, nnf g))
   | Exists (x, g) -> Exists (x, nnf g)
   | Forall (x, g) -> Forall (x, nnf g)
+  | _ -> not_fo "nnf" f
 
 and nnf_not f =
   match f with
@@ -23,6 +28,7 @@ and nnf_not f =
   | Iff (g, h) -> Or (And (nnf g, nnf_not h), And (nnf h, nnf_not g))
   | Exists (x, g) -> Forall (x, nnf_not g)
   | Forall (x, g) -> Exists (x, nnf_not g)
+  | _ -> not_fo "nnf" f
 
 let rename_apart f =
   let used = ref (all_vars f) in
@@ -42,20 +48,16 @@ let rename_apart f =
       | Term.Const _ -> t
     in
     match f with
-    | True | False -> f
     | Eq (a, b) -> Eq (rename_term a, rename_term b)
     | Rel (r, ts) -> Rel (r, List.map rename_term ts)
-    | Not g -> Not (go env g)
-    | And (g, h) -> And (go env g, go env h)
-    | Or (g, h) -> Or (go env g, go env h)
-    | Implies (g, h) -> Implies (go env g, go env h)
-    | Iff (g, h) -> Iff (go env g, go env h)
+    | True | False | Not _ | And _ | Or _ | Implies _ | Iff _ -> map_sub (go env) f
     | Exists (x, g) ->
         let x' = fresh x in
         Exists (x', go ((x, x') :: env) g)
     | Forall (x, g) ->
         let x' = fresh x in
         Forall (x', go ((x, x') :: env) g)
+    | _ -> not_fo "rename_apart" f
   in
   go [] f
 
@@ -71,13 +73,13 @@ let prenex f =
     | Or (g, h) ->
         let qg, mg = pull g and qh, mh = pull h in
         (qg @ qh, Or (mg, mh))
-    | Implies _ | Iff _ -> assert false (* eliminated by nnf *)
     | Exists (x, g) ->
         let qs, m = pull g in
         ((`E, x) :: qs, m)
     | Forall (x, g) ->
         let qs, m = pull g in
         ((`A, x) :: qs, m)
+    | _ -> assert false (* nnf leaves no Implies/Iff and refuses the rest *)
   in
   let qs, matrix = pull (rename_apart (nnf f)) in
   List.fold_right
@@ -115,24 +117,18 @@ let rec simplify f =
       | True, k | k, True -> k
       | False, k | k, False -> simplify (Not k)
       | g', h' -> Iff (g', h'))
+  (* [∃x.⊤] and [∀x.⊥] stay: they hold, respectively fail, only on
+     nonempty domains, and the empty structure is legal. *)
   | Exists (x, g) -> (
-      match simplify g with
-      | True -> True (* domains are nonempty *)
-      | False -> False
-      | g' -> Exists (x, g'))
+      match simplify g with False -> False | g' -> Exists (x, g'))
   | Forall (x, g) -> (
-      match simplify g with
-      | True -> True
-      | False -> False
-      | g' -> Forall (x, g'))
+      match simplify g with True -> True | g' -> Forall (x, g'))
+  | _ -> not_fo "simplify" f
 
 let rec relativize ~guard f =
   match f with
-  | True | False | Eq _ | Rel _ -> f
-  | Not g -> Not (relativize ~guard g)
-  | And (g, h) -> And (relativize ~guard g, relativize ~guard h)
-  | Or (g, h) -> Or (relativize ~guard g, relativize ~guard h)
-  | Implies (g, h) -> Implies (relativize ~guard g, relativize ~guard h)
-  | Iff (g, h) -> Iff (relativize ~guard g, relativize ~guard h)
+  | True | False | Eq _ | Rel _ | Not _ | And _ | Or _ | Implies _ | Iff _ ->
+      map_sub (relativize ~guard) f
   | Exists (x, g) -> Exists (x, And (guard x, relativize ~guard g))
   | Forall (x, g) -> Forall (x, Implies (guard x, relativize ~guard g))
+  | _ -> not_fo "relativize" f

@@ -1,4 +1,8 @@
-(** Syntactic transformations of first-order formulas. *)
+(** Syntactic transformations of first-order formulas.
+
+    Every function here raises [Invalid_argument] on a formula with an
+    extension node (counting, fixpoint or second-order; see
+    {!Formula.is_fo}). *)
 
 (** Negation normal form: negations pushed to atoms, [Implies]/[Iff]
     eliminated. Preserves semantics; quantifier rank is unchanged. *)
@@ -6,12 +10,16 @@ val nnf : Formula.t -> Formula.t
 
 (** Prenex normal form: all quantifiers pulled to the front (the matrix is
     quantifier-free). Bound variables are renamed apart first. The result is
-    logically equivalent; its quantifier rank equals the number of
-    quantifiers, so it may exceed the input's rank. *)
+    logically equivalent on nonempty structures — on the empty one
+    [(∃x φ) ∨ ψ] and [∃x (φ ∨ ψ)] differ, and no prenex form can help; its
+    quantifier rank equals the number of quantifiers, so it may exceed the
+    input's rank. *)
 val prenex : Formula.t -> Formula.t
 
 (** Constant folding and local simplifications ([f ∧ true ≡ f], double
-    negation, etc.). Semantics-preserving; never increases size or rank. *)
+    negation, etc.). Semantics-preserving on every structure, the empty one
+    included (so [∃x.⊤] and [∀x.⊥] are kept); never increases size or
+    rank. *)
 val simplify : Formula.t -> Formula.t
 
 (** Rename bound variables so that each quantifier binds a distinct variable

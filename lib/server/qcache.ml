@@ -1,6 +1,5 @@
 module Formula = Fmtk_logic.Formula
 module Signature = Fmtk_logic.Signature
-module Term = Fmtk_logic.Term
 module Parser = Fmtk_logic.Parser
 module Structure = Fmtk_structure.Structure
 module Compiled = Fmtk_eval.Compiled
@@ -35,42 +34,6 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Arity/declaredness validation, so the parse tier caches *vocabulary*
-   errors too and workers never pay compilation to discover them. *)
-let validate sg phi =
-  let problem = ref None in
-  let check_term = function
-    | Term.Const c when not (Signature.mem_const sg c) ->
-        if !problem = None then
-          problem := Some (Printf.sprintf "undeclared constant %S" c)
-    | _ -> ()
-  in
-  let rec go f =
-    if !problem = None then
-      match (f : Formula.t) with
-      | Formula.True | Formula.False -> ()
-      | Formula.Eq (a, b) ->
-          check_term a;
-          check_term b
-      | Formula.Rel (r, args) ->
-          if not (Signature.mem_rel sg r) then
-            problem := Some (Printf.sprintf "undeclared relation %S" r)
-          else if Signature.arity sg r <> List.length args then
-            problem :=
-              Some
-                (Printf.sprintf "relation %S expects %d argument(s), got %d" r
-                   (Signature.arity sg r) (List.length args))
-          else List.iter check_term args
-      | Formula.Not a -> go a
-      | Formula.And (a, b) | Formula.Or (a, b)
-      | Formula.Implies (a, b) | Formula.Iff (a, b) ->
-          go a;
-          go b
-      | Formula.Exists (_, a) | Formula.Forall (_, a) -> go a
-  in
-  go phi;
-  match !problem with None -> Ok phi | Some msg -> Error msg
-
 let sig_key sg =
   Format.asprintf "%a" Signature.pp sg
 
@@ -82,7 +45,10 @@ let formula t sg text =
       let r =
         match Parser.parse text with
         | Error e -> Error e
-        | Ok phi -> validate sg phi
+        | Ok phi ->
+            (* Vocabulary errors are cached too, so workers never pay
+               compilation to discover them. *)
+            Result.map (fun () -> phi) (Formula.check sg phi)
       in
       locked t (fun () ->
           if Hashtbl.length t.parsed >= t.capacity then Hashtbl.reset t.parsed;

@@ -1,119 +1,12 @@
-module Term = Fmtk_logic.Term
 module Formula = Fmtk_logic.Formula
+open Formula
 
-type t =
-  | True
-  | False
-  | Eq of Term.t * Term.t
-  | Rel of string * Term.t list
-  | Mem of Term.t * string
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Iff of t * t
-  | Exists of string * t
-  | Forall of string * t
-  | Exists_set of string * t
-  | Forall_set of string * t
-  | Exists_rel of string * int * t
-  | Forall_rel of string * int * t
-
-let rec of_fo = function
-  | Formula.True -> True
-  | Formula.False -> False
-  | Formula.Eq (a, b) -> Eq (a, b)
-  | Formula.Rel (r, ts) -> Rel (r, ts)
-  | Formula.Not f -> Not (of_fo f)
-  | Formula.And (f, g) -> And (of_fo f, of_fo g)
-  | Formula.Or (f, g) -> Or (of_fo f, of_fo g)
-  | Formula.Implies (f, g) -> Implies (of_fo f, of_fo g)
-  | Formula.Iff (f, g) -> Iff (of_fo f, of_fo g)
-  | Formula.Exists (x, f) -> Exists (x, of_fo f)
-  | Formula.Forall (x, f) -> Forall (x, of_fo f)
-
-let rec so_quantifier_count = function
-  | True | False | Eq _ | Rel _ | Mem _ -> 0
-  | Not f -> so_quantifier_count f
-  | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) ->
-      so_quantifier_count f + so_quantifier_count g
-  | Exists (_, f) | Forall (_, f) -> so_quantifier_count f
-  | Exists_set (_, f) | Forall_set (_, f)
-  | Exists_rel (_, _, f) | Forall_rel (_, _, f) ->
-      1 + so_quantifier_count f
-
-let rec fo_rank = function
-  | True | False | Eq _ | Rel _ | Mem _ -> 0
-  | Not f -> fo_rank f
-  | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) ->
-      max (fo_rank f) (fo_rank g)
-  | Exists (_, f) | Forall (_, f) -> 1 + fo_rank f
-  | Exists_set (_, f) | Forall_set (_, f)
-  | Exists_rel (_, _, f) | Forall_rel (_, _, f) ->
-      fo_rank f
-
-let rec has_so_quantifier = function
-  | True | False | Eq _ | Rel _ | Mem _ -> false
-  | Not f -> has_so_quantifier f
-  | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) ->
-      has_so_quantifier f || has_so_quantifier g
-  | Exists (_, f) | Forall (_, f) -> has_so_quantifier f
-  | Exists_set _ | Forall_set _ | Exists_rel _ | Forall_rel _ -> true
+let rec so_quantifier_count f =
+  let sub = List.fold_left (fun n g -> n + so_quantifier_count g) 0 (subformulas f) in
+  match f with
+  | Exists_set _ | Forall_set _ | Exists_rel _ | Forall_rel _ -> 1 + sub
+  | _ -> sub
 
 let rec is_existential_so = function
   | Exists_set (_, f) | Exists_rel (_, _, f) -> is_existential_so f
-  | f -> not (has_so_quantifier f)
-
-let add_name acc x = if List.mem x acc then acc else acc @ [ x ]
-
-let free_vars f =
-  let rec go bound acc = function
-    | True | False -> acc
-    | Eq (a, b) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (Term.vars a @ Term.vars b)
-    | Rel (_, ts) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc
-          (List.concat_map Term.vars ts)
-    | Mem (t, _) ->
-        List.fold_left
-          (fun acc x -> if List.mem x bound then acc else add_name acc x)
-          acc (Term.vars t)
-    | Not f -> go bound acc f
-    | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) ->
-        go bound (go bound acc f) g
-    | Exists (x, f) | Forall (x, f) -> go (x :: bound) acc f
-    | Exists_set (_, f) | Forall_set (_, f)
-    | Exists_rel (_, _, f) | Forall_rel (_, _, f) ->
-        go bound acc f
-  in
-  go [] [] f
-
-let rec pp ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Eq (a, b) -> Format.fprintf ppf "%a = %a" Term.pp a Term.pp b
-  | Rel (r, ts) ->
-      Format.fprintf ppf "%s(%a)" r
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           Term.pp)
-        ts
-  | Mem (t, x) -> Format.fprintf ppf "%a in %s" Term.pp t x
-  | Not f -> Format.fprintf ppf "!(%a)" pp f
-  | And (f, g) -> Format.fprintf ppf "(%a & %a)" pp f pp g
-  | Or (f, g) -> Format.fprintf ppf "(%a | %a)" pp f pp g
-  | Implies (f, g) -> Format.fprintf ppf "(%a -> %a)" pp f pp g
-  | Iff (f, g) -> Format.fprintf ppf "(%a <-> %a)" pp f pp g
-  | Exists (x, f) -> Format.fprintf ppf "exists %s. %a" x pp f
-  | Forall (x, f) -> Format.fprintf ppf "forall %s. %a" x pp f
-  | Exists_set (x, f) -> Format.fprintf ppf "existsSet %s. %a" x pp f
-  | Forall_set (x, f) -> Format.fprintf ppf "forallSet %s. %a" x pp f
-  | Exists_rel (x, k, f) -> Format.fprintf ppf "existsRel %s/%d. %a" x k pp f
-  | Forall_rel (x, k, f) -> Format.fprintf ppf "forallRel %s/%d. %a" x k pp f
-
-let to_string f = Format.asprintf "%a" pp f
+  | f -> so_quantifier_count f = 0

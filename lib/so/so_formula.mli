@@ -1,47 +1,19 @@
-(** Second-order logic: monadic (MSO) and full relational (SO) extensions
-    of FO.
+(** Second-order logic: what is specific to monadic (MSO) and full
+    relational (SO) quantification.
 
     The paper's survey motivates going beyond FO once its limits are
     proved: MSO defines the queries the toolbox showed FO cannot express
     (connectivity, EVEN over orders), and existential SO captures NP
-    (Fagin's theorem). Set variables are written [X, Y, …]; relation
-    variables carry an arity. *)
+    (Fagin's theorem). Set variables are written [X, Y, …] and bound by
+    {!Fmtk_logic.Formula.Exists_set}/[Forall_set]; relation variables
+    carry an arity and are bound by [Exists_rel]/[Forall_rel].
+    {!Fmtk_eval.Eval} evaluates them. *)
 
-type t =
-  | True
-  | False
-  | Eq of Fmtk_logic.Term.t * Fmtk_logic.Term.t
-  | Rel of string * Fmtk_logic.Term.t list
-      (** Either a signature relation or a quantified relation variable —
-          resolved at evaluation time, inner quantifier wins. *)
-  | Mem of Fmtk_logic.Term.t * string  (** [x ∈ X], a monadic atom *)
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Implies of t * t
-  | Iff of t * t
-  | Exists of string * t  (** first-order *)
-  | Forall of string * t
-  | Exists_set of string * t  (** monadic second-order *)
-  | Forall_set of string * t
-  | Exists_rel of string * int * t  (** full second-order, given arity *)
-  | Forall_rel of string * int * t
-
-(** Embed a first-order formula. *)
-val of_fo : Fmtk_logic.Formula.t -> t
+module Formula = Fmtk_logic.Formula
 
 (** Number of second-order quantifiers (set + relation). *)
-val so_quantifier_count : t -> int
-
-(** First-order quantifier rank (second-order quantifiers not counted). *)
-val fo_rank : t -> int
+val so_quantifier_count : Formula.t -> int
 
 (** [is_existential_so f] — every second-order quantifier is existential
     and outermost (the Fagin fragment ∃SO). *)
-val is_existential_so : t -> bool
-
-(** Free first-order variables. *)
-val free_vars : t -> string list
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+val is_existential_so : Formula.t -> bool

@@ -1,9 +1,6 @@
 module Structure = Fmtk_structure.Structure
 module Tuple = Fmtk_structure.Tuple
-open So_formula
-
-let v x = Fmtk_logic.Term.Var x
-let conj = function [] -> True | f :: fs -> List.fold_left (fun a b -> And (a, b)) f fs
+open Fmtk_logic.Formula
 
 (* Order vocabulary over lt. *)
 let lt x y = Rel ("lt", [ v x; v y ])

@@ -1,76 +1,71 @@
-module So = Fmtk_so.So_formula
-module So_eval = Fmtk_so.So_eval
+module Eval = Fmtk_eval.Eval
+open Fmtk_logic.Formula
 
 let bool_alphabet = [ "and"; "or"; "0"; "1" ]
-let v x = Fmtk_logic.Term.Var x
 
-let conj = function
-  | [] -> So.True
-  | f :: fs -> List.fold_left (fun a b -> So.And (a, b)) f fs
-
-let label a x = So.Rel ("L_" ^ a, [ v x ])
-let left p c = So.Rel ("left", [ v p; v c ])
-let right p c = So.Rel ("right", [ v p; v c ])
-let in_x x = So.Mem (v x, "X")
+let label a x = Rel ("L_" ^ a, [ v x ])
+let left p c = Rel ("left", [ v p; v c ])
+let right p c = Rel ("right", [ v p; v c ])
+let in_x x = Mem (v x, "X")
 
 let root x =
-  So.Not (So.Exists ("p", So.Or (left "p" x, right "p" x)))
+  Not (Exists ("p", Or (left "p" x, right "p" x)))
 
 let boolean_eval_sentence =
   (* X = the set of nodes evaluating to true. *)
   let gate glabel combine =
-    So.Forall
+    Forall
       ( "n",
-        So.Forall
+        Forall
           ( "l",
-            So.Forall
+            Forall
               ( "r",
-                So.Implies
+                Implies
                   ( conj [ label glabel "n"; left "n" "l"; right "n" "r" ],
-                    So.Iff (in_x "n", combine (in_x "l") (in_x "r")) ) ) ) )
+                    Iff (in_x "n", combine (in_x "l") (in_x "r")) ) ) ) )
   in
-  So.Exists_set
+  Exists_set
     ( "X",
       conj
         [
-          So.Forall ("n", So.Implies (label "1" "n", in_x "n"));
-          So.Forall ("n", So.Implies (label "0" "n", So.Not (in_x "n")));
-          gate "and" (fun a b -> So.And (a, b));
-          gate "or" (fun a b -> So.Or (a, b));
-          So.Forall ("n", So.Implies (root "n", in_x "n"));
+          Forall ("n", Implies (label "1" "n", in_x "n"));
+          Forall ("n", Implies (label "0" "n", Not (in_x "n")));
+          gate "and" (fun a b -> And (a, b));
+          gate "or" (fun a b -> Or (a, b));
+          Forall ("n", Implies (root "n", in_x "n"));
         ] )
 
 let eval_via_mso t =
-  So_eval.sat (Tree.to_structure ~alphabet:bool_alphabet t) boolean_eval_sentence
+  Eval.sat (Tree.to_structure ~alphabet:bool_alphabet t) boolean_eval_sentence
 
 let eval_via_automaton t = Automaton.accepts Automaton.boolean_eval t
 
 let even_ones_sentence =
   (* X = nodes whose subtree contains an odd number of 1-leaves; a leaf is
      a node without a left child. *)
-  let leaf x = So.Not (So.Exists ("c", left x "c")) in
-  So.Exists_set
+  let leaf x = Not (Exists ("c", left x "c")) in
+  Exists_set
     ( "X",
       conj
         [
-          So.Forall
-            ("n", So.Implies (leaf "n", So.Iff (in_x "n", label "1" "n")));
-          So.Forall
+          Forall
+            ("n", Implies (leaf "n", Iff (in_x "n", label "1" "n")));
+          Forall
             ( "n",
-              So.Forall
+              Forall
                 ( "l",
-                  So.Forall
+                  Forall
                     ( "r",
-                      So.Implies
-                        ( So.And (left "n" "l", right "n" "r"),
-                          So.Iff
+                      Implies
+                        ( And (left "n" "l", right "n" "r"),
+                          Iff
                             ( in_x "n",
-                              So.Iff (in_x "l", So.Not (in_x "r")) ) ) ) ) );
-          So.Forall ("n", So.Implies (root "n", So.Not (in_x "n")));
+                              Iff (in_x "l", Not (in_x "r")) ) ) ) ) );
+          Forall ("n", Implies (root "n", Not (in_x "n")));
         ] )
 
 let even_ones_via_mso t =
-  So_eval.sat (Tree.to_structure ~alphabet:bool_alphabet t) even_ones_sentence
+  Eval.sat (Tree.to_structure ~alphabet:bool_alphabet t) even_ones_sentence
 
 let rec eval_direct = function
   | Tree.Leaf "1" -> true

@@ -18,8 +18,10 @@ let find_kec_witness ~rng ~k ~size ~attempts =
 let graph_sentence_check phi =
   if not (Formula.is_sentence phi) then
     invalid_arg "Almost_sure: not a sentence";
-  if not (Formula.wf Signature.graph phi) then
-    invalid_arg "Almost_sure: not a sentence over the graph signature {E/2}"
+  (* The extension axioms only settle first-order sentences. *)
+  if not (Formula.is_fo phi && Formula.check Signature.graph phi = Ok ()) then
+    invalid_arg
+      "Almost_sure: not a first-order sentence over the graph signature {E/2}"
 
 let decide ?(source = Paley) phi =
   graph_sentence_check phi;

@@ -27,7 +27,7 @@ type witness_source =
 (** [decide ?source phi] — [true] iff [μ(φ) = 1]. The witness is verified
     [q]-e.c. (with [q = quantifier rank of φ]) before use, so the answer
     does not depend on unproven bounds.
-    @raise Invalid_argument if [phi] is not a graph sentence.
+    @raise Invalid_argument if [phi] is not a first-order graph sentence.
     @raise Failure if a searched witness cannot be found. *)
 val decide : ?source:witness_source -> Formula.t -> bool
 

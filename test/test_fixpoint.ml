@@ -1,8 +1,8 @@
-(* Tests for Fmtk_fixpoint: FO(IFP) syntax, evaluation, and the canonical
-   fixpoint definitions (TC, connectivity, EVEN-with-order). *)
+(* Tests for FO(IFP): fixpoint syntax, evaluation by Eval, and the
+   canonical fixpoint definitions (TC, connectivity, EVEN-with-order). *)
 
 module Fp = Fmtk_fixpoint.Fp_formula
-module Fp_eval = Fmtk_fixpoint.Fp_eval
+module Formula = Fmtk_logic.Formula
 module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
 module Tuple = Fmtk_structure.Tuple
@@ -13,7 +13,11 @@ module Parser = Fmtk_logic.Parser
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let checki msg = Alcotest.check Alcotest.int msg
-let v x = Fmtk_logic.Term.Var x
+
+open Formula
+
+let env_of pairs =
+  List.fold_left (fun env (x, e) -> Eval.bind x e env) Eval.empty_env pairs
 
 let graph_of edges ~size =
   Structure.make Signature.graph ~size
@@ -21,39 +25,44 @@ let graph_of edges ~size =
 
 (* ---------- Syntax ---------- *)
 
-let test_of_fo_agrees () =
-  let fo = Parser.parse_exn "forall x. exists y. E(x,y) | E(y,x)" in
+let test_fo_fragment () =
+  (* A fixpoint whose body ignores its relation is the body itself: one
+     productive stage, then stable. *)
+  let fo = Parser.parse_exn "E(x,y) | exists z. E(y,z) & !E(z,x)" in
+  let wrapped = Ifp ("T", [ "x"; "y" ], fo, [ v "x"; v "y" ]) in
+  let answers f = Eval.definable_relation ~vars:[ "x"; "y" ] f in
   List.iter
     (fun g ->
-      checkb "FO fragment agrees" (Eval.sat g fo) (Fp_eval.sat g (Fp.of_fo fo)))
+      checkb "FO fragment agrees" true
+        (Tuple.Set.equal (answers g fo) (answers g wrapped)))
     [ Gen.cycle 4; Gen.path 4; graph_of [] ~size:2 ]
 
 let test_free_vars () =
   Alcotest.(check (list string))
     "TC has free u, v" [ "u"; "v" ]
-    (Fp.free_vars Fp.transitive_closure);
-  Alcotest.(check (list string)) "connectivity closed" [] (Fp.free_vars Fp.connectivity);
-  Alcotest.(check (list string)) "even closed" [] (Fp.free_vars Fp.even_on_orders)
+    (free_vars Fp.transitive_closure);
+  Alcotest.(check (list string)) "connectivity closed" [] (free_vars Fp.connectivity);
+  Alcotest.(check (list string)) "even closed" [] (free_vars Fp.even_on_orders)
 
 let test_positivity () =
   (* positivity is a property of the operator's body (the operator itself
      rebinds its relation variable). *)
   let tc_body =
-    Fp.Or
-      ( Fp.Rel ("E", [ v "x"; v "y" ]),
-        Fp.Exists
-          ( "z",
-            Fp.And (Fp.Rel ("T", [ v "x"; v "z" ]), Fp.Rel ("E", [ v "z"; v "y" ]))
-          ) )
+    Or
+      ( Rel ("E", [ v "x"; v "y" ]),
+        Exists ("z", And (Rel ("T", [ v "x"; v "z" ]), Rel ("E", [ v "z"; v "y" ])))
+      )
   in
   checkb "TC body positive in T" true (Fp.positive_in "T" tc_body);
   checkb "negated occurrence detected" false
-    (Fp.positive_in "T" (Fp.Not (Fp.Rel ("T", [ v "x" ]))));
+    (Fp.positive_in "T" (Not (Rel ("T", [ v "x" ]))));
   checkb "rebinding masks inner occurrences" true
     (Fp.positive_in "T"
-       (Fp.Ifp ("T", [ "x" ], Fp.Not (Fp.Rel ("T", [ v "x" ])), [ v "u" ])));
+       (Ifp ("T", [ "x" ], Not (Rel ("T", [ v "x" ])), [ v "u" ])));
   checkb "left of implies is negative" false
-    (Fp.positive_in "T" (Fp.Implies (Fp.Rel ("T", [ v "x" ]), Fp.True)));
+    (Fp.positive_in "T" (Implies (Rel ("T", [ v "x" ]), True)));
+  checkb "either side of iff is negative" false
+    (Fp.positive_in "T" (Iff (True, Rel ("T", [ v "x" ]))));
   checki "ifp depth" 1 (Fp.ifp_depth Fp.transitive_closure)
 
 (* ---------- TC via IFP ---------- *)
@@ -70,20 +79,27 @@ let test_tc () =
   List.iter
     (fun g ->
       let via_ifp =
-        Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ]
+        Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ]
       in
       checkb "IFP TC = matrix TC" true
         (Tuple.Set.equal via_ifp (Graph.transitive_closure g)))
     graphs
 
 let test_tc_stages () =
-  (* On an n-chain the fixpoint needs ~n stages; the stats expose the
-     inherently-iterative nature FO lacks. *)
-  let stats = Fp_eval.new_stats () in
-  ignore
-    (Fp_eval.holds ~stats (Gen.successor 8) Fp.transitive_closure
-       ~env:[ ("u", 0); ("v", 7) ]);
-  checkb "at least 7 stages" true (stats.Fp_eval.stages >= 7)
+  (* On an n-chain the fixpoint needs n stages (n - 1 productive, one to
+     see it stable), each testing all n^2 pairs: the stats expose the
+     inherently-iterative nature FO lacks. The answer enumeration shares
+     one fixpoint cache, so the n^2 answer candidates add no stage. *)
+  List.iter
+    (fun n ->
+      let stats = Eval.new_stats () in
+      ignore
+        (Eval.definable_relation ~stats (Gen.successor n) Fp.transitive_closure
+           ~vars:[ "u"; "v" ]);
+      checki (Printf.sprintf "n = %d: n stages" n) n stats.stages;
+      checki (Printf.sprintf "n = %d: n^3 tuples tested" n) (n * n * n)
+        stats.tuples_tested)
+    [ 4; 8 ]
 
 (* ---------- Connectivity ---------- *)
 
@@ -91,7 +107,7 @@ let test_connectivity () =
   List.iter
     (fun g ->
       checkb "IFP connectivity = BFS" (Graph.connected g)
-        (Fp_eval.sat g Fp.connectivity))
+        (Eval.sat g Fp.connectivity))
     [
       Gen.cycle 5;
       Gen.path 5;
@@ -107,7 +123,7 @@ let test_even_on_orders () =
     checkb
       (Printf.sprintf "IFP even on L%d" n)
       (n mod 2 = 0)
-      (Fp_eval.sat (Gen.linear_order n) Fp.even_on_orders)
+      (Eval.sat (Gen.linear_order n) Fp.even_on_orders)
   done
 
 (* ---------- Nested/parameterized fixpoints ---------- *)
@@ -116,14 +132,13 @@ let test_parameterized_fixpoint () =
   (* Reachability from a fixed source held in an outer variable:
      phi(s, t) = [IFP R(y). y = s | ∃z (R(z) ∧ E(z,y))](t). *)
   let body =
-    Fp.Or
-      ( Fp.Eq (v "y", v "s"),
-        Fp.Exists
-          ("z", Fp.And (Fp.Rel ("R", [ v "z" ]), Fp.Rel ("E", [ v "z"; v "y" ]))) )
+    Or
+      ( Eq (v "y", v "s"),
+        Exists ("z", And (Rel ("R", [ v "z" ]), Rel ("E", [ v "z"; v "y" ]))) )
   in
-  let reach = Fp.Ifp ("R", [ "y" ], body, [ v "t" ]) in
+  let reach = Ifp ("R", [ "y" ], body, [ v "t" ]) in
   let g = graph_of [ (0, 1); (1, 2); (3, 0) ] ~size:4 in
-  let holds s t = Fp_eval.holds g reach ~env:[ ("s", s); ("t", t) ] in
+  let holds s t = Eval.holds g reach ~env:(env_of [ ("s", s); ("t", t) ]) in
   checkb "0 reaches 2" true (holds 0 2);
   checkb "0 does not reach 3" false (holds 0 3);
   checkb "3 reaches 2" true (holds 3 2);
@@ -131,14 +146,13 @@ let test_parameterized_fixpoint () =
 
 let test_errors () =
   (try
-     ignore (Fp_eval.sat (Gen.set 2) Fp.transitive_closure);
+     ignore (Eval.sat (Gen.set 2) Fp.transitive_closure);
      Alcotest.fail "free variables must be rejected"
    with Invalid_argument _ -> ());
   try
     ignore
-      (Fp_eval.sat (Gen.set 2)
-         (Fp.Exists
-            ("w", Fp.Ifp ("T", [ "x" ], Fp.Rel ("Q", [ v "x" ]), [ v "w" ]))));
+      (Eval.sat (Gen.set 2)
+         (Exists ("w", Ifp ("T", [ "x" ], Rel ("Q", [ v "x" ]), [ v "w" ]))));
     Alcotest.fail "unknown relation must be rejected"
   with Invalid_argument _ -> ()
 
@@ -157,17 +171,17 @@ let prop_tc =
   QCheck2.Test.make ~count:100 ~name:"IFP TC = matrix TC on random graphs"
     gen_graph (fun g ->
       Tuple.Set.equal
-        (Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ])
+        (Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ])
         (Graph.transitive_closure g))
 
 let prop_conn =
   QCheck2.Test.make ~count:100 ~name:"IFP connectivity on random graphs"
-    gen_graph (fun g -> Fp_eval.sat g Fp.connectivity = Graph.connected g)
+    gen_graph (fun g -> Eval.sat g Fp.connectivity = Graph.connected g)
 
 let prop_datalog_agrees =
   QCheck2.Test.make ~count:60 ~name:"IFP TC = Datalog TC" gen_graph (fun g ->
       Tuple.Set.equal
-        (Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ])
+        (Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ])
         (Fmtk_datalog.Programs.tc_of g))
 
 let qcheck_cases =
@@ -178,7 +192,7 @@ let () =
     [
       ( "syntax",
         [
-          Alcotest.test_case "of_fo" `Quick test_of_fo_agrees;
+          Alcotest.test_case "FO fragment" `Quick test_fo_fragment;
           Alcotest.test_case "free vars" `Quick test_free_vars;
           Alcotest.test_case "positivity" `Quick test_positivity;
         ] );

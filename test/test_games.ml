@@ -124,7 +124,10 @@ let test_distinguish_sets () =
   (* Sets of sizes 2 and 3 are distinguished at rank 3 but not rank 2. *)
   check_distinguishes ~rounds:3 (Gen.set 3) (Gen.set 2);
   checkb "rank 2 cannot" true
-    (Distinguish.sentence ~rounds:2 (Gen.set 3) (Gen.set 2) = None)
+    (Distinguish.sentence ~rounds:2 (Gen.set 3) (Gen.set 2) = None);
+  (* The empty structure: ∃x.⊤ and ∀x.⊥ separate it at rank 1. *)
+  check_distinguishes ~rounds:1 (Gen.set 1) (Gen.set 0);
+  check_distinguishes ~rounds:1 (Gen.set 0) (Gen.set 1)
 
 let test_distinguish_graphs () =
   (* Loop vs no loop: rank 1. *)

@@ -11,12 +11,14 @@ module Tuple = Fmtk_structure.Tuple
 module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 module Compile = Fmtk_db.Compile
 module Ef = Fmtk_games.Ef
 module Distinguish = Fmtk_games.Distinguish
 module Fo_circuit = Fmtk_circuits.Fo_circuit
 module Bounded_degree = Fmtk_locality.Bounded_degree
 module Programs = Fmtk_datalog.Programs
+module Almost_sure = Fmtk_zeroone.Almost_sure
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let f = Parser.parse_exn
@@ -160,6 +162,72 @@ let test_full_pipeline_even_conn () =
        (Gen.union_of [ Gen.cycle 7; Gen.cycle 7 ])
     = Ok ())
 
+(* ---------- FO-only consumers refuse extension nodes ---------- *)
+
+(* One sentence per extension constructor, under an FO conjunct so the
+   node is found below the root. *)
+let extension_sentences =
+  let open Formula in
+  let loop x = Rel ("E", [ v x; v x ]) in
+  let unary r = Exists ("x", Rel (r, [ v "x" ])) in
+  List.map
+    (fun (name, ext) -> (name, And (exists "y" (loop "y"), ext)))
+    [
+      ("Count_geq", Count_geq (2, "x", loop "x"));
+      ("Ifp", Exists ("u", Ifp ("T", [ "x" ], loop "x", [ v "u" ])));
+      ("Exists_set+Mem", Exists_set ("X", Exists ("x", Mem (v "x", "X"))));
+      ("Forall_set+Mem", Forall_set ("X", Exists ("x", Mem (v "x", "X"))));
+      ("Exists_rel", Exists_rel ("R", 1, unary "R"));
+      ("Forall_rel", Forall_rel ("R", 1, unary "R"));
+    ]
+
+let test_fo_only_consumers_refuse () =
+  let g = Gen.cycle 3 in
+  (* Each consumer either raises [Invalid_argument] or answers [`Msg]. *)
+  let raising call f =
+    ignore (call f);
+    Ok ()
+  in
+  let planned call f = Result.map ignore (call g f) in
+  let consumers =
+    [
+      ("Compiled.compile", raising (Compiled.compile g));
+      ("Compile.compile", raising Compile.compile);
+      ("Compile.answers", planned Compile.answers);
+      ("Compile.answers_any", planned Compile.answers_any);
+      ("Compile.sat", planned Compile.sat);
+      ("Compile.sat_any", planned Compile.sat_any);
+      ("Transform.nnf", raising Transform.nnf);
+      ("Transform.prenex", raising Transform.prenex);
+      ("Transform.simplify", raising Transform.simplify);
+      ("Transform.rename_apart", raising Transform.rename_apart);
+      ( "Transform.relativize",
+        raising (Transform.relativize ~guard:(fun x -> Formula.eq (Formula.v x) (Formula.v x)))
+      );
+      ("Fo_circuit.compile", raising (Fo_circuit.compile Signature.graph ~size:3));
+      ("Almost_sure.decide", raising (fun f -> Almost_sure.decide f));
+      ("Bounded_degree.make", raising (Bounded_degree.make ~degree_bound:2));
+    ]
+  in
+  List.iter
+    (fun (ename, phi) ->
+      checkb (ename ^ " is not safe-range") false (Compile.safe_range phi);
+      List.iter
+        (fun (cname, consumer) ->
+          (* Compiled runs counting natively, as a bounded witness scan. *)
+          let refuse = not (cname = "Compiled.compile" && ename = "Count_geq") in
+          checkb
+            (Printf.sprintf "%s %s %s" cname
+               (if refuse then "refuses" else "accepts")
+               ename)
+            refuse
+            (match consumer phi with
+            | Ok () -> false
+            | Error (`Msg _) -> true
+            | exception Invalid_argument _ -> true))
+        consumers)
+    extension_sentences
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -178,4 +246,9 @@ let () =
         :: qcheck_cases );
       ( "pipeline",
         [ Alcotest.test_case "EVEN -> CONN end to end" `Quick test_full_pipeline_even_conn ] );
+      ( "fo-only",
+        [
+          Alcotest.test_case "consumers refuse extension nodes" `Quick
+            test_fo_only_consumers_refuse;
+        ] );
     ]

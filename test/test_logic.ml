@@ -83,17 +83,56 @@ let test_subst_capture () =
       checkb "bound variable renamed" true (y' = y'' && y' <> "y")
   | _ -> Alcotest.failf "unexpected shape: %s" (to_string g)
 
+let test_subst_capture_extensions () =
+  (* (exists>=2 y. E(x,y))[x := y] renames the counted y. *)
+  let g = subst "x" (v "y") (Count_geq (2, "y", rel "E" [ v "x"; v "y" ])) in
+  (match g with
+  | Count_geq (2, y', Rel ("E", [ Term.Var "y"; Term.Var y'' ])) ->
+      checkb "counted variable renamed" true (y' = y'' && y' <> "y")
+  | _ -> Alcotest.failf "unexpected shape: %s" (to_string g));
+  (* ([IFP T(y). E(x,y)](z))[x := y] renames the tuple variable y, and
+     substitutes into the arguments. *)
+  let body = rel "E" [ v "x"; v "y" ] in
+  let g = subst "x" (v "y") (Ifp ("T", [ "y" ], body, [ v "x" ])) in
+  match g with
+  | Ifp ("T", [ y' ], Rel ("E", [ Term.Var "y"; Term.Var y'' ]), [ Term.Var "y" ])
+    ->
+      checkb "tuple variable renamed" true (y' = y'' && y' <> "y")
+  | _ -> Alcotest.failf "unexpected shape: %s" (to_string g)
+
 let test_subst_noop () =
   let f = forall "x" (rel "P" [ v "x" ]) in
   checkb "subst under same binder is identity" true
     (equal f (subst "x" (v "z") f))
 
-let test_wf () =
+let test_check () =
   let sg = Signature.make ~consts:[ "a" ] [ ("E", 2) ] in
-  checkb "wf ok" true (wf sg (rel "E" [ v "x"; c "a" ]));
-  checkb "bad arity" false (wf sg (rel "E" [ v "x" ]));
-  checkb "unknown rel" false (wf sg (rel "R" [ v "x" ]));
-  checkb "unknown const" false (wf sg (Eq (c "b", v "x")))
+  let verdict f =
+    match Formula.check sg f with Ok () -> "ok" | Error msg -> msg
+  in
+  let expect name expected f =
+    check Alcotest.string name expected (verdict f)
+  in
+  expect "ok" "ok" (rel "E" [ v "x"; c "a" ]);
+  expect "bad arity" "relation \"E\" expects 2 argument(s), got 1"
+    (rel "E" [ v "x" ]);
+  expect "unknown rel" "undeclared relation \"R\"" (rel "R" [ v "x" ]);
+  expect "unknown const" "undeclared constant \"b\"" (Eq (c "b", v "x"));
+  (* Relation variables are accepted at their binder's arity, in scope. *)
+  let ifp body = Ifp ("T", [ "x" ], body, [ v "y" ]) in
+  expect "fixpoint variable" "ok" (ifp (rel "T" [ v "x" ]));
+  expect "fixpoint variable arity"
+    "relation \"T\" expects 1 argument(s), got 2"
+    (ifp (rel "T" [ v "x"; v "x" ]));
+  expect "fixpoint variable out of scope" "undeclared relation \"T\""
+    (And (ifp True, rel "T" [ v "x" ]));
+  expect "relation variable" "ok" (Exists_rel ("R", 1, rel "R" [ v "x" ]));
+  expect "relation variable shadows" "ok"
+    (Forall_rel ("E", 1, rel "E" [ v "x" ]));
+  expect "set variable" "ok" (Exists_set ("X", Mem (v "x", "X")));
+  expect "unbound set variable" "unbound set variable \"X\""
+    (Mem (v "x", "X"));
+  expect "counting" "ok" (Count_geq (2, "y", rel "E" [ v "x"; v "y" ]))
 
 let test_rels_used () =
   check
@@ -125,9 +164,15 @@ let small_graphs =
           pairs;
         Fmtk_structure.Structure.make sg_graph ~size:n [ ("E", !tuples) ])
   in
-  graphs 1 @ graphs 2
+  graphs 0 @ graphs 1 @ graphs 2
 
-let semantically_equal f g =
+(* Prenex normal form is an equivalence on nonempty domains only:
+   [(∃x φ) ∨ ψ] holds on the empty structure iff [ψ] does, [∃x (φ ∨ ψ)]
+   never does. *)
+let nonempty_graphs =
+  List.filter (fun s -> Fmtk_structure.Structure.size s > 0) small_graphs
+
+let semantically_equal ?(structures = small_graphs) f g =
   List.for_all
     (fun s ->
       let fv = free_vars f in
@@ -136,7 +181,7 @@ let semantically_equal f g =
         Fmtk_structure.Tuple.Set.equal
           (Fmtk_eval.Eval.definable_relation s f ~vars:fv)
           (Fmtk_eval.Eval.definable_relation s g ~vars:fv))
-    small_graphs
+    structures
 
 let sample_formulas =
   [
@@ -162,8 +207,8 @@ let rec is_nnf = function
   | Not (Eq _) | Not (Rel _) | Not True | Not False -> true
   | Not _ -> false
   | And (f, g) | Or (f, g) -> is_nnf f && is_nnf g
-  | Implies _ | Iff _ -> false
   | Exists (_, f) | Forall (_, f) -> is_nnf f
+  | _ -> false
 
 let test_nnf_shape () =
   List.iter
@@ -192,7 +237,8 @@ let test_prenex () =
       checkb (Printf.sprintf "prenex shape of %s" (to_string f)) true (is_prenex p);
       checkb
         (Printf.sprintf "prenex preserves %s" (to_string f))
-        true (semantically_equal f p))
+        true
+        (semantically_equal ~structures:nonempty_graphs f p))
     sample_formulas
 
 let test_simplify () =
@@ -200,7 +246,13 @@ let test_simplify () =
   checkb "f | true" true (equal (Transform.simplify (Or (at_least 2, True))) True);
   checkb "double negation" true
     (equal (Transform.simplify (Not (Not (rel "E" [ v "x"; v "x" ])))) (rel "E" [ v "x"; v "x" ]));
-  checkb "exists true" true (equal (Transform.simplify (exists "x" True)) True);
+  (* ∃x.⊤ and ∀x.⊥ depend on whether the domain is empty: kept. *)
+  checkb "exists true kept" true
+    (equal (Transform.simplify (exists "x" True)) (exists "x" True));
+  checkb "forall false kept" true
+    (equal (Transform.simplify (forall "x" False)) (forall "x" False));
+  checkb "exists false" true (equal (Transform.simplify (exists "x" False)) False);
+  checkb "forall true" true (equal (Transform.simplify (forall "x" True)) True);
   List.iter
     (fun f ->
       checkb "simplify preserves semantics" true
@@ -213,10 +265,8 @@ let test_rename_apart () =
   checkb "semantics preserved" true (semantically_equal f g);
   (* All binders distinct. *)
   let rec binders = function
-    | True | False | Eq _ | Rel _ -> []
-    | Not f -> binders f
-    | And (f, g) | Or (f, g) | Implies (f, g) | Iff (f, g) -> binders f @ binders g
     | Exists (x, f) | Forall (x, f) -> x :: binders f
+    | f -> List.concat_map binders (subformulas f)
   in
   let bs = binders g in
   checki "distinct binders" (List.length bs)
@@ -371,7 +421,7 @@ let prop_prenex_semantics =
   QCheck2.Test.make ~count:100 ~name:"prenex preserves semantics" gen_formula
     (fun f ->
       let f = closed f in
-      semantically_equal f (Transform.prenex f))
+      semantically_equal ~structures:nonempty_graphs f (Transform.prenex f))
 
 let prop_simplify =
   QCheck2.Test.make ~count:100 ~name:"simplify shrinks and preserves" gen_formula
@@ -406,8 +456,10 @@ let () =
           Alcotest.test_case "quantifier rank" `Quick test_quantifier_rank;
           Alcotest.test_case "free variables" `Quick test_free_vars;
           Alcotest.test_case "capture-avoiding subst" `Quick test_subst_capture;
+          Alcotest.test_case "subst through counting and IFP binders" `Quick
+            test_subst_capture_extensions;
           Alcotest.test_case "subst under binder" `Quick test_subst_noop;
-          Alcotest.test_case "well-formedness" `Quick test_wf;
+          Alcotest.test_case "well-formedness" `Quick test_check;
           Alcotest.test_case "rels_used" `Quick test_rels_used;
           Alcotest.test_case "counting sentences" `Quick test_counting_sentences;
         ] );

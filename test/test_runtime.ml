@@ -20,10 +20,9 @@ module Decide = Fmtk.Decide
 module Classify = Fmtk.Classify
 module Engine = Fmtk_datalog.Engine
 module Programs = Fmtk_datalog.Programs
-module So_eval = Fmtk_so.So_eval
+module Eval = Fmtk_eval.Eval
 module So_queries = Fmtk_so.So_queries
 module Qbf = Fmtk_qbf.Qbf
-module Fp_eval = Fmtk_fixpoint.Fp_eval
 module Fp_formula = Fmtk_fixpoint.Fp_formula
 
 let checkb msg = Alcotest.check Alcotest.bool msg
@@ -319,12 +318,12 @@ let test_engines_honour_budgets () =
         (Gen.linear_order 3));
   expect_exhausted "Iso.find_iso" (fun () ->
       Iso.find_iso ~budget:(tiny ()) (Gen.cycle 7) (Gen.cycle 7));
-  expect_exhausted "So_eval.sat" (fun () ->
-      So_eval.sat ~budget:(tiny ()) (Gen.cycle 5) So_queries.connectivity);
+  expect_exhausted "Eval.sat (MSO)" (fun () ->
+      Eval.sat ~budget:(tiny ()) (Gen.cycle 5) So_queries.connectivity);
   expect_exhausted "Qbf.solve" (fun () ->
       Qbf.solve ~budget:(tiny ()) (Qbf.pigeonhole_valid 2));
-  expect_exhausted "Fp_eval.sat" (fun () ->
-      Fp_eval.sat ~budget:(tiny ()) (Gen.successor 5) Fp_formula.connectivity);
+  expect_exhausted "Eval.sat (IFP)" (fun () ->
+      Eval.sat ~budget:(tiny ()) (Gen.successor 5) Fp_formula.connectivity);
   expect_exhausted "Engine.seminaive" (fun () ->
       Engine.seminaive ~budget:(tiny ()) Programs.transitive_closure
         (Engine.Db.of_structure (Gen.successor 6)));
@@ -341,11 +340,11 @@ let test_engines_honour_budgets () =
     (Qbf.solve ~budget:u (Qbf.pigeonhole_valid 2)
     = Qbf.solve (Qbf.pigeonhole_valid 2));
   checkb "so unlimited" true
-    (So_eval.sat ~budget:u (Gen.cycle 5) So_queries.connectivity
-    = So_eval.sat (Gen.cycle 5) So_queries.connectivity);
+    (Eval.sat ~budget:u (Gen.cycle 5) So_queries.connectivity
+    = Eval.sat (Gen.cycle 5) So_queries.connectivity);
   checkb "fp unlimited" true
-    (Fp_eval.sat ~budget:u (Gen.cycle 5) Fp_formula.connectivity
-    = Fp_eval.sat (Gen.cycle 5) Fp_formula.connectivity)
+    (Eval.sat ~budget:u (Gen.cycle 5) Fp_formula.connectivity
+    = Eval.sat (Gen.cycle 5) Fp_formula.connectivity)
 
 (* ---------- graceful degradation ladder ---------- *)
 

@@ -1,8 +1,7 @@
-(* Tests for Fmtk_so: second-order syntax, evaluation, and the MSO/∃SO
-   query zoo (the "what lies beyond FO" part of the survey). *)
+(* Tests for second-order logic: syntax, evaluation by Eval, and the
+   MSO/∃SO query zoo (the "what lies beyond FO" part of the survey). *)
 
 module So_formula = Fmtk_so.So_formula
-module So_eval = Fmtk_so.So_eval
 module So_queries = Fmtk_so.So_queries
 module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
@@ -10,6 +9,7 @@ module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
 module Parser = Fmtk_logic.Parser
+open Fmtk_logic.Formula
 open So_formula
 
 let checkb msg = Alcotest.check Alcotest.bool msg
@@ -19,24 +19,25 @@ let graph_of edges ~size =
   Structure.make Signature.graph ~size
     [ ("E", List.map (fun (u, v) -> [| u; v |]) edges) ]
 
-let v' x = Fmtk_logic.Term.Var x
+(* ---------- FO fragment and measures ---------- *)
 
-(* ---------- Embedding and measures ---------- *)
-
-let test_of_fo () =
+let test_fo_fragment () =
   let fo = Parser.parse_exn "forall x. exists y. E(x,y) -> x != y" in
-  let so = of_fo fo in
-  checki "fo rank preserved" 2 (fo_rank so);
-  checki "no so quantifiers" 0 (so_quantifier_count so);
-  (* FO fragment agrees with the FO evaluator. *)
+  checki "fo rank" 2 (quantifier_rank fo);
+  checki "no so quantifiers" 0 (so_quantifier_count fo);
+  (* A vacuous set or relation quantifier leaves FO semantics alone. *)
   List.iter
-    (fun g -> checkb "agrees with Eval" (Eval.sat g fo) (So_eval.sat g so))
+    (fun g ->
+      checkb "set quantifier agrees" (Eval.sat g fo)
+        (Eval.sat g (Forall_set ("X", fo)));
+      checkb "relation quantifier agrees" (Eval.sat g fo)
+        (Eval.sat g (Exists_rel ("R", 1, fo))))
     [ Gen.cycle 4; Gen.path 3; graph_of [ (0, 0) ] ~size:2 ]
 
 let test_measures () =
-  let phi = Exists_set ("X", Forall ("x", Mem (v' "x", "X"))) in
+  let phi = Exists_set ("X", Forall ("x", Mem (v "x", "X"))) in
   checki "one so quantifier" 1 (so_quantifier_count phi);
-  checki "fo rank 1" 1 (fo_rank phi);
+  checki "fo rank 1" 1 (quantifier_rank phi);
   checkb "existential" true (is_existential_so phi);
   checkb "universal not existential" false
     (is_existential_so (Forall_set ("X", True)));
@@ -49,32 +50,37 @@ let test_set_semantics () =
   let s = Gen.set 3 in
   (* There is a set containing everything. *)
   checkb "full set exists" true
-    (So_eval.sat s (Exists_set ("X", Forall ("x", Mem (v' "x", "X")))));
+    (Eval.sat s (Exists_set ("X", Forall ("x", Mem (v "x", "X")))));
   (* There is a nonempty, non-full set (needs >= 2 elements). *)
   let proper =
     Exists_set
       ( "X",
         And
-          ( Exists ("x", Mem (v' "x", "X")),
-            Exists ("x", Not (Mem (v' "x", "X"))) ) )
+          ( Exists ("x", Mem (v "x", "X")),
+            Exists ("x", Not (Mem (v "x", "X"))) ) )
   in
-  checkb "proper subset on 3" true (So_eval.sat s proper);
-  checkb "no proper subset on 1" false (So_eval.sat (Gen.set 1) proper);
+  checkb "proper subset on 3" true (Eval.sat s proper);
+  checkb "no proper subset on 1" false (Eval.sat (Gen.set 1) proper);
   (* Forall-set duality. *)
   checkb "forall X: X nonempty is false" false
-    (So_eval.sat s (Forall_set ("X", Exists ("x", Mem (v' "x", "X")))))
+    (Eval.sat s (Forall_set ("X", Exists ("x", Mem (v "x", "X")))))
 
 let test_guards () =
   (try
-     ignore (So_eval.sat (Gen.set 30) (Exists_set ("X", True)));
+     ignore (Eval.sat (Gen.set 30) (Exists_set ("X", True)));
      Alcotest.fail "domain too large must be rejected"
    with Invalid_argument _ -> ());
   (try
-     ignore (So_eval.sat (Gen.set 6) (Exists_rel ("R", 3, True)));
+     ignore (Eval.sat (Gen.set 6) (Exists_rel ("R", 3, True)));
+     Alcotest.fail "relation space too large must be rejected"
+   with Invalid_argument _ -> ());
+  (* The cell count is refused before any cell is built: 10^10 here. *)
+  (try
+     ignore (Eval.sat (Gen.set 100_000) (Exists_rel ("R", 2, True)));
      Alcotest.fail "relation space too large must be rejected"
    with Invalid_argument _ -> ());
   try
-    ignore (So_eval.sat (Gen.set 2) (Mem (v' "x", "X")));
+    ignore (Eval.sat (Gen.set 2) (Mem (v "x", "X")));
     Alcotest.fail "free variables must be rejected"
   with Invalid_argument _ -> ()
 
@@ -85,7 +91,7 @@ let test_even_on_orders () =
     checkb
       (Printf.sprintf "MSO even on L%d" n)
       (n mod 2 = 0)
-      (So_eval.sat (Gen.linear_order n) So_queries.even_on_orders)
+      (Eval.sat (Gen.linear_order n) So_queries.even_on_orders)
   done
 
 (* ---------- Connectivity in MSO ---------- *)
@@ -104,7 +110,7 @@ let test_connectivity_mso () =
   List.iter
     (fun g ->
       checkb "MSO connectivity = BFS connectivity" (Graph.connected g)
-        (So_eval.sat g So_queries.connectivity))
+        (Eval.sat g So_queries.connectivity))
     cases
 
 (* ---------- 3-colorability ---------- *)
@@ -113,23 +119,23 @@ let sym g = Graph.symmetric_closure g
 
 let test_three_colorable () =
   (* K3 yes, K4 no, C5 yes, C5-with-loop unaffected (loops ignored). *)
-  checkb "K3" true (So_eval.sat (sym (Gen.complete 3)) So_queries.three_colorable);
-  checkb "K4" false (So_eval.sat (sym (Gen.complete 4)) So_queries.three_colorable);
-  checkb "C5" true (So_eval.sat (sym (Gen.cycle 5)) So_queries.three_colorable);
+  checkb "K3" true (Eval.sat (sym (Gen.complete 3)) So_queries.three_colorable);
+  checkb "K4" false (Eval.sat (sym (Gen.complete 4)) So_queries.three_colorable);
+  checkb "C5" true (Eval.sat (sym (Gen.cycle 5)) So_queries.three_colorable);
   checkb "direct agrees K4" false (So_queries.three_colorable_direct (sym (Gen.complete 4)))
 
 (* ---------- Hamiltonian path (full SO) ---------- *)
 
 let test_hamiltonian () =
   checkb "directed path has one" true
-    (So_eval.sat (Gen.path 4) So_queries.hamiltonian_path);
+    (Eval.sat (Gen.path 4) So_queries.hamiltonian_path);
   checkb "two components: no" false
-    (So_eval.sat (Gen.union_of [ Gen.path 2; Gen.path 2 ]) So_queries.hamiltonian_path);
+    (Eval.sat (Gen.union_of [ Gen.path 2; Gen.path 2 ]) So_queries.hamiltonian_path);
   checkb "cycle 4 has one" true
-    (So_eval.sat (Gen.cycle 4) So_queries.hamiltonian_path);
+    (Eval.sat (Gen.cycle 4) So_queries.hamiltonian_path);
   (* Star with all edges out of the centre: no Hamiltonian path on >= 4. *)
   let star = graph_of [ (0, 1); (0, 2); (0, 3) ] ~size:4 in
-  checkb "out-star: no" false (So_eval.sat star So_queries.hamiltonian_path)
+  checkb "out-star: no" false (Eval.sat star So_queries.hamiltonian_path)
 
 (* ---------- QCheck cross-validation ---------- *)
 
@@ -145,18 +151,18 @@ let gen_graph max_n =
 let prop_connectivity =
   QCheck2.Test.make ~count:100 ~name:"MSO connectivity on random graphs"
     (gen_graph 6) (fun g ->
-      So_eval.sat g So_queries.connectivity = Graph.connected g)
+      Eval.sat g So_queries.connectivity = Graph.connected g)
 
 let prop_three_col =
   QCheck2.Test.make ~count:60 ~name:"MSO 3COL = brute force" (gen_graph 5)
     (fun g ->
-      So_eval.sat g So_queries.three_colorable
+      Eval.sat g So_queries.three_colorable
       = So_queries.three_colorable_direct g)
 
 let prop_hamiltonian =
   QCheck2.Test.make ~count:40 ~name:"∃SO Hamiltonian path = backtracking"
     (gen_graph 4) (fun g ->
-      So_eval.sat g So_queries.hamiltonian_path
+      Eval.sat g So_queries.hamiltonian_path
       = So_queries.hamiltonian_path_direct g)
 
 let qcheck_cases =
@@ -168,7 +174,7 @@ let () =
     [
       ( "syntax",
         [
-          Alcotest.test_case "of_fo" `Quick test_of_fo;
+          Alcotest.test_case "FO fragment" `Quick test_fo_fragment;
           Alcotest.test_case "measures" `Quick test_measures;
         ] );
       ( "semantics",
