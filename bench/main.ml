@@ -15,6 +15,7 @@ module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Iso = Fmtk_structure.Iso
 module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 module Compile = Fmtk_db.Compile
 module Ef = Fmtk_games.Ef
 module Pebble = Fmtk_games.Pebble
@@ -666,36 +667,65 @@ let e19 () =
 
 let e20 () =
   let module Fp = Fmtk_fixpoint.Fp_formula in
+  (* Every shape line below is also a check: the section fails on a wrong
+     answer from either evaluator, or on compiled counters that differ
+     from Eval's. *)
+  let check what ok = if not ok then failwith ("E20: " ^ what) in
+  let vars = [ "u"; "v" ] in
   pf "TC as an IFP formula — stages grow with the data (FO cannot iterate):@.";
-  pf "  %6s %8s %14s %18s@." "n" "stages" "tuples tested" "matches matrix TC";
+  pf "  %6s %8s %14s %20s %18s@." "n" "stages" "tuples tested"
+    "compiled stg/tuples" "matches matrix TC";
   List.iter
     (fun n ->
       let g = Gen.successor n in
-      let stats = Eval.new_stats () in
-      let ans = Eval.definable_relation ~stats g Fp.transitive_closure ~vars:[ "u"; "v" ] in
-      pf "  %6d %8d %14d %18b@." n stats.Eval.stages stats.Eval.tuples_tested
-        (Fmtk_structure.Tuple.Set.equal ans (Graph.transitive_closure g)))
+      let stats = Eval.new_stats () and cstats = Eval.new_stats () in
+      let ans = Eval.definable_relation ~stats g Fp.transitive_closure ~vars in
+      let cans =
+        Compiled.definable_relation ~stats:cstats g Fp.transitive_closure ~vars
+      in
+      let tc = Graph.transitive_closure g in
+      let matches = Tuple.Set.equal ans tc && Tuple.Set.equal cans tc in
+      pf "  %6d %8d %14d %20s %18b@." n stats.Eval.stages
+        stats.Eval.tuples_tested
+        (Printf.sprintf "%d/%d" cstats.Eval.stages cstats.Eval.tuples_tested)
+        matches;
+      check (Printf.sprintf "TC differs from matrix TC at n = %d" n) matches;
+      check
+        (Printf.sprintf "compiled counters differ from Eval's at n = %d" n)
+        (stats.Eval.stages = cstats.Eval.stages
+        && stats.Eval.tuples_tested = cstats.Eval.tuples_tested))
     [ 4; 8; 12; 16 ];
-  pf "Connectivity and EVEN-with-order in FO(IFP):@.";
+  pf "Connectivity and EVEN-with-order in FO(IFP) (Eval / Compiled):@.";
   List.iter
     (fun (name, g) ->
-      pf "  %-12s IFP-CONN: %-5b BFS: %b@." name
-        (Eval.sat g Fp.connectivity) (Graph.connected g))
+      let naive = Eval.sat g Fp.connectivity
+      and compiled = Compiled.sat g Fp.connectivity
+      and bfs = Graph.connected g in
+      pf "  %-12s IFP-CONN: %-5b / %-5b BFS: %b@." name naive compiled bfs;
+      check ("connectivity differs from BFS on " ^ name)
+        (naive = bfs && compiled = bfs))
     [
       ("cycle 8", Gen.cycle 8);
       ("2 cycles", Gen.union_of [ Gen.cycle 4; Gen.cycle 4 ]);
     ];
   List.iter
     (fun n ->
-      pf "  L%-3d IFP-EVEN: %b (expected %b)@." n
-        (Eval.sat (Gen.linear_order n) Fp.even_on_orders)
-        (n mod 2 = 0))
+      let g = Gen.linear_order n in
+      let naive = Eval.sat g Fp.even_on_orders
+      and compiled = Compiled.sat g Fp.even_on_orders in
+      pf "  L%-3d IFP-EVEN: %b / %b (expected %b)@." n naive compiled
+        (n mod 2 = 0);
+      check
+        (Printf.sprintf "wrong parity on L%d" n)
+        (naive = (n mod 2 = 0) && compiled = naive))
     [ 6; 7; 8; 9 ];
   pf
     "Immerman–Vardi in action: with an order, the fixpoint logic expresses \
      EVEN,@.";
   pf "which Theorem 3.1 proved impossible for FO.@.";
-  pf "@.Wall-clock: IFP evaluator vs the Datalog engine on TC (Bechamel):@.";
+  pf
+    "@.Wall-clock: IFP evaluators (naive, compiled) vs the Datalog engine on \
+     TC (Bechamel):@.";
   let tests =
     List.concat_map
       (fun n ->
@@ -703,7 +733,9 @@ let e20 () =
         let db = Engine.Db.of_structure g in
         [
           bench (Printf.sprintf "IFP answers  n=%-3d" n) (fun () ->
-              Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ]);
+              Eval.definable_relation g Fp.transitive_closure ~vars);
+          bench (Printf.sprintf "IFP compiled n=%-3d" n) (fun () ->
+              Compiled.definable_relation g Fp.transitive_closure ~vars);
           bench (Printf.sprintf "semi-naive   n=%-3d" n) (fun () ->
               Engine.seminaive Programs.transitive_closure db);
         ])
@@ -810,8 +842,6 @@ let e22 () =
 
 (* ---------- E23: compiled evaluation engine and parallel EF ---------- *)
 
-module Compiled = Fmtk_eval.Compiled
-
 (* Where to write the machine-readable results (set by --json; used by
    bench/run_bench.sh to emit BENCH_eval.json for perf tracking). *)
 let json_path : string option ref = ref None
@@ -900,6 +930,16 @@ let e23 () =
   eval_workload ~iters:100 "E13 successor-sentence cycle n=256"
     (Gen.cycle 256)
     (f "forall x. exists y. E(x,y)");
+  (* FO(IFP) sentences: each compiled run recomputes its fixpoints, as
+     every entry-point call starts with an empty fixpoint cache. *)
+  let module Fp = Fmtk_fixpoint.Fp_formula in
+  eval_workload ~iters:5 "E20 IFP-CONN random n=70"
+    (Gen.random_graph ~rng:(rng ()) 70 0.05)
+    Fp.connectivity;
+  (* a root reaching every element *)
+  eval_workload ~iters:5 "E20 IFP-TC sentence chain n=28" (Gen.successor 28)
+    Formula.(
+      exists "u" (forall "v" (Or (eq (v "u") (v "v"), Fp.transitive_closure))));
   pf "@.EF solver: sequential vs parallel root fan-out (%d domains available):@."
     (Domain.recommended_domain_count ());
   pf "  %-36s %12s %12s %9s@." "game" "seq ns" "par ns" "speedup";
@@ -922,8 +962,8 @@ let e23 () =
     (Gen.cycle 13) 3;
   ef_workload ~iters:3 "cycles C16 vs C16, 3 rounds" (Gen.cycle 16)
     (Gen.cycle 16) 3;
-  pf "Shape: compiled >= 5x on the E1 workloads; EF parallel speedup grows@.";
-  pf "with the subtree work per top-level move.@.";
+  pf "Shape: compiled >= 5x on the E1 workloads and the FO(IFP) sentences;@.";
+  pf "EF parallel speedup grows with the subtree work per top-level move.@.";
   (* Machine-readable trail for future PRs. *)
   match !json_path with
   | None -> ()

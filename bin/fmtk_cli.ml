@@ -605,22 +605,24 @@ let ifp_cmd =
   let run s query budget =
     exec @@ fun () ->
     let module Fp = Fmtk_fixpoint.Fp_formula in
+    let module Compiled = Fmtk_eval.Compiled in
     let stats = Eval.new_stats () in
     match
       match query with
       | "tc" ->
           let tuples =
-            Eval.definable_relation ~stats ~budget s Fp.transitive_closure
+            Compiled.definable_relation ~stats ~budget s Fp.transitive_closure
               ~vars:[ "u"; "v" ]
           in
           Format.printf "tc: %d pairs@." (Tuple.Set.cardinal tuples);
           Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) tuples;
           Ok ()
       | "conn" ->
-          Format.printf "%b@." (Eval.sat ~stats ~budget s Fp.connectivity);
+          Format.printf "%b@." (Compiled.sat ~stats ~budget s Fp.connectivity);
           Ok ()
       | "even" ->
-          Format.printf "%b@." (Eval.sat ~stats ~budget s Fp.even_on_orders);
+          Format.printf "%b@."
+            (Compiled.sat ~stats ~budget s Fp.even_on_orders);
           Ok ()
       | other ->
           Error (`Msg (Printf.sprintf "unknown IFP query %S (tc|conn|even)" other))

@@ -1,6 +1,6 @@
 include Fmtk_logic.Formula
 
-let sat = Fmtk_eval.Compiled.sat
+let sat a f = Fmtk_eval.Compiled.sat a f
 
 let rec expand f =
   match f with

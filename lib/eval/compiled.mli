@@ -1,4 +1,4 @@
-(** Compile-then-run FO evaluation.
+(** Compile-then-run evaluation of FO, FO(Cnt) and FO(IFP).
 
     {!Eval.holds} walks the formula AST on every evaluation step, resolves
     variables through an association list, and probes relations through
@@ -10,8 +10,31 @@
     and every relational atom holds its relation's O(1) membership index
     ({!Fmtk_structure.Index}) with an arity-specialized allocation-free
     probe. A counting quantifier [∃^{≥k}x] compiles to a bounded witness
-    scan over its own binder slot. Experiment E23 measures the gap against
-    the naive interpreter, which remains the differential-testing oracle.
+    scan over its own binder slot.
+
+    A fixpoint [[IFP_{R,x̄} φ](t̄)] of arity [k] gets a {e stage cell}: a
+    [Bytes] flag per tuple of the [n^k] tuples, indexed by the tuple's
+    mixed-radix code (its position in {!Fmtk_structure.Tuple.all} order).
+    Relation names resolve at compile time through a second scope, so an
+    atom on a stage relation — which shadows a structure relation of the
+    same name — is a probe into that cell. The stage loop is
+    {!Eval}'s: from [S_0 = ∅], each stage tests every code in order (the
+    body is skipped for members of [S_i]) and applies its additions once
+    the stage is over; the last, empty stage counts too. A fixpoint
+    outside every other fixpoint's body is cached on the values of its
+    body's outer free variables, and structurally equal nodes share the
+    cache; it lives for one entry-point call ({!run}, {!holds}, {!sat},
+    one {!definable_relation_of} enumeration). Hence [stages] and
+    [tuples_tested] equal {!Eval}'s on every formula. Set and relation
+    quantifiers are refused.
+
+    Only fixpoints count and poll: each stage adds one to [stats.stages],
+    each candidate code one to [stats.tuples_tested] after one
+    {!Fmtk_runtime.Budget.check}. No other {!Eval.stats} field is filled,
+    and a formula without a fixpoint runs with no counting, polling or
+    cache work. A fixpoint cut short by {!Fmtk_runtime.Budget.Exhausted}
+    leaves no cache entry. {!Eval} remains the differential-testing
+    oracle; experiments E20 and E23 measure the gap.
 
     A compiled formula reuses internal scratch buffers, so a single [t]
     must not be run from several domains at once — compile per domain
@@ -25,12 +48,16 @@ type t
 (** [compile a f] compiles [f] for evaluation on [a]. Free variables get
     argument slots in {!Formula.free_vars} order.
     @raise Invalid_argument if [f] mentions a relation or constant not
-    interpreted by [a], or has a fixpoint or second-order node. *)
+    interpreted by [a], has a second-order node, uses a fixpoint
+    relation at the wrong arity, has a fixpoint whose binder list repeats
+    a variable, or has one of arity [k] whose [n^k] stage cells do not
+    fit a [Bytes]. *)
 val compile : Structure.t -> Formula.t -> t
 
 (** Like {!compile} with an explicit argument-slot order; [vars] must
     cover the free variables (extra names get unconstrained slots), as in
-    {!Eval.definable_relation}. *)
+    {!Eval.definable_relation}.
+    @raise Invalid_argument also if a name repeats in [vars]. *)
 val compile_with : Structure.t -> vars:string list -> Formula.t -> t
 
 (** Free variables in argument-slot order. *)
@@ -49,17 +76,29 @@ val run : t -> int array -> bool
 val holds : t -> env:(string * int) list -> bool
 
 (** One-shot [compile]+[run] for sentences — same contract as
-    {!Eval.sat}. *)
-val sat : Structure.t -> Formula.t -> bool
+    {!Eval.sat}; [stats] and [budget] as in the module header. *)
+val sat :
+  ?stats:Eval.stats ->
+  ?budget:Fmtk_runtime.Budget.t ->
+  Structure.t ->
+  Formula.t ->
+  bool
 
 (** Answer set of an already-compiled query: all tuples (in slot order)
-    satisfying it — the [n^k] enumeration reuses one environment array. *)
+    satisfying it — the [n^k] enumeration reuses one environment array
+    and one fixpoint cache. *)
 val definable_relation_of : t -> Fmtk_structure.Tuple.Set.t
 
 (** [definable_relation a f ~vars] — as {!Eval.definable_relation}, via
-    compilation. *)
+    compilation; [stats] and [budget] as in the module header.
+    @raise Invalid_argument if a name repeats in [vars]. *)
 val definable_relation :
-  Structure.t -> Formula.t -> vars:string list -> Fmtk_structure.Tuple.Set.t
+  ?stats:Eval.stats ->
+  ?budget:Fmtk_runtime.Budget.t ->
+  Structure.t ->
+  Formula.t ->
+  vars:string list ->
+  Fmtk_structure.Tuple.Set.t
 
 (** [answers a f] — as {!Eval.answers}, via compilation. *)
 val answers : Structure.t -> Formula.t -> string list * Fmtk_structure.Tuple.Set.t

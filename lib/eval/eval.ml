@@ -163,6 +163,10 @@ let run ~(cache : cache) ~poller ?stats a f env =
         in
         scan 0 0
     | Formula.Ifp (r, xs, body, ts) ->
+        (match Formula.repeated xs with
+        | Some x ->
+            invalid_arg (Printf.sprintf "Eval: fixpoint %S binds %S twice" r x)
+        | None -> ());
         let k = List.length xs in
         let fixpoint () = stages env renv r xs k body in
         let set =
@@ -248,6 +252,11 @@ let sat ?stats ?budget a f =
   holds ?stats ?budget a f ~env:empty_env
 
 let definable_relation ?stats ?(budget = Budget.unlimited) a f ~vars =
+  (match Formula.repeated vars with
+  | Some x ->
+      invalid_arg
+        (Printf.sprintf "Eval.definable_relation: variable %S listed twice" x)
+  | None -> ());
   let fv = Formula.free_vars f in
   List.iter
     (fun x ->

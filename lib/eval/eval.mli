@@ -7,7 +7,7 @@
     make that cost measurable (experiment E1).
 
     The same walker evaluates every extension constructor of
-    {!Formula.t}, and is the toolbox's one naive evaluator and test oracle:
+    {!Formula.t}:
     - a counting quantifier [∃^{≥k}x] scans the domain once, stopping at
       the [k]-th witness or once too few elements remain;
     - a fixpoint [[IFP_{R,x̄} φ](t̄)] is computed bottom-up,
@@ -20,6 +20,12 @@
     - set quantifiers enumerate the [2^n] subsets of the domain (refused
       past [n = 22]) and arity-k relation quantifiers the [2^(n^k)]
       relations (refused past [n^k = 20] cells, before any is built).
+
+    It is the toolbox's one naive evaluator: the oracle the differential
+    suites hold {!Compiled} to (answers, and for fixpoints also [stages]
+    and [tuples_tested]), and the instrumented reference of experiments
+    E1 and E20. The library's FO(IFP) entry points ([Fp_eval], [fmtk ifp])
+    run on {!Compiled}; nothing picks between the two at run time.
 
     Relation atoms probe the structure's tuple sets ({!Structure.mem}), not
     the index {!Compiled} uses, so the two stay independent. Every entry
@@ -55,8 +61,9 @@ val lookup : env -> string -> int option
 (** [holds ?stats ?budget a f ~env] decides [a ⊨ f] under [env].
     @raise Invalid_argument if a free variable of [f] is unbound in [env],
     [f] mentions a relation/constant not interpreted by [a] or an unbound
-    set variable, a relation variable is used at the wrong arity, or a
-    second-order quantifier exceeds its size guard. *)
+    set variable, a relation variable is used at the wrong arity, a
+    fixpoint's binder list repeats a variable, or a second-order
+    quantifier exceeds its size guard. *)
 val holds :
   ?stats:stats ->
   ?budget:Fmtk_runtime.Budget.t ->
@@ -82,7 +89,8 @@ val answers :
 
 (** [definable_relation a f ~vars] evaluates [f] as a query with
     distinguished variables [vars] (a permutation/superset of the free
-    variables) and returns the answer tuples in that variable order. *)
+    variables) and returns the answer tuples in that variable order.
+    @raise Invalid_argument if a name repeats in [vars]. *)
 val definable_relation :
   ?stats:stats ->
   ?budget:Fmtk_runtime.Budget.t ->

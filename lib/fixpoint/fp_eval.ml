@@ -1,7 +1,5 @@
-module Eval = Fmtk_eval.Eval
+type stats = Fmtk_eval.Eval.stats
 
-type stats = Eval.stats
-
-let new_stats = Eval.new_stats
-let sat = Eval.sat
-let answers = Eval.definable_relation
+let new_stats = Fmtk_eval.Eval.new_stats
+let sat = Fmtk_eval.Compiled.sat
+let answers = Fmtk_eval.Compiled.definable_relation

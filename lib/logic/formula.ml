@@ -123,6 +123,10 @@ let all_vars f =
 
 let is_sentence f = free_vars f = []
 
+let rec repeated = function
+  | [] -> None
+  | x :: rest -> if List.mem x rest then Some x else repeated rest
+
 let rels_used f =
   let rec go bound acc f =
     match f with
@@ -175,6 +179,11 @@ let check sg f =
         | _ -> Error (Printf.sprintf "unbound set variable %S" x))
     | Ifp (r, xs, body, ts) ->
         let k = List.length xs in
+        let* () =
+          match repeated xs with
+          | Some x -> Error (Printf.sprintf "fixpoint %S binds %S twice" r x)
+          | None -> Ok ()
+        in
         let* () = go ((r, Some k) :: scope) body in
         let* () = arity r k (List.length ts) in
         terms ts

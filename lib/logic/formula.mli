@@ -90,6 +90,10 @@ val all_vars : t -> string list
 (** [is_sentence f] holds iff [f] has no free variables. *)
 val is_sentence : t -> bool
 
+(** The first name listed more than once, if any — a variable list the
+    evaluators refuse as a binder or answer order. *)
+val repeated : string list -> string option
+
 (** [is_fo f] holds iff [f] has no extension node (counting, fixpoint or
     second-order). *)
 val is_fo : t -> bool
@@ -100,9 +104,10 @@ val rels_used : t -> (string * int) list
 
 (** [check sg f] checks [f]'s vocabulary against [sg]: every relation
     atom names a declared relation, or a relation variable bound by an
-    enclosing [Ifp] or relation quantifier, at its arity; every [Mem]
-    names a bound set variable; every constant is declared. The error is
-    the first problem met, e.g. [undeclared relation "R"]. *)
+    enclosing [Ifp] or relation quantifier, at its arity; every [Ifp]
+    binds distinct variables; every [Mem] names a bound set variable;
+    every constant is declared. The error is the first problem met, e.g.
+    [undeclared relation "R"]. *)
 val check : Signature.t -> t -> (unit, string) result
 
 (** {1 Substitution} *)

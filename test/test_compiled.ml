@@ -1,6 +1,7 @@
-(* Tests for Fmtk_eval.Compiled (the compile-then-run engine of E23) and
-   Fmtk_structure.Index, with the naive Eval interpreter as differential
-   oracle, plus EF solver equivalence across memo/parallel configs. *)
+(* Tests for Fmtk_eval.Compiled (the compile-then-run engine of E23, FO
+   through FO(IFP)) and Fmtk_structure.Index, with the naive Eval
+   interpreter as differential oracle, plus EF solver equivalence across
+   memo/parallel configs. *)
 
 module Formula = Fmtk_logic.Formula
 module Parser = Fmtk_logic.Parser
@@ -158,10 +159,12 @@ let test_probe_cache_invalidation () =
 
 let gen_graph =
   let open QCheck2.Gen in
-  let* n = int_range 1 6 in
+  let* n = int_range 0 6 in
   let* edges =
-    list_size (int_range 0 (n * 2))
-      (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    if n = 0 then return []
+    else
+      list_size (int_range 0 (n * 2))
+        (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
   in
   return (graph_of edges ~size:n)
 
@@ -223,6 +226,206 @@ let prop_definable_relation =
       Tuple.Set.equal
         (Eval.definable_relation g phi ~vars)
         (Compiled.definable_relation g phi ~vars))
+
+(* ---------- Differential: compiled FO(IFP) ---------- *)
+
+(* Answers and fixpoint counters, from both evaluators, over the free
+   variables in first-occurrence order. *)
+let fixpoint_agree g phi =
+  let vars = Formula.free_vars phi in
+  let naive_stats = Eval.new_stats () and compiled_stats = Eval.new_stats () in
+  let naive = Eval.definable_relation ~stats:naive_stats g phi ~vars in
+  let compiled =
+    Compiled.definable_relation ~stats:compiled_stats g phi ~vars
+  in
+  Tuple.Set.equal naive compiled
+  && naive_stats.stages = compiled_stats.stages
+  && naive_stats.tuples_tested = compiled_stats.tuples_tested
+
+(* FO(IFP) formulas over E with at least one fixpoint. [rels] holds the
+   stage relations in scope, innermost first: the innermost binder of a
+   name wins, and a stage named E shadows the graph's edges. Fixpoints
+   have arity 0-2 at the top and 0-1 inside another body, which keeps
+   the naive oracle's recomputed inner fixpoints cheap. *)
+let gen_ifp_formula : Formula.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Formula in
+  let var = oneofl [ "x"; "y"; "z" ] in
+  let visible rels =
+    let stages =
+      List.fold_left
+        (fun acc (r, k) -> if List.mem_assoc r acc then acc else acc @ [ (r, k) ])
+        [] rels
+    in
+    if List.mem_assoc "E" stages then stages else ("E", 2) :: stages
+  in
+  let rec form rels n =
+    let atom =
+      let* r, k = oneofl (visible rels) in
+      map (fun xs -> rel r (List.map v xs)) (list_repeat k var)
+    in
+    if n <= 0 then
+      frequency
+        [
+          (1, return True);
+          (1, return False);
+          (2, map2 (fun a b -> Eq (v a, v b)) var var);
+          (6, atom);
+        ]
+    else
+      frequency
+        [
+          (2, atom);
+          (2, map not_ (form rels (n - 1)));
+          (2, map2 (fun a b -> And (a, b)) (form rels (n / 2)) (form rels (n / 2)));
+          (2, map2 (fun a b -> Or (a, b)) (form rels (n / 2)) (form rels (n / 2)));
+          (1, map2 implies (form rels (n / 2)) (form rels (n / 2)));
+          (2, map2 exists var (form rels (n - 1)));
+          (1, map2 forall var (form rels (n - 1)));
+          (3, ifp rels n);
+        ]
+  and ifp rels n =
+    let* k = int_range 0 (if rels = [] then 2 else 1) in
+    let* r = oneofl [ "R"; "S"; "E" ] in
+    let* xs = map (List.filteri (fun i _ -> i < k)) (shuffle_l [ "x"; "y"; "z" ]) in
+    let* body = form ((r, k) :: rels) (n - 1) in
+    let* ts = list_repeat k var in
+    return (Ifp (r, xs, body, List.map v ts))
+  in
+  sized_size (int_range 1 6) @@ fun n ->
+  frequency
+    [
+      (3, ifp [] n);
+      (1, map2 exists var (ifp [] (n - 1)));
+      (1, map2 forall var (ifp [] (n - 1)));
+      (1, map not_ (ifp [] (n - 1)));
+      (1, map2 (fun a b -> And (a, b)) (ifp [] (n / 2)) (form [] (n / 2)));
+      (1, map2 (fun a b -> Or (a, b)) (form [] (n / 2)) (ifp [] (n / 2)));
+    ]
+
+let prop_fixpoint_differential =
+  QCheck2.Test.make ~count:400
+    ~name:"compiled FO(IFP) = naive Eval: answers, stages, tuples tested"
+    ~print:(fun (g, phi) ->
+      Printf.sprintf "size %d: %s" (Structure.size g) (Formula.to_string phi))
+    QCheck2.Gen.(pair gen_graph gen_ifp_formula)
+    (fun (g, phi) -> fixpoint_agree g phi)
+
+(* Fixed formulas, one per shape the random suite is meant to reach. *)
+let fixpoint_shapes =
+  let module Fp = Fmtk_fixpoint.Fp_formula in
+  let e a b = rel "E" [ v a; v b ] in
+  let reach_from s t =
+    (* [IFP R(y). y = s | ∃z (R(z) ∧ E(z,y))](t): s is an outer free
+       variable of the body *)
+    Ifp
+      ( "R",
+        [ "y" ],
+        Or (Eq (v "y", v s), exists "z" (And (rel "R" [ v "z" ], e "z" "y"))),
+        [ v t ] )
+  in
+  [
+    ("TC", Fp.transitive_closure);
+    ("connectivity", Fp.connectivity);
+    ( "nullary stage",
+      Ifp ("P", [], Or (exists "x" (e "x" "x"), rel "P" []), []) );
+    ( "stage under negation",
+      Ifp
+        ( "R",
+          [ "x" ],
+          exists "y" (And (e "y" "x", Not (rel "R" [ v "y" ]))),
+          [ v "u" ] ) );
+    ( "nested, inner body mentions the outer stage",
+      Ifp
+        ( "R",
+          [ "x" ],
+          Or
+            ( exists "y" (e "y" "x"),
+              Ifp
+                ( "S",
+                  [ "y" ],
+                  Or
+                    ( rel "R" [ v "y" ],
+                      exists "z" (And (rel "S" [ v "z" ], e "z" "y")) ),
+                  [ v "x" ] ) ),
+          [ v "u" ] ) );
+    ("outer free variables", reach_from "s" "t");
+    ( "under quantifiers",
+      forall "s" (exists "t" (And (Not (Eq (v "s", v "t")), reach_from "s" "t")))
+    );
+    ( "stage named E shadows the edges",
+      forall "u"
+        (exists "w"
+           (And
+              ( e "u" "w",
+                Ifp
+                  ( "E",
+                    [ "x" ],
+                    Or
+                      ( Eq (v "x", v "u"),
+                        exists "z" (And (rel "E" [ v "z" ], Eq (v "z", v "x"))) ),
+                    [ v "w" ] ) ))) );
+  ]
+
+let test_fixpoint_shapes () =
+  let graphs =
+    [
+      graph_of [] ~size:0;
+      graph_of [] ~size:1;
+      graph_of [ (0, 0) ] ~size:1;
+      Gen.successor 5;
+      Gen.cycle 4;
+      graph_of [ (0, 1); (1, 2); (2, 0); (3, 3); (4, 5) ] ~size:6;
+    ]
+  in
+  List.iter
+    (fun (name, phi) ->
+      List.iteri
+        (fun i g ->
+          checkb (Printf.sprintf "%s on graph %d" name i) true
+            (fixpoint_agree g phi))
+        graphs)
+    fixpoint_shapes;
+  for n = 1 to 7 do
+    checkb
+      (Printf.sprintf "EVEN over L%d" n)
+      true
+      (fixpoint_agree (Gen.linear_order n) Fmtk_fixpoint.Fp_formula.even_on_orders)
+  done
+
+let test_repeated_variables () =
+  let g = Gen.successor 3 in
+  let phi = f "exists y. E(x,y)" in
+  let expect_invalid name thunk =
+    match thunk () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  expect_invalid "Eval.definable_relation" (fun () ->
+      Eval.definable_relation g phi ~vars:[ "x"; "x" ]);
+  expect_invalid "Compiled.definable_relation" (fun () ->
+      Compiled.definable_relation g phi ~vars:[ "x"; "x" ]);
+  expect_invalid "Compiled.compile_with" (fun () ->
+      Compiled.compile_with g phi ~vars:[ "y"; "x"; "y" ]);
+  let twice =
+    exists "u" (Ifp ("R", [ "x"; "x" ], rel "E" [ v "x"; v "x" ], [ v "u"; v "u" ]))
+  in
+  expect_invalid "Eval on a repeated IFP binder" (fun () -> Eval.sat g twice);
+  expect_invalid "Compiled on a repeated IFP binder" (fun () ->
+      Compiled.sat g twice)
+
+let test_stage_cell_guard () =
+  (* 100000^4 overflows an int: refused at compile time, not wrapped.
+     100000^3 fits a Bytes, and compiling it allocates nothing. *)
+  let g = Gen.set 100_000 in
+  let ifp k =
+    let xs = List.init k (fun i -> Printf.sprintf "x%d" i) in
+    exists "u" (Ifp ("R", xs, True, List.map (fun _ -> v "u") xs))
+  in
+  (match Compiled.compile g (ifp 4) with
+  | _ -> Alcotest.fail "n^4 stage cells must be refused"
+  | exception Invalid_argument _ -> ());
+  ignore (Compiled.compile g (ifp 3))
 
 (* ---------- EF solver: config equivalence ---------- *)
 
@@ -312,6 +515,7 @@ let qcheck_cases =
       prop_differential;
       prop_differential_roundtrip;
       prop_definable_relation;
+      prop_fixpoint_differential;
       prop_ef_random_graphs;
     ]
 
@@ -324,6 +528,9 @@ let () =
           Alcotest.test_case "free vars and run" `Quick test_free_vars_and_run;
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "fixpoint shapes" `Quick test_fixpoint_shapes;
+          Alcotest.test_case "repeated variables" `Quick test_repeated_variables;
+          Alcotest.test_case "stage cell guard" `Quick test_stage_cell_guard;
         ] );
       ( "index",
         [

@@ -1,5 +1,6 @@
-(* Tests for FO(IFP): fixpoint syntax, evaluation by Eval, and the
-   canonical fixpoint definitions (TC, connectivity, EVEN-with-order). *)
+(* Tests for FO(IFP): fixpoint syntax, evaluation by both Eval and
+   Compiled, and the canonical fixpoint definitions (TC, connectivity,
+   EVEN-with-order). *)
 
 module Fp = Fmtk_fixpoint.Fp_formula
 module Formula = Fmtk_logic.Formula
@@ -9,6 +10,7 @@ module Tuple = Fmtk_structure.Tuple
 module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 module Parser = Fmtk_logic.Parser
 
 let checkb msg = Alcotest.check Alcotest.bool msg
@@ -22,6 +24,39 @@ let env_of pairs =
 let graph_of edges ~size =
   Structure.make Signature.graph ~size
     [ ("E", List.map (fun (u, v) -> [| u; v |]) edges) ]
+
+(* The two FO(IFP) evaluators: the naive oracle and the compiled engine
+   behind Fp_eval. *)
+type evaluator = {
+  name : string;
+  answers :
+    ?stats:Eval.stats ->
+    Structure.t ->
+    Formula.t ->
+    vars:string list ->
+    Tuple.Set.t;
+  sat : Structure.t -> Formula.t -> bool;
+  holds : Structure.t -> Formula.t -> (string * int) list -> bool;
+}
+
+let evaluators =
+  [
+    {
+      name = "Eval";
+      answers = (fun ?stats g f ~vars -> Eval.definable_relation ?stats g f ~vars);
+      sat = (fun g f -> Eval.sat g f);
+      holds = (fun g f env -> Eval.holds g f ~env:(env_of env));
+    };
+    {
+      name = "Compiled";
+      answers =
+        (fun ?stats g f ~vars -> Compiled.definable_relation ?stats g f ~vars);
+      sat = (fun g f -> Compiled.sat g f);
+      holds = (fun g f env -> Compiled.holds (Compiled.compile g f) ~env);
+    };
+  ]
+
+let each_evaluator test = List.iter test evaluators
 
 (* ---------- Syntax ---------- *)
 
@@ -76,12 +111,11 @@ let test_tc () =
       graph_of [] ~size:3;
     ]
   in
+  each_evaluator @@ fun ev ->
   List.iter
     (fun g ->
-      let via_ifp =
-        Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ]
-      in
-      checkb "IFP TC = matrix TC" true
+      let via_ifp = ev.answers g Fp.transitive_closure ~vars:[ "u"; "v" ] in
+      checkb (ev.name ^ ": IFP TC = matrix TC") true
         (Tuple.Set.equal via_ifp (Graph.transitive_closure g)))
     graphs
 
@@ -89,25 +123,29 @@ let test_tc_stages () =
   (* On an n-chain the fixpoint needs n stages (n - 1 productive, one to
      see it stable), each testing all n^2 pairs: the stats expose the
      inherently-iterative nature FO lacks. The answer enumeration shares
-     one fixpoint cache, so the n^2 answer candidates add no stage. *)
+     one fixpoint cache, so the n^2 answer candidates add no stage. Both
+     evaluators count the same work. *)
+  each_evaluator @@ fun ev ->
   List.iter
     (fun n ->
       let stats = Eval.new_stats () in
       ignore
-        (Eval.definable_relation ~stats (Gen.successor n) Fp.transitive_closure
+        (ev.answers ~stats (Gen.successor n) Fp.transitive_closure
            ~vars:[ "u"; "v" ]);
-      checki (Printf.sprintf "n = %d: n stages" n) n stats.stages;
-      checki (Printf.sprintf "n = %d: n^3 tuples tested" n) (n * n * n)
-        stats.tuples_tested)
+      checki (Printf.sprintf "%s, n = %d: n stages" ev.name n) n stats.stages;
+      checki
+        (Printf.sprintf "%s, n = %d: n^3 tuples tested" ev.name n)
+        (n * n * n) stats.tuples_tested)
     [ 4; 8 ]
 
 (* ---------- Connectivity ---------- *)
 
 let test_connectivity () =
+  each_evaluator @@ fun ev ->
   List.iter
     (fun g ->
-      checkb "IFP connectivity = BFS" (Graph.connected g)
-        (Eval.sat g Fp.connectivity))
+      checkb (ev.name ^ ": IFP connectivity = BFS") (Graph.connected g)
+        (ev.sat g Fp.connectivity))
     [
       Gen.cycle 5;
       Gen.path 5;
@@ -119,11 +157,12 @@ let test_connectivity () =
 (* ---------- EVEN over orders (Immerman–Vardi flavour) ---------- *)
 
 let test_even_on_orders () =
+  each_evaluator @@ fun ev ->
   for n = 1 to 9 do
     checkb
-      (Printf.sprintf "IFP even on L%d" n)
+      (Printf.sprintf "%s: IFP even on L%d" ev.name n)
       (n mod 2 = 0)
-      (Eval.sat (Gen.linear_order n) Fp.even_on_orders)
+      (ev.sat (Gen.linear_order n) Fp.even_on_orders)
   done
 
 (* ---------- Nested/parameterized fixpoints ---------- *)
@@ -138,11 +177,12 @@ let test_parameterized_fixpoint () =
   in
   let reach = Ifp ("R", [ "y" ], body, [ v "t" ]) in
   let g = graph_of [ (0, 1); (1, 2); (3, 0) ] ~size:4 in
-  let holds s t = Eval.holds g reach ~env:(env_of [ ("s", s); ("t", t) ]) in
-  checkb "0 reaches 2" true (holds 0 2);
-  checkb "0 does not reach 3" false (holds 0 3);
-  checkb "3 reaches 2" true (holds 3 2);
-  checkb "source reaches itself" true (holds 2 2)
+  each_evaluator @@ fun ev ->
+  let holds s t = ev.holds g reach [ ("s", s); ("t", t) ] in
+  checkb (ev.name ^ ": 0 reaches 2") true (holds 0 2);
+  checkb (ev.name ^ ": 0 does not reach 3") false (holds 0 3);
+  checkb (ev.name ^ ": 3 reaches 2") true (holds 3 2);
+  checkb (ev.name ^ ": source reaches itself") true (holds 2 2)
 
 let test_errors () =
   (try
@@ -170,13 +210,17 @@ let gen_graph =
 let prop_tc =
   QCheck2.Test.make ~count:100 ~name:"IFP TC = matrix TC on random graphs"
     gen_graph (fun g ->
-      Tuple.Set.equal
-        (Eval.definable_relation g Fp.transitive_closure ~vars:[ "u"; "v" ])
-        (Graph.transitive_closure g))
+      List.for_all
+        (fun ev ->
+          Tuple.Set.equal
+            (ev.answers g Fp.transitive_closure ~vars:[ "u"; "v" ])
+            (Graph.transitive_closure g))
+        evaluators)
 
 let prop_conn =
   QCheck2.Test.make ~count:100 ~name:"IFP connectivity on random graphs"
-    gen_graph (fun g -> Eval.sat g Fp.connectivity = Graph.connected g)
+    gen_graph (fun g ->
+      List.for_all (fun ev -> ev.sat g Fp.connectivity = Graph.connected g) evaluators)
 
 let prop_datalog_agrees =
   QCheck2.Test.make ~count:60 ~name:"IFP TC = Datalog TC" gen_graph (fun g ->

@@ -126,6 +126,8 @@ let test_check () =
     (ifp (rel "T" [ v "x"; v "x" ]));
   expect "fixpoint variable out of scope" "undeclared relation \"T\""
     (And (ifp True, rel "T" [ v "x" ]));
+  expect "fixpoint binder repeated" "fixpoint \"T\" binds \"x\" twice"
+    (Ifp ("T", [ "x"; "x" ], rel "E" [ v "x"; v "x" ], [ v "y"; v "y" ]));
   expect "relation variable" "ok" (Exists_rel ("R", 1, rel "R" [ v "x" ]));
   expect "relation variable shadows" "ok"
     (Forall_rel ("E", 1, rel "E" [ v "x" ]));

@@ -24,6 +24,7 @@ module Eval = Fmtk_eval.Eval
 module So_queries = Fmtk_so.So_queries
 module Qbf = Fmtk_qbf.Qbf
 module Fp_formula = Fmtk_fixpoint.Fp_formula
+module Fp_eval = Fmtk_fixpoint.Fp_eval
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 
@@ -248,6 +249,35 @@ let test_cancel_at_injection () =
     | Ef.Gave_up _ -> Alcotest.fail "wrong gave-up reason"
     | _ -> Alcotest.failf "Cancel_at %d produced a verdict" k
   done
+
+let test_compiled_fixpoint_budget () =
+  (* The compiled fixpoint polls once per candidate tuple: an injected
+     exhaustion or cancellation, or a small fuel pool, ends the run in
+     [Exhausted], never in a verdict. *)
+  let g = Gen.random_graph ~rng:(Random.State.make [| 14 |]) 12 0.3 in
+  let expect_exhausted name budget =
+    match Fp_eval.sat ~budget g Fp_formula.connectivity with
+    | verdict -> Alcotest.failf "%s produced the verdict %b" name verdict
+    | exception Budget.Exhausted _ -> ()
+  in
+  for k = 1 to 10 * inject_scale do
+    expect_exhausted
+      (Printf.sprintf "Exhaust_at %d" k)
+      (Budget.create ~inject:(Budget.Exhaust_at k) ());
+    expect_exhausted
+      (Printf.sprintf "Cancel_at %d" k)
+      (Budget.create ~inject:(Budget.Cancel_at k) ())
+  done;
+  List.iter
+    (fun fuel ->
+      expect_exhausted
+        (Printf.sprintf "fuel %d" fuel)
+        (Budget.create ~fuel ~poll_interval:1 ());
+      (* A child without its own fuel draws on the parent's pool. *)
+      expect_exhausted
+        (Printf.sprintf "shared pool of %d" fuel)
+        (Budget.sub (Budget.create ~fuel ~poll_interval:1 ()) ~poll_interval:1))
+    [ 1; 5; 50 ]
 
 let par_config = { Ef.default_config with parallel = true; workers = Some 4 }
 
@@ -843,6 +873,8 @@ let () =
         [
           Alcotest.test_case "exhaust_at" `Quick test_exhaust_at_injection;
           Alcotest.test_case "cancel_at" `Quick test_cancel_at_injection;
+          Alcotest.test_case "compiled fixpoint" `Quick
+            test_compiled_fixpoint_budget;
           Alcotest.test_case "raise in worker" `Quick test_raise_in_worker;
           Alcotest.test_case "cross-domain cancel" `Slow
             test_cross_domain_cancellation;
