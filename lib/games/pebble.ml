@@ -16,14 +16,14 @@ module Wl = Fmtk_structure.Wl
 module Orbit = Fmtk_structure.Orbit
 module Budget = Fmtk_runtime.Budget
 
-type config = {
+type config = Ef.config = {
   memo : bool;
   parallel : bool;
   workers : int option;
   orbit : bool;
 }
 
-let default_config = { memo = true; parallel = true; workers = None; orbit = true }
+let default_config = Ef.default_config
 
 type stats = Engine.stats = {
   positions : int;

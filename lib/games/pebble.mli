@@ -17,26 +17,22 @@
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget
 
-(** Solver configuration, field-for-field the same as {!Ef.config}.
-    [memo] (default true): cache positions under packed int-array keys
-    (round count + sorted packed pairs — the same representation as
-    {!Ef}). [orbit] (default true): prune spoiler moves and duplicator
-    replies to representatives of the stabilizer orbits of the base
-    position ({!Fmtk_structure.Orbit}); verdict-preserving, near-free on
-    rigid structures. [parallel] (default true): fan the root
-    spoiler-move obligations out across domains through the kernel's
-    work-stealing queue when the game is big enough; workers share one
-    sharded memo, so verdicts are identical to the sequential path.
-    [workers] (default [None]): override the automatic worker count —
-    [Some k] forces a [k]-domain fan-out, [Some 1] the sequential
-    path. *)
-type config = {
+(** Solver configuration: {!Ef.config}, read the same way. [memo]
+    caches positions under packed int-array keys (round count + sorted
+    packed pairs); [orbit] prunes spoiler moves and duplicator replies to
+    representatives of the stabilizer orbits of the base position
+    ({!Fmtk_structure.Orbit}); [parallel] fans the root spoiler-move
+    obligations out across domains through the kernel's work-stealing
+    queue, workers sharing one sharded memo; [workers] overrides the
+    automatic worker count ([Some 1] forces the sequential path). *)
+type config = Ef.config = {
   memo : bool;
   parallel : bool;
   workers : int option;
   orbit : bool;
 }
 
+(** = {!Ef.default_config}: everything on, automatic worker count. *)
 val default_config : config
 
 (** Counters of one solve (= {!Engine.stats}); see {!Ef.stats}. *)

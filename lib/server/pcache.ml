@@ -1,162 +1,3 @@
-module Formula = Fmtk_logic.Formula
-module Structure = Fmtk_structure.Structure
-module Algebra = Fmtk_db.Algebra
-module Compile = Fmtk_db.Compile
-module Delta = Fmtk_db.Delta
-module Relation = Fmtk_db.Relation
-
-type entry = {
-  delta : Delta.t;
-  vars : string list;
-  entry_lock : Mutex.t;
-  mutable bound_to : Structure.t;
-      (* physical identity of the structure value the maintained counts
-         currently describe; [apply_update] advances it in lockstep with
-         the store's read-modify-write. Both mutable fields are read and
-         written only under [entry_lock]. *)
-  mutable bound_seq : int;
-      (* the store's per-name mutation sequence for [bound_to]:
-         [apply_update] applies exactly the delta numbered
-         [bound_seq + 1], so deltas land in commit order even though
-         propagation runs outside the store's critical section *)
-}
-
-type t = {
-  mutex : Mutex.t;
-  table : (string * string, entry) Hashtbl.t; (* (store name, formula text) *)
-  capacity : int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  maintained : int Atomic.t; (* delta propagations applied *)
-}
-
-let create ?(capacity = 128) () =
-  {
-    mutex = Mutex.create ();
-    table = Hashtbl.create 32;
-    capacity = max 1 capacity;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    maintained = Atomic.make 0;
-  }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-(* Answer [phi] on [s] from the maintained materialization, building it
-   on a miss (or when [sname] was re-bound wholesale by a load since the
-   entry was cached — identity mismatch means the counts describe a
-   stale value and delta maintenance lost the thread, so rebuild). The
-   identity check and the read of the maintained result happen under one
-   [entry_lock] critical section, so the answer served is exactly the
-   one the check validated. [seq] is the store sequence paired with [s]
-   (read atomically by [Store.get_seq]); a rebuilt entry is bound to it
-   so subsequent deltas slot in at [seq + 1]. *)
-let with_result ?budget t ~sname ~seq s text phi f =
-  let key = (sname, text) in
-  let hit =
-    match locked t (fun () -> Hashtbl.find_opt t.table key) with
-    | None -> None
-    | Some e ->
-        Mutex.lock e.entry_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock e.entry_lock)
-          (fun () ->
-            if e.bound_to == s then begin
-              Atomic.incr t.hits;
-              Some (f e.vars (Delta.result e.delta))
-            end
-            else None)
-  in
-  match hit with
-  | Some v -> Ok v
-  | None -> (
-      Atomic.incr t.misses;
-      let vars = Formula.free_vars phi in
-      let e = Algebra.Project (vars, Compile.compile phi) in
-      let db = Algebra.Database.of_structure s in
-      match Delta.materialize ?budget db e with
-      | Error m -> Error m
-      | Ok delta ->
-          let entry =
-            {
-              delta;
-              vars;
-              entry_lock = Mutex.create ();
-              bound_to = s;
-              bound_seq = seq;
-            }
-          in
-          locked t (fun () ->
-              (* at capacity, evict a single victim rather than the
-                 whole table: one miss must not cost every maintained
-                 plan of every other (structure, formula) pair *)
-              if
-                (not (Hashtbl.mem t.table key))
-                && Hashtbl.length t.table >= t.capacity
-              then begin
-                match Hashtbl.to_seq_keys t.table () with
-                | Seq.Cons (victim, _) -> Hashtbl.remove t.table victim
-                | Seq.Nil -> ()
-              end;
-              Hashtbl.replace t.table key entry);
-          Ok (f vars (Delta.result delta)))
-
-(* Push a store update through every maintained plan over [sname] and
-   re-bind them to the new structure value. Propagation runs outside the
-   store's critical section, so concurrent updates to one name can reach
-   a given entry in any order; [seq] (assigned under the store mutex, so
-   sequence order is commit order) restores the ordering per entry:
-
-   - [seq = bound_seq + 1]: the next committed delta — apply it;
-   - [seq <= bound_seq]: already reflected in the materialization (the
-     entry was built from, or maintained past, a store state that
-     includes this update) — skip, applying again would double-count;
-   - [seq > bound_seq + 1]: a delta this entry never saw committed in
-     between (reordered arrival, or the entry was inserted between two
-     propagation sweeps) — drop the entry; the next eval rebuilds it.
-
-   An entry whose propagation fails (budget exhaustion mid-delta leaves
-   its counts torn) is dropped too: stale or torn answers are never
-   served. *)
-let apply_update ?budget t ~sname ~seq s' ~rel tup ~add =
-  let entries =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun ((n, _) as k) e acc -> if n = sname then (k, e) :: acc else acc)
-          t.table [])
-  in
-  List.iter
-    (fun (key, e) ->
-      Mutex.lock e.entry_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock e.entry_lock)
-        (fun () ->
-          if seq <= e.bound_seq then ()
-          else if seq > e.bound_seq + 1 then
-            locked t (fun () -> Hashtbl.remove t.table key)
-          else
-            match Delta.update ?budget e.delta ~rel tup ~add with
-            | Ok () ->
-                e.bound_to <- s';
-                e.bound_seq <- seq;
-                Atomic.incr t.maintained
-            | Error _ | (exception Fmtk_runtime.Budget.Exhausted _) ->
-                locked t (fun () -> Hashtbl.remove t.table key)))
-    entries
-
-let invalidate t ~sname =
-  locked t (fun () ->
-      let stale =
-        Hashtbl.fold
-          (fun ((n, _) as k) _ acc -> if n = sname then k :: acc else acc)
-          t.table []
-      in
-      List.iter (Hashtbl.remove t.table) stale)
-
-let hits t = Atomic.get t.hits
-
-let misses t = Atomic.get t.misses
-
-let maintained t = Atomic.get t.maintained
+(* Alias of [Qcache], whose [`Plan] entries are the maintained plans;
+   kept while perfbench/serve_run.ml still names it. *)
+include Qcache

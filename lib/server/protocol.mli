@@ -43,6 +43,13 @@ type request =
   | List_structures
   | Stats
   | Load of { name : string; spec : string option; text : string option }
+      (** Bind [name] to a structure built from [spec], a generator spec
+          ({!Fmtk.Spec.generator}: never a file path, the server reads
+          no files for a client), or else from [text], inline structure
+          text in a {!Fmtk_structure.Structure_io} format. Either is
+          sized from its declaration (generator arguments, the text's
+          [graph]/[domain] header) and refused as [too-large] past the
+          store's bounds before anything is built. *)
   | Drop of { name : string }
   | Eval of { structure : string; formula : string; ra : bool }
       (** [ra] selects the relational-algebra engine (planned physical

@@ -23,7 +23,6 @@ type config = {
   max_line : int;
   store_capacity : int;
   max_structure_size : int;
-  cache_capacity : int;
   data_dir : string option;
   sync : Store.sync_policy;
   snapshot_threshold : int;
@@ -43,13 +42,16 @@ let default_config addr =
     max_line = 1 lsl 20;
     store_capacity = 256;
     max_structure_size = 100_000;
-    cache_capacity = 512;
     data_dir = None;
     sync = Store.Always;
     snapshot_threshold = 64 * 1024 * 1024;
     inject_faults = false;
     log = None;
   }
+
+(* Query-cache capacity: the entry table holds this many compiled
+   closures and maintained plans together. *)
+let cache_capacity = 1024
 
 type stats = {
   uptime_s : float;
@@ -89,7 +91,6 @@ type t = {
   tcp_port : int option;
   store : Store.t;
   cache : Qcache.t;
-  pcache : Pcache.t;
   queue : job Queue.t;
   qmutex : Mutex.t;
   qcond : Condition.t;
@@ -180,9 +181,6 @@ let write_line conn line =
 let seq_config =
   { Ef.memo = true; parallel = false; workers = None; orbit = false }
 
-let seq_pebble_config =
-  { Pebble.memo = true; parallel = false; workers = None; orbit = false }
-
 let seq_engine_config =
   { Fmtk_games.Engine.memo = true; parallel = false; workers = None }
 
@@ -207,38 +205,51 @@ let tuple_json tup = Json.List (List.map Json.of_int (Array.to_list tup))
 exception Reject of string * string (* code, message *)
 
 let run_request t (job : job) =
-  let get name =
-    match Store.get t.store name with
-    | Some s -> s
+  (* The binding paired with its mutation sequence, so a plan built from
+     it knows exactly which store state it materializes. *)
+  let get_seq name =
+    match Store.get_seq t.store name with
+    | Some p -> p
     | None -> raise (Reject ("unknown-structure", Printf.sprintf "no structure named %S (use the load op)" name))
   in
+  let get name = fst (get_seq name) in
   match job.req with
   | Protocol.Ping | Protocol.List_structures | Protocol.Stats ->
       (* Inline ops never reach the pool. *)
       assert false
   | Protocol.Load { name; spec; text } -> (
+      (* Declared sizes are checked before anything is built: one request
+         must not be able to exhaust memory. *)
+      let check = function
+        | Ok () -> ()
+        | Error (Store.Full e) -> raise (Reject ("store-full", e))
+        | Error (Store.Too_large e) -> raise (Reject ("too-large", e))
+        | Error (Store.Io e) -> raise (Reject ("io-error", e))
+      in
       let parsed =
         match (spec, text) with
-        | Some sp, _ -> Spec.parse sp
-        | None, Some tx -> Structure_io.parse tx
+        | Some sp, _ ->
+            Result.bind (Spec.generator sp) (fun (g : Spec.generator) ->
+                check (Store.admit t.store ~size:g.elements ~tuples:g.tuples);
+                g.build ())
+        | None, Some tx ->
+            Option.iter
+              (fun size -> check (Store.admit t.store ~size ~tuples:0))
+              (Structure_io.declared_size tx);
+            Structure_io.parse tx
         | None, None -> Error "load needs a spec or text"
       in
       match parsed with
       | Error e -> raise (Reject ("parse-error", e))
-      | Ok s -> (
-          match Store.put t.store ~name s with
-          | Error (Store.Full e) -> raise (Reject ("store-full", e))
-          | Error (Store.Too_large e) -> raise (Reject ("too-large", e))
-          | Error (Store.Io e) -> raise (Reject ("io-error", e))
-          | Ok () ->
-              Qcache.invalidate t.cache ~sname:name;
-              Pcache.invalidate t.pcache ~sname:name;
-              ( `Ok,
-                [
-                  ("name", Json.Str name);
-                  ("size", Json.of_int (Structure.size s));
-                  ("tuples", Json.of_int (Structure.tuple_count s));
-                ] )))
+      | Ok s ->
+          check (Store.put t.store ~name s);
+          Qcache.invalidate t.cache ~sname:name;
+          ( `Ok,
+            [
+              ("name", Json.Str name);
+              ("size", Json.of_int (Structure.size s));
+              ("tuples", Json.of_int (Structure.tuple_count s));
+            ] ))
   | Protocol.Drop { name } -> (
       match Store.remove t.store name with
       | Error e -> raise (Reject ("io-error", e))
@@ -248,13 +259,12 @@ let run_request t (job : job) =
                ( "unknown-structure",
                  Printf.sprintf "no structure named %S to drop" name ))
       | Ok true ->
-          (* The cache keys compiled formulas by structure name: a future
-             load under this name must not see stale entries. *)
+          (* The cache keys entries by structure name: a future load under
+             this name must not see stale entries. *)
           Qcache.invalidate t.cache ~sname:name;
-          Pcache.invalidate t.pcache ~sname:name;
           (`Ok, [ ("name", Json.Str name); ("dropped", Json.Bool true) ]))
   | Protocol.Eval { structure; formula; ra } -> (
-      let s = get structure in
+      let s, seq = get_seq structure in
       match Qcache.formula t.cache (Structure.signature s) formula with
       | Error e -> raise (Reject ("parse-error", e))
       | Ok phi ->
@@ -277,16 +287,9 @@ let run_request t (job : job) =
           if ra then begin
             (* The planned engine polls the request budget per row, so it
                needs no up-front cost gate; answers are maintained across
-               [update] ops by delta propagation. Re-read the structure
-               paired with its mutation sequence so a rebuilt cache entry
-               knows exactly which store state it materializes. *)
-            let s, seq =
-              match Store.get_seq t.store structure with
-              | Some p -> p
-              | None -> (s, 0)
-            in
+               [update] ops by delta propagation. *)
             match
-              Pcache.with_result ~budget:job.budget t.pcache
+              Qcache.with_result ~budget:job.budget t.cache
                 ~sname:structure ~seq s formula phi (fun vars rel ->
                   answer_fields vars (Fmtk_db.Relation.tuples rel))
             with
@@ -317,14 +320,9 @@ let run_request t (job : job) =
       | Error (`Invalid m) -> raise (Reject ("bad-update", m))
       | Error (`Io m) -> raise (Reject ("io-error", m))
       | Ok (s', changed, seq) ->
-          if changed then begin
-            (* Maintained plans advance by delta propagation; compiled
-               evaluators are identity-bound and would re-compile on the
-               next probe anyway — drop them eagerly. *)
-            Pcache.apply_update ~budget:job.budget t.pcache ~sname:structure
+          if changed then
+            Qcache.apply_update ~budget:job.budget t.cache ~sname:structure
               ~seq s' ~rel tup ~add;
-            Qcache.invalidate t.cache ~sname:structure
-          end;
           ( `Ok,
             [
               ("name", Json.Str structure);
@@ -345,7 +343,7 @@ let run_request t (job : job) =
             (v, st, "ef")
         | Some k, false ->
             let v, st =
-              Pebble.solve_verdict ~config:seq_pebble_config ~budget:job.budget
+              Pebble.solve_verdict ~config:seq_config ~budget:job.budget
                 ~pebbles:k ~rounds a b
             in
             (v, st, Printf.sprintf "pebble-%d" k)
@@ -470,11 +468,11 @@ let snapshot t =
     completed_error = Atomic.get t.c_error;
     shed = Atomic.get t.c_shed;
     in_flight = Atomic.get t.in_flight;
-    cache_hits = Qcache.hits t.cache;
-    cache_misses = Qcache.misses t.cache;
-    plan_hits = Pcache.hits t.pcache;
-    plan_misses = Pcache.misses t.pcache;
-    plans_maintained = Pcache.maintained t.pcache;
+    cache_hits = Qcache.hits ~kind:`Compiled t.cache;
+    cache_misses = Qcache.misses ~kind:`Compiled t.cache;
+    plan_hits = Qcache.hits ~kind:`Plan t.cache;
+    plan_misses = Qcache.misses ~kind:`Plan t.cache;
+    plans_maintained = Qcache.maintained t.cache;
     structures = Store.count t.store;
     durability = Store.durability_stats t.store;
   }
@@ -773,8 +771,7 @@ let create ?(preload = []) cfg =
               listen_fd;
               tcp_port;
               store;
-              cache = Qcache.create ~capacity:cfg.cache_capacity ();
-              pcache = Pcache.create ~capacity:cfg.cache_capacity ();
+              cache = Qcache.create ~capacity:cache_capacity ();
               queue = Queue.create ();
               qmutex = Mutex.create ();
               qcond = Condition.create ();

@@ -63,7 +63,6 @@ type config = {
   max_line : int;  (** bytes; longer request lines are rejected *)
   store_capacity : int;
   max_structure_size : int;
-  cache_capacity : int;
   data_dir : string option;
       (** persist the store here ({!Store.open_durable}); [None] is the
           in-memory store *)
@@ -90,9 +89,9 @@ type stats = {
   completed_error : int;  (** incl. malformed/rejected/crashed/gave-up *)
   shed : int;
   in_flight : int;
-  cache_hits : int;
+  cache_hits : int;  (** {!Qcache} hits on compiled closures *)
   cache_misses : int;
-  plan_hits : int;  (** maintained-plan cache ({!Pcache}) hits *)
+  plan_hits : int;  (** {!Qcache} hits on maintained plans (["ra": true]) *)
   plan_misses : int;
   plans_maintained : int;  (** delta propagations applied by [update] ops *)
   structures : int;

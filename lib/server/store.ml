@@ -282,12 +282,26 @@ let journal_mutation d record =
 
 (* ---- mutations ---- *)
 
-let put t ~name s =
-  if Structure.size s > t.max_size then
+let max_tuples = 1_000_000
+
+let admit t ~size ~tuples =
+  if size > t.max_size then
     Error
       (Too_large
-         (Printf.sprintf "structure too large (%d elements, cap %d)"
-            (Structure.size s) t.max_size))
+         (Printf.sprintf "structure too large (%d elements, cap %d)" size
+            t.max_size))
+  else if tuples > max_tuples then
+    Error
+      (Too_large
+         (Printf.sprintf "structure too large (%d tuples, cap %d)" tuples
+            max_tuples))
+  else Ok ()
+
+let put t ~name s =
+  let admitted =
+    admit t ~size:(Structure.size s) ~tuples:(Structure.tuple_count s)
+  in
+  if Result.is_error admitted then admitted
   else begin
     (* Index and serialize outside the lock: both are the expensive
        part, and the structure is not yet shared. *)

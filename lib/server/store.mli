@@ -72,18 +72,30 @@ type durability_stats = {
 }
 
 (** [create ()] — an in-memory store: at most [capacity] named
-    structures (default 256) and at most [max_size] elements per
-    structure (default 100_000): past either bound, {!put} refuses
-    rather than letting one client evict the working set or exhaust
-    memory. *)
+    structures (default 256), and per structure at most [max_size]
+    elements (default 100_000) and {!max_tuples} tuples: past any bound,
+    {!put} refuses rather than letting one client evict the working set
+    or exhaust memory. *)
 val create : ?capacity:int -> ?max_size:int -> unit -> t
+
+(** Tuples per structure: 1_000_000. It admits every bounded-degree
+    generator ([torus], [chorded], [regular] up to degree 10) at the
+    element cap; a tuple-set structure this large costs about 200 MB. *)
+val max_tuples : int
+
+(** [admit t ~size ~tuples] — [Error (Too_large _)] when a structure of
+    [size] elements or [tuples] tuples exceeds the bounds {!put}
+    enforces. Lets a caller refuse a structure from its declared sizes
+    (a generator's arguments, a text's header) before building it. *)
+val admit : t -> size:int -> tuples:int -> (unit, put_error) result
 
 (** [open_durable ~dir ()] — a store persisted under [dir] (created if
     absent). Recovers any existing snapshot and journal first; [Error]
     if they are corrupt (the caller should refuse to serve, not start
     empty). [inject] arms deterministic IO faults for crash tests.
     Recovered structures are kept even when they exceed [capacity] or
-    [max_size] — refusing previously acked data would be data loss. *)
+    a per-structure bound — refusing previously acked data would be data
+    loss. *)
 val open_durable :
   ?capacity:int ->
   ?max_size:int ->
@@ -108,7 +120,7 @@ val put : t -> name:string -> Structure.t -> (unit, put_error) result
     caller can skip cache maintenance — and the name's mutation sequence
     number. The sequence is assigned under the store mutex, so its order
     {e is} commit order: callers maintaining derived state outside this
-    critical section (e.g. {!Pcache.apply_update}) use it to detect
+    critical section (e.g. {!Qcache.apply_update}) use it to detect
     reordered or missed deltas. Validation is total: unknown names,
     undeclared relations, arity mismatches and out-of-domain coordinates
     are [Error]s, never exceptions. *)

@@ -102,13 +102,6 @@ let extension_ok a b pairs (x, y) =
                   tuples)
               (Signature.rels sig_a)))
 
-(* ---- Colour refinement ---- *)
-
-(* The refinement machinery lives in [Wl] (shared with the k-dimensional
-   variant and the game solvers); these are compatibility aliases. *)
-let wl_colors a b = Wl.colors_joint a b
-let wl_colors1 = Wl.colors1
-
 let invariant_key t =
   let self = Wl.canonical_colors t in
   let sorted = Array.to_list self |> List.sort String.compare in
@@ -142,7 +135,7 @@ let find_iso ?(budget = Budget.unlimited) a b =
     let const_pairs = shared_const_pairs a b in
     if not (partial_iso a b []) then None
     else
-      let ca, cb = wl_colors a b in
+      let ca, cb = Wl.colors_joint a b in
       let n = Structure.size a in
       (* Candidate b-elements per a-element, filtered by colour. *)
       let candidates =

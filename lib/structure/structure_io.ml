@@ -25,6 +25,8 @@ let to_string t =
 
 exception Bad of string
 
+let too_large = "structure parse error: domain too large to allocate"
+
 let strip_comment line =
   match String.index_opt line '#' with
   | Some i -> String.sub line 0 i
@@ -113,6 +115,7 @@ let parse text =
   | exception Invalid_argument msg -> Error ("structure parse error: " ^ msg)
   | exception Failure msg -> Error ("structure parse error: " ^ msg)
   | exception Stack_overflow -> Error "structure parse error: input too large"
+  | exception Out_of_memory -> Error too_large
 
 (* ---- Streaming edge-list format ----
 
@@ -245,6 +248,21 @@ let parse text =
   | None -> parse text
   | exception Bad msg -> Error ("structure parse error: " ^ msg)
   | exception Invalid_argument msg -> Error ("structure parse error: " ^ msg)
+  | exception Out_of_memory -> Error too_large
+
+let declared_size text =
+  let next = string_lines text in
+  let rec scan first acc =
+    match next () with
+    | None -> acc
+    | Some line -> (
+        match tokens_of (strip_comment line) with
+        | [] -> scan first acc
+        | "graph" :: n :: _ when first -> int_of_string_opt n
+        | [ "domain"; n ] -> scan false (max acc (int_of_string_opt n))
+        | _ -> scan false acc)
+  in
+  scan true None
 
 let parse_exn text =
   match parse text with Ok s -> s | Error msg -> invalid_arg msg

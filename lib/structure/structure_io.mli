@@ -30,9 +30,16 @@ val to_string : Structure.t -> string
 val to_graph_string : Structure.t -> string
 
 (** [parse text] — total on arbitrary input: every malformed line is
-    reported as [Error] with its 1-based line number, never an
-    uncaught exception. Dispatches on the [graph] header. *)
+    reported as [Error] with its 1-based line number, and a domain too
+    large to allocate as [Error] too, never an uncaught exception.
+    Dispatches on the [graph] header. *)
 val parse : string -> (Structure.t, string) result
+
+(** [declared_size text] — the element count [text] declares (its
+    [graph N] header, or its largest [domain N] line), read without
+    building anything, so a caller can refuse an oversized structure
+    before {!parse} allocates it. [None] when [text] declares none. *)
+val declared_size : string -> int option
 
 (** @raise Invalid_argument on parse error. *)
 val parse_exn : string -> Structure.t

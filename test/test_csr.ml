@@ -262,6 +262,17 @@ let test_graph_format () =
       ("graph 3\n0 99999999999999999999\n", "too large");
       ("graph -1\n", "bad graph header");
       ("graph 3 sideways\n", "bad graph header");
+      ("graph 46116860184273\n", "too large to allocate");
+    ];
+  (* The declared element count is readable before anything is built. *)
+  List.iter
+    (fun (text, n) ->
+      checkb (Printf.sprintf "declared size of %S" text) true (Io.declared_size text = n))
+    [
+      ("# big\ngraph 46116860184273\n0 1\n", Some 46116860184273);
+      ("domain 3\nrel E/2 = (0,1)\ndomain 900\n", Some 900);
+      ("0 1\ngraph 5\n", None);
+      ("rel E/2 = (0,1)\n", None);
     ];
   (* [load] streams without reading the whole file. *)
   let tmp = Filename.temp_file "fmtk_graph" ".txt" in
@@ -289,7 +300,36 @@ let test_spec_families () =
       match Spec.parse bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ "torus:4"; "chorded:10:0"; "regular:20:21:7"; "regular:5:3:1" ]
+    [ "torus:4"; "chorded:10:0"; "regular:20:21:7"; "regular:5:3:1" ];
+  (* A generator's declared sizes, computed from its arguments, are the
+     built structure's: exact, or an upper bound on the tuples. *)
+  List.iter
+    (fun (spec, exact) ->
+      match Spec.generator spec with
+      | Error e -> Alcotest.fail e
+      | Ok g ->
+          let s = Result.get_ok (g.Spec.build ()) in
+          checki (spec ^ " elements") g.Spec.elements (Structure.size s);
+          checkb (spec ^ " tuples") true
+            (if exact then g.Spec.tuples = Structure.tuple_count s
+             else g.Spec.tuples >= Structure.tuple_count s))
+    [
+      ("set:4", true); ("order:7", true); ("chain:6", true); ("cycle:8", true);
+      ("complete:5", true); ("tree:3", true); ("paley:13", true); ("cfi:4", true);
+      ("cfi-twisted:4", true); ("regular:20:4:7", true); ("grid:3x4", false);
+      ("torus:4x3", false); ("chorded:10:3", false); ("random:20:0.3:7", false);
+    ];
+  (match Spec.generator "tree:100" with
+  | Ok g -> checki "sizes saturate" max_int g.Spec.elements
+  | Error e -> Alcotest.fail e);
+  (* Only [parse] reads files. *)
+  let tmp = Filename.temp_file "fmtk_spec" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Out_channel.with_open_text tmp (fun oc -> output_string oc "graph 2\n0 1\n");
+      checkb "parse loads a file" true (Result.is_ok (Spec.parse tmp));
+      checkb "generator refuses a file" true (Result.is_error (Spec.generator tmp)))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

@@ -10,6 +10,7 @@
 module Structure = Fmtk_structure.Structure
 module Gen = Fmtk_structure.Gen
 module Iso = Fmtk_structure.Iso
+module Wl = Fmtk_structure.Wl
 module Orbit = Fmtk_structure.Orbit
 module Ef = Fmtk_games.Ef
 module Strategy = Fmtk_games.Strategy
@@ -121,7 +122,7 @@ let test_orbits_refine_wl () =
     let s = random_structure rng in
     let t = Orbit.make s in
     let ids = Orbit.orbit_ids (Orbit.root t) in
-    let colors = Iso.wl_colors1 s in
+    let colors = Wl.colors1 s in
     Array.iteri
       (fun i id ->
         checkb "same orbit, same WL colour" true (colors.(i) = colors.(id)))

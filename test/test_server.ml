@@ -1,5 +1,5 @@
 (* Serve-layer tests: the total JSON codec, the wire protocol, the
-   structure store, the compiled-query cache, and in-process end-to-end
+   structure store, the query cache, and in-process end-to-end
    runs of the full server — including admission-control shedding,
    fault-injected requests, and the graceful-shutdown drain.
 
@@ -655,7 +655,12 @@ let test_store_corrupt_refusal () =
 
 (* ---------- query cache ---------- *)
 
-let test_qcache () =
+let parse qc s text =
+  match Qcache.formula qc (Structure.signature s) text with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
+
+let test_qcache_tiers () =
   let qc = Qcache.create ~capacity:8 () in
   let c6 = Gen.cycle 6 in
   let sg = Structure.signature c6 in
@@ -674,12 +679,10 @@ let test_qcache () =
   (match Qcache.formula qc sg "exists x. E(x)" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong arity accepted");
-  (* Compiled tier: second probe with the same (name, text, structure)
+  (* Compiled entries: second probe with the same (name, text, structure)
      hits; rebinding the name invalidates. *)
   let text = "exists x. exists y. E(x,y)" in
-  let phi =
-    match Qcache.formula qc sg text with Ok f -> f | Error e -> Alcotest.fail e
-  in
+  let phi = parse qc c6 text in
   let run s = Qcache.with_compiled qc ~sname:"c" s text phi (fun _ -> ()) in
   run c6;
   checki "first probe misses" 0 (Qcache.hits qc);
@@ -694,26 +697,19 @@ let test_qcache () =
   checki "rebind recompiles against the new structure" 7 !seen;
   checkb "rebind was a miss" true (Qcache.misses qc >= 2)
 
-(* The maintained-plan cache applies store deltas strictly in the
-   store's commit order (the sequence number [Store.update] assigns
-   under its mutex). Propagation itself runs outside that critical
-   section, so this drives the cache by hand with reordered, duplicate,
-   and gapped sequences: in-order deltas maintain the materialization,
-   anything else must either be a no-op (already reflected) or evict the
-   entry — a hit must never serve counts that diverge from the live
-   structure. *)
-let test_pcache_ordering () =
-  let module Pcache = Fmtk_server.Pcache in
+(* Plan entries apply store deltas strictly in the store's commit order
+   (the sequence number [Store.update] assigns under its mutex).
+   Propagation itself runs outside that critical section, so this drives
+   the cache by hand with reordered, duplicate, and gapped sequences:
+   in-order deltas maintain the materialization, anything else must
+   either be a no-op (already reflected) or evict the entry — a hit must
+   never serve counts that diverge from the live structure. *)
+let test_qcache_delta_ordering () =
   let st = Store.create () in
-  let pc = Pcache.create ~capacity:8 () in
+  let qc = Qcache.create ~capacity:8 () in
   checkb "seed" true (Store.put st ~name:"g" (Gen.cycle 4) = Ok ());
   let text = "E(x,y)" in
-  let phi =
-    let sg = Structure.signature (Gen.cycle 4) in
-    match Qcache.formula (Qcache.create ()) sg text with
-    | Ok f -> f
-    | Error e -> Alcotest.fail e
-  in
+  let phi = parse qc (Gen.cycle 4) text in
   let count () =
     let s, seq =
       match Store.get_seq st "g" with
@@ -721,7 +717,7 @@ let test_pcache_ordering () =
       | None -> Alcotest.fail "binding vanished"
     in
     match
-      Pcache.with_result pc ~sname:"g" ~seq s text phi (fun _ rel ->
+      Qcache.with_result qc ~sname:"g" ~seq s text phi (fun _ rel ->
           Fmtk_db.Relation.cardinality rel)
     with
     | Ok n -> n
@@ -736,26 +732,101 @@ let test_pcache_ordering () =
      delta: the second eval must hit and see the inserted edge. *)
   checki "initial materialization" 4 (count ());
   let s2, seq2 = update [| 0; 2 |] true in
-  Pcache.apply_update pc ~sname:"g" ~seq:seq2 s2 ~rel:"E" [| 0; 2 |] ~add:true;
+  Qcache.apply_update qc ~sname:"g" ~seq:seq2 s2 ~rel:"E" [| 0; 2 |] ~add:true;
   checki "in-order delta maintained" 5 (count ());
-  checki "maintained one delta" 1 (Pcache.maintained pc);
-  checki "maintained entry hits" 1 (Pcache.hits pc);
+  checki "maintained one delta" 1 (Qcache.maintained qc);
+  checki "maintained entry hits" 1 (Qcache.hits ~kind:`Plan qc);
   (* Two further commits whose propagations arrive reversed: the gapped
      sequence must evict the entry (applying it would skip the middle
      delta), the late one must find nothing, and the next eval rebuilds
      from the live structure. *)
   let _s3, seq3 = update [| 1; 3 |] true in
   let s4, seq4 = update [| 2; 0 |] true in
-  Pcache.apply_update pc ~sname:"g" ~seq:seq4 s4 ~rel:"E" [| 2; 0 |] ~add:true;
-  Pcache.apply_update pc ~sname:"g" ~seq:seq3 s4 ~rel:"E" [| 1; 3 |] ~add:true;
-  let misses_before = Pcache.misses pc in
+  Qcache.apply_update qc ~sname:"g" ~seq:seq4 s4 ~rel:"E" [| 2; 0 |] ~add:true;
+  Qcache.apply_update qc ~sname:"g" ~seq:seq3 s4 ~rel:"E" [| 1; 3 |] ~add:true;
+  let misses_before = Qcache.misses ~kind:`Plan qc in
   checki "reordered deltas evict, rebuild is exact" 7 (count ());
-  checki "rebuild was a miss" (misses_before + 1) (Pcache.misses pc);
+  checki "rebuild was a miss" (misses_before + 1) (Qcache.misses ~kind:`Plan qc);
   (* A duplicate of an already-reflected delta must be skipped, not
      double-applied: the maintained count stays exact. *)
-  Pcache.apply_update pc ~sname:"g" ~seq:seq3 s4 ~rel:"E" [| 1; 3 |] ~add:true;
+  Qcache.apply_update qc ~sname:"g" ~seq:seq3 s4 ~rel:"E" [| 1; 3 |] ~add:true;
   checki "stale delta is a no-op" 7 (count ());
-  checki "stale delta not counted as maintained" 1 (Pcache.maintained pc)
+  checki "stale delta not counted as maintained" 1 (Qcache.maintained qc)
+
+(* At capacity a miss evicts one entry, the least recently used, and
+   every other entry keeps hitting. *)
+let test_qcache_eviction () =
+  let qc = Qcache.create ~capacity:3 () in
+  let c6 = Gen.cycle 6 in
+  let probe text =
+    let hits = Qcache.hits qc in
+    Qcache.with_compiled qc ~sname:"c" c6 text (parse qc c6 text) ignore;
+    Qcache.hits qc > hits
+  in
+  let texts = [ "E(x,y)"; "E(y,x)"; "exists y. E(x,y)"; "exists x. E(x,y)" ] in
+  List.iter (fun text -> checkb ("cold " ^ text) false (probe text)) texts;
+  List.iter
+    (fun text -> checkb ("kept " ^ text) true (probe text))
+    (List.tl texts);
+  checkb "the least recently used entry was the victim" false
+    (probe (List.hd texts))
+
+(* One (name, text) asked on both paths, then updated: the plan is
+   maintained in place, the compiled closure is dropped and recompiled
+   against the new structure. *)
+let test_qcache_kinds_under_update () =
+  let st = Store.create () in
+  let qc = Qcache.create () in
+  checkb "seed" true (Store.put st ~name:"g" (Gen.cycle 4) = Ok ());
+  let text = "E(x,y)" in
+  let phi = parse qc (Gen.cycle 4) text in
+  let both () =
+    let s, seq = Option.get (Store.get_seq st "g") in
+    let compiled =
+      Qcache.with_compiled qc ~sname:"g" s text phi (fun c ->
+          Fmtk_structure.Tuple.Set.cardinal (Fmtk_eval.Compiled.definable_relation_of c))
+    in
+    match
+      Qcache.with_result qc ~sname:"g" ~seq s text phi (fun _ rel ->
+          Fmtk_db.Relation.cardinality rel)
+    with
+    | Ok planned -> (compiled, planned)
+    | Error e -> Alcotest.fail e
+  in
+  checkb "cold answers" true (both () = (4, 4));
+  checki "one miss per kind" 2 (Qcache.misses qc);
+  let s', seq =
+    match Store.update st ~name:"g" ~rel:"E" [| 0; 2 |] ~add:true with
+    | Ok (s', true, seq) -> (s', seq)
+    | _ -> Alcotest.fail "update refused"
+  in
+  Qcache.apply_update qc ~sname:"g" ~seq s' ~rel:"E" [| 0; 2 |] ~add:true;
+  checki "plan maintained" 1 (Qcache.maintained qc);
+  checkb "both kinds see the update" true (both () = (5, 5));
+  checki "plan hit" 1 (Qcache.hits ~kind:`Plan qc);
+  checki "closure recompiled" 2 (Qcache.misses ~kind:`Compiled qc);
+  checki "no compiled hit" 0 (Qcache.hits ~kind:`Compiled qc)
+
+let test_qcache_invalidate () =
+  let st = Store.create () in
+  let qc = Qcache.create () in
+  List.iter
+    (fun name -> checkb "seed" true (Store.put st ~name (Gen.cycle 4) = Ok ()))
+    [ "g"; "h" ];
+  let text = "E(x,y)" in
+  let phi = parse qc (Gen.cycle 4) text in
+  let probe name =
+    let s, seq = Option.get (Store.get_seq st name) in
+    Qcache.with_compiled qc ~sname:name s text phi ignore;
+    ignore (Qcache.with_result qc ~sname:name ~seq s text phi (fun _ _ -> ()))
+  in
+  probe "g";
+  probe "h";
+  Qcache.invalidate qc ~sname:"g";
+  probe "g";
+  checki "both kinds under g dropped" 6 (Qcache.misses qc);
+  probe "h";
+  checki "entries under h kept" 2 (Qcache.hits qc)
 
 (* ---------- end-to-end ---------- *)
 
@@ -1431,9 +1502,16 @@ let () =
           Alcotest.test_case "corrupt refusal" `Quick
             test_store_corrupt_refusal;
         ] );
-      ("qcache", [ Alcotest.test_case "tiers" `Quick test_qcache ]);
-      ( "pcache",
-        [ Alcotest.test_case "delta ordering" `Quick test_pcache_ordering ] );
+      ( "qcache",
+        [
+          Alcotest.test_case "tiers" `Quick test_qcache_tiers;
+          Alcotest.test_case "delta ordering" `Quick test_qcache_delta_ordering;
+          Alcotest.test_case "single-victim eviction" `Quick test_qcache_eviction;
+          Alcotest.test_case "both kinds under update" `Quick
+            test_qcache_kinds_under_update;
+          Alcotest.test_case "invalidate drops both kinds" `Quick
+            test_qcache_invalidate;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "end-to-end" `Quick test_end_to_end;
