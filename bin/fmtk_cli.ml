@@ -182,7 +182,7 @@ let eval_cmd =
         if use_ra then
           if any then Compile.sat_any ~budget s phi
           else Compile.sat ~budget s phi
-        else Ok (Eval.sat s phi)
+        else Ok (Eval.sat ~budget s phi)
       in
       match v with
       | Error (`Msg _) as e -> e
@@ -194,7 +194,7 @@ let eval_cmd =
         if use_ra then
           if any then Compile.answers_any ~budget s phi
           else Compile.answers ~budget s phi
-        else Ok (Eval.answers s phi)
+        else Ok (Eval.answers ~budget s phi)
       in
       match v with
       | Error (`Msg _) as e -> e

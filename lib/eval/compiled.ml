@@ -3,6 +3,7 @@ module Term = Fmtk_logic.Term
 module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
 module Index = Fmtk_structure.Index
+module Csr = Fmtk_structure.Csr
 module Tuple = Fmtk_structure.Tuple
 module Budget = Fmtk_runtime.Budget
 
@@ -30,6 +31,103 @@ type scope = (string * int) list
 (* A fixpoint's stage relation, in the second (relation) scope: its arity
    and the current stage, one byte per mixed-radix tuple code. *)
 type stage = { arity : int; cell : Bytes.t ref }
+
+(* The candidates of a quantifier's binder: the whole domain, or the
+   adjacency row of the value of the guard's other end. *)
+type range = Domain | Row of Csr.t * (int array -> int)
+
+let rec fixpoint_free f =
+  match f with
+  | Formula.Ifp _ -> false
+  | f -> List.for_all fixpoint_free (Formula.subformulas f)
+
+let rec conjuncts = function
+  | Formula.And (g, h) -> conjuncts g @ conjuncts h
+  | f -> [ f ]
+
+(* The three quantifier walks over a binder's candidates, each stopping
+   as soon as its answer is known. A [Row] is empty when the value of the
+   guard's other end lies outside the domain. *)
+
+let exists_in n range slot cg : int array -> bool =
+  match range with
+  | Domain ->
+      fun env ->
+        let rec scan e =
+          e < n
+          && ((env.(slot) <- e;
+               cg env)
+             || scan (e + 1))
+        in
+        scan 0
+  | Row (rows, other) ->
+      let targets = Csr.targets rows and nodes = Csr.nodes rows in
+      fun env ->
+        let u = other env in
+        u >= 0 && u < nodes
+        &&
+        let stop = Csr.row_end rows u in
+        let rec walk i =
+          i < stop
+          && ((env.(slot) <- targets.(i);
+               cg env)
+             || walk (i + 1))
+        in
+        walk (Csr.row_start rows u)
+
+let forall_in n range slot cg : int array -> bool =
+  match range with
+  | Domain ->
+      fun env ->
+        let rec scan e =
+          e >= n
+          || ((env.(slot) <- e;
+               cg env)
+             && scan (e + 1))
+        in
+        scan 0
+  | Row (rows, other) ->
+      let targets = Csr.targets rows and nodes = Csr.nodes rows in
+      fun env ->
+        let u = other env in
+        u < 0 || u >= nodes
+        ||
+        let stop = Csr.row_end rows u in
+        let rec walk i =
+          i >= stop
+          || ((env.(slot) <- targets.(i);
+               cg env)
+             && walk (i + 1))
+        in
+        walk (Csr.row_start rows u)
+
+(* A bounded witness count: stop at the [k]-th witness, or once too few
+   candidates remain. *)
+let count_in n range slot cg k : int array -> bool =
+  match range with
+  | Domain ->
+      fun env ->
+        let rec scan e found =
+          found >= k
+          || (n - e + found >= k
+             && (env.(slot) <- e;
+                 scan (e + 1) (if cg env then found + 1 else found)))
+        in
+        scan 0 0
+  | Row (rows, other) ->
+      let targets = Csr.targets rows and nodes = Csr.nodes rows in
+      fun env ->
+        let u = other env in
+        if u < 0 || u >= nodes then k <= 0
+        else
+          let stop = Csr.row_end rows u in
+          let rec walk i found =
+            found >= k
+            || (stop - i + found >= k
+               && (env.(slot) <- targets.(i);
+                   walk (i + 1) (if cg env then found + 1 else found)))
+          in
+          walk (Csr.row_start rows u) 0
 
 let compile_term a (scope : scope) t : int array -> int =
   match t with
@@ -93,6 +191,61 @@ let compile_with a ~vars f =
         let tbl = Hashtbl.create 8 in
         caches := (node, tbl) :: !caches;
         tbl
+  in
+  (* Adjacency rows for guards, built once per compiled formula: the
+     forward rows of a CSR-backed relation are its CSR, those of a
+     set-backed one come from its (sorted) tuple set, and reverse rows
+     are the forward rows transposed. *)
+  let rows = ref [] in
+  let rec rows_of r idx ~forward =
+    match (forward, Index.rows idx) with
+    | true, Some csr -> csr
+    | _ -> (
+        match List.assoc_opt (r, forward) !rows with
+        | Some csr -> csr
+        | None ->
+            let csr =
+              if forward then Csr.of_tuple_set ~n (Structure.rel a r)
+              else Csr.transpose (rows_of r idx ~forward:true)
+            in
+            rows := ((r, forward), csr) :: !rows;
+            csr)
+  in
+  (* A guard for binder [x]: [R(t,x)] or [R(x,t)] on a binary structure
+     relation [R], with [t] not [x]; [x] then ranges over the forward
+     (resp. reverse) row of [t]'s value. *)
+  let guard scope rscope x = function
+    | Formula.Rel (r, [ t1; t2 ]) when not (List.mem_assoc r rscope) -> (
+        let is_x = function
+          | Term.Var y -> String.equal x y
+          | Term.Const _ -> false
+        in
+        match Structure.index a r with
+        | exception Not_found -> None
+        | idx when Index.arity idx <> 2 -> None
+        | idx -> (
+            let row ~forward t =
+              Some (Row (rows_of r idx ~forward, compile_term a scope t))
+            in
+            match (is_x t1, is_x t2) with
+            | false, true -> row ~forward:true t1
+            | true, false -> row ~forward:false t2
+            | _ -> None))
+    | _ -> None
+  in
+  (* The range of [x] given by the leftmost guard among [g]'s conjuncts,
+     and [g] without it. Only a fixpoint-free body is guarded: skipping
+     candidates and reordering conjuncts is then unobservable, since FO
+     closures neither count nor poll. *)
+  let split_guard scope rscope x g =
+    let rec pick before = function
+      | [] -> (Domain, g)
+      | c :: after -> (
+          match guard scope rscope x c with
+          | Some range -> (range, Formula.conj (List.rev_append before after))
+          | None -> pick (c :: before) after)
+    in
+    if fixpoint_free g then pick [] (conjuncts g) else (Domain, g)
   in
   let scope0 : scope = List.mapi (fun i x -> (x, i)) vars in
   let rec go (scope : scope) rscope depth f : int array -> bool =
@@ -158,40 +311,26 @@ let compile_with a ~vars f =
         let cg = go scope rscope depth g and ch = go scope rscope depth h in
         fun env -> cg env = ch env
     | Formula.Exists (x, g) ->
-        let slot = depth in
-        let cg = go ((x, slot) :: scope) rscope (depth + 1) g in
-        fun env ->
-          let rec scan e =
-            e < n
-            && ((env.(slot) <- e;
-                 cg env)
-               || scan (e + 1))
-          in
-          scan 0
+        let range, g = split_guard scope rscope x g in
+        let cg = go ((x, depth) :: scope) rscope (depth + 1) g in
+        exists_in n range depth cg
     | Formula.Forall (x, g) ->
-        let slot = depth in
-        let cg = go ((x, slot) :: scope) rscope (depth + 1) g in
-        fun env ->
-          let rec scan e =
-            e >= n
-            || ((env.(slot) <- e;
-                 cg env)
-               && scan (e + 1))
-          in
-          scan 0
+        (* [∀x (φ → ψ)] fails exactly at an [x] satisfying [φ], so [φ]'s
+           guard bounds the search for a counterexample. *)
+        let range, g =
+          match g with
+          | Formula.Implies (phi, psi) when fixpoint_free g -> (
+              match split_guard scope rscope x phi with
+              | range, Formula.True -> (range, psi)
+              | range, phi -> (range, Formula.Implies (phi, psi)))
+          | _ -> (Domain, g)
+        in
+        let cg = go ((x, depth) :: scope) rscope (depth + 1) g in
+        forall_in n range depth cg
     | Formula.Count_geq (k, x, g) ->
-        (* A bounded witness scan: stop at the k-th witness, or once too
-           few elements remain. *)
-        let slot = depth in
-        let cg = go ((x, slot) :: scope) rscope (depth + 1) g in
-        fun env ->
-          let rec scan e found =
-            found >= k
-            || (n - e + found >= k
-               && (env.(slot) <- e;
-                   scan (e + 1) (if cg env then found + 1 else found)))
-          in
-          scan 0 0
+        let range, g = split_guard scope rscope x g in
+        let cg = go ((x, depth) :: scope) rscope (depth + 1) g in
+        count_in n range depth cg k
     | Formula.Ifp (r, xs, body, ts) ->
         (match Formula.repeated xs with
         | Some x ->

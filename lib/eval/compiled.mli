@@ -12,6 +12,28 @@
     probe. A counting quantifier [∃^{≥k}x] compiles to a bounded witness
     scan over its own binder slot.
 
+    {b Guarded quantifiers.} A quantifier scans [0..n-1] unless its body
+    has a {e guard}: a conjunct [R(t,x)] or [R(x,t)] on a binary
+    structure relation [R] (not a fixpoint stage), where [x] is the
+    binder and [t] is a constant or a variable bound outside the
+    quantifier. [∃x φ] and [∃^{≥k}x φ] take the guard from [φ]'s
+    conjuncts, [∀x (φ → ψ)] from [φ]'s, and the leftmost guard wins.
+    [R(x,x)] and wrong-arity atoms are never guards. A guarded binder
+    walks the forward row of [t]'s value (for [R(t,x)]) or its reverse
+    row (for [R(x,t)]), O(degree) instead of O(n); [∃^{≥k}] also stops
+    once the rest of the row cannot supply the missing witnesses. An
+    out-of-domain value of [t] (reachable only through unchecked
+    {!run}/{!holds} arguments) has an empty row, so the answer is the
+    domain scan's. Rows are built once per compiled formula, ascending
+    and duplicate-free, in O(n + m): the forward rows of a CSR-backed
+    relation are its CSR ({!Fmtk_structure.Index.rows}), not a copy,
+    those of a set-backed one are filled from its sorted tuple set, and
+    reverse rows are forward rows transposed. Only a body with
+    no fixpoint node is guarded (stage atoms are fine): FO closures
+    neither count nor poll, so skipping non-neighbours and moving the
+    guard out of the body change only the speed. Counters, polling and
+    the fixpoint caches are exactly as for a domain scan.
+
     A fixpoint [[IFP_{R,x̄} φ](t̄)] of arity [k] gets a {e stage cell}: a
     [Bytes] flag per tuple of the [n^k] tuples, indexed by the tuple's
     mixed-radix code (its position in {!Fmtk_structure.Tuple.all} order).

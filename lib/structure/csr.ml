@@ -81,14 +81,14 @@ let normalize ~n offs raw =
     { n; offs = out_offs; tgt }
   end
 
+let check_endpoint ~n e =
+  if e < 0 || e >= n then
+    invalid_arg (Printf.sprintf "Csr: endpoint %d outside domain [0,%d)" e n)
+
 (* Counting sort by source over an abstract edge supply. *)
 let build ~n ~m ~(src : int -> int) ~(dst : int -> int) =
   if n < 0 then invalid_arg "Csr: negative node count";
-  let check e =
-    if e < 0 || e >= n then
-      invalid_arg
-        (Printf.sprintf "Csr: endpoint %d outside domain [0,%d)" e n)
-  in
+  let check = check_endpoint ~n in
   let deg = Array.make (n + 1) 0 in
   for i = 0 to m - 1 do
     let u = src i and v = dst i in
@@ -122,18 +122,32 @@ let of_vecs ~n src dst =
     invalid_arg "Csr.of_vecs: src/dst length mismatch";
   build ~n ~m ~src:(Vec.get src) ~dst:(Vec.get dst)
 
+(* A tuple set iterates its pairs in lexicographic order, without
+   duplicates, so two passes fill sorted rows: no buffer, no row sort. *)
 let of_tuple_set ~n set =
-  let src = Vec.create ~cap:(max 16 (Tuple.Set.cardinal set)) () in
-  let dst = Vec.create ~cap:(max 16 (Tuple.Set.cardinal set)) () in
+  if n < 0 then invalid_arg "Csr: negative node count";
+  let offs = Array.make (n + 1) 0 in
   Tuple.Set.iter
     (fun tup ->
       match tup with
       | [| u; v |] ->
-          Vec.push src u;
-          Vec.push dst v
+          check_endpoint ~n u;
+          check_endpoint ~n v;
+          offs.(u + 1) <- offs.(u + 1) + 1
       | _ -> invalid_arg "Csr.of_tuple_set: non-binary tuple")
     set;
-  of_vecs ~n src dst
+  for u = 0 to n - 1 do
+    offs.(u + 1) <- offs.(u + 1) + offs.(u)
+  done;
+  let tgt = Array.make offs.(n) 0 in
+  let cursor = Array.sub offs 0 n in
+  Tuple.Set.iter
+    (fun tup ->
+      let u = tup.(0) in
+      tgt.(cursor.(u)) <- tup.(1);
+      cursor.(u) <- cursor.(u) + 1)
+    set;
+  { n; offs; tgt }
 
 let mem t u v =
   u >= 0 && u < t.n && v >= 0 && v < t.n
@@ -165,6 +179,25 @@ let in_degrees t =
   let d = Array.make t.n 0 in
   Array.iter (fun v -> d.(v) <- d.(v) + 1) t.tgt;
   d
+
+(* A counting sort by target. Rows are filled in ascending source order,
+   so they come out sorted, and duplicate-free as [t]'s rows are. *)
+let transpose t =
+  let offs = Array.make (t.n + 1) 0 in
+  Array.iter (fun v -> offs.(v + 1) <- offs.(v + 1) + 1) t.tgt;
+  for v = 0 to t.n - 1 do
+    offs.(v + 1) <- offs.(v + 1) + offs.(v)
+  done;
+  let cursor = Array.sub offs 0 t.n in
+  let tgt = Array.make (Array.length t.tgt) 0 in
+  for u = 0 to t.n - 1 do
+    for i = t.offs.(u) to t.offs.(u + 1) - 1 do
+      let v = t.tgt.(i) in
+      tgt.(cursor.(v)) <- u;
+      cursor.(v) <- cursor.(v) + 1
+    done
+  done;
+  { n = t.n; offs; tgt }
 
 let append a b =
   let n = a.n + b.n in

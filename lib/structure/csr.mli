@@ -85,6 +85,10 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 (** In-degree of every node (one pass over [targets]). *)
 val in_degrees : t -> int array
 
+(** [transpose t] — the reverse relation [{(v, u) | (u, v) ∈ t}], in
+    O(n + m) (no row sort). *)
+val transpose : t -> t
+
 (** [append a b] — disjoint union: rows of [b] follow those of [a] with
     targets shifted by [nodes a]. *)
 val append : t -> t -> t

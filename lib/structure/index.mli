@@ -45,7 +45,8 @@ val mem2 : t -> int -> int -> bool
 
 (** The CSR rows behind a {!of_csr} index, if that is the representation —
     the access path for index-nested-loop joins over large binary
-    relations. *)
+    relations, and the forward rows a guarded quantifier of
+    [Fmtk_eval.Compiled] walks. *)
 val rows : t -> Csr.t option
 
 (** [iter_row1 t x f] enumerates all [y] with [(x, y)] in the indexed

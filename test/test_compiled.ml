@@ -427,6 +427,154 @@ let test_stage_cell_guard () =
   | exception Invalid_argument _ -> ());
   ignore (Compiled.compile g (ifp 3))
 
+(* ---------- Differential: guarded quantifier walks ---------- *)
+
+(* Graphs of 0-12 elements, denser than [gen_graph] so rows vary. *)
+let gen_graph_upto_12 =
+  let open QCheck2.Gen in
+  let* n = int_range 0 12 in
+  let* edges =
+    if n = 0 then return []
+    else
+      list_size (int_range 0 (n * 3))
+        (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+  in
+  return (graph_of edges ~size:n)
+
+(* Formulas whose quantifiers mostly carry a guard, in each shape the
+   guard rule tells apart: the guard first or behind another conjunct,
+   forward or reverse, under [∃], [∀ (φ → ψ)] and [∃^{≥k}]. Binders
+   come from three names, so [E(x,x)] (no guard) and binders that
+   shadow an outer name turn up often. Two fixpoint shapes join them:
+   IFP-TC, whose step [∃z (T(x,z) ∧ E(z,y))] is guarded by [E(z,y)]
+   behind the stage atom, and an [∃x] whose fixpoint conjunct, before
+   the guard, has [x] among its body's outer free variables — that
+   quantifier must stay unguarded, or [stages] would fall short of
+   [Eval]'s. *)
+let gen_guarded : Formula.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Formula in
+  let var = oneofl [ "x"; "y"; "z" ] in
+  let e a b = rel "E" [ v a; v b ] in
+  let edge_at x =
+    let* t = var in
+    let* forward = bool in
+    return (if forward then e t x else e x t)
+  in
+  let rec form n =
+    if n <= 0 then
+      frequency
+        [
+          (1, return True);
+          (2, map2 (fun a b -> Eq (v a, v b)) var var);
+          (3, map2 e var var);
+        ]
+    else
+      frequency
+        [
+          (1, form 0);
+          (1, map not_ (form (n - 1)));
+          (1, map2 (fun a b -> Or (a, b)) (form (n / 2)) (form (n / 2)));
+          (1, map2 (fun a b -> And (a, b)) (form (n / 2)) (form (n / 2)));
+          (5, quant n);
+        ]
+  and quant n =
+    let* x = var in
+    let* g = edge_at x in
+    let* phi = form (n - 1) in
+    let* psi = form 0 in
+    let* k = int_range 1 3 in
+    oneofl
+      [
+        exists x (And (g, phi));
+        exists x (And (psi, g));
+        exists x (And (And (psi, g), phi));
+        forall x (Implies (g, phi));
+        forall x (Implies (And (psi, g), phi));
+        Count_geq (k, x, And (g, phi));
+        Count_geq (k, x, And (psi, And (g, phi)));
+      ]
+  in
+  let tc =
+    let* base = form 0 in
+    let* a = var in
+    let* b = var in
+    return
+      (Ifp
+         ( "T",
+           [ "x"; "y" ],
+           Or (base, exists "z" (And (rel "T" [ v "x"; v "z" ], e "z" "y"))),
+           [ v a; v b ] ))
+  in
+  let fixpoint_first =
+    let* t = oneofl [ "y"; "z" ] in
+    let* s = var in
+    return
+      (exists "x"
+         (And
+            ( Ifp
+                ( "R",
+                  [ "y" ],
+                  Or
+                    ( Eq (v "y", v "x"),
+                      exists "z" (And (rel "R" [ v "z" ], e "z" "y")) ),
+                  [ v s ] ),
+              e t "x" )))
+  in
+  frequency
+    [
+      (8, sized_size (int_range 1 3) form);
+      (1, tc);
+      (1, map2 exists var tc);
+      (2, fixpoint_first);
+    ]
+
+let prop_guarded_differential =
+  QCheck2.Test.make ~count:400
+    ~name:
+      "guarded walks = naive Eval on set and CSR storage: answers, stages, \
+       tuples tested"
+    ~print:(fun (g, phi) ->
+      Printf.sprintf "size %d: %s" (Structure.size g) (Formula.to_string phi))
+    QCheck2.Gen.(pair gen_graph_upto_12 gen_guarded)
+    (fun (g, phi) ->
+      fixpoint_agree g phi && fixpoint_agree (Structure.to_csr g) phi)
+
+let test_out_of_domain () =
+  (* [run] and [holds] do not check their arguments: an out-of-domain
+     guard value has an empty row, so the answer is the naive one. *)
+  let y_of_x = rel "E" [ v "x"; v "y" ] and x_of_y = rel "E" [ v "y"; v "x" ] in
+  let formulas =
+    [
+      exists "y" y_of_x;
+      exists "y" x_of_y;
+      exists "y" (And (y_of_x, Not (Eq (v "y", v "x"))));
+      forall "y" (Implies (y_of_x, Eq (v "y", v "x")));
+      forall "y" (Implies (x_of_y, False));
+      Count_geq (0, "y", y_of_x);
+      Count_geq (1, "y", x_of_y);
+      Count_geq (2, "y", y_of_x);
+    ]
+  in
+  List.iter
+    (fun g ->
+      List.iter
+        (fun phi ->
+          let ct = Compiled.compile g phi in
+          List.iter
+            (fun x ->
+              let name =
+                Printf.sprintf "%s at x = %d (%s)" (Formula.to_string phi) x
+                  (Structure.backend_summary g)
+              in
+              let env = Eval.bind "x" x Eval.empty_env in
+              let naive = Eval.holds g phi ~env in
+              checkb name naive (Compiled.run ct [| x |]);
+              checkb name naive (Compiled.holds ct ~env:[ ("x", x) ]))
+            [ 10; 6; -1 ])
+        formulas)
+    [ Structure.to_sets (Gen.cycle 6); Structure.to_csr (Gen.cycle 6) ]
+
 (* ---------- EF solver: config equivalence ---------- *)
 
 (* All config corners, including a forced multi-domain fan-out so the
@@ -516,6 +664,7 @@ let qcheck_cases =
       prop_differential_roundtrip;
       prop_definable_relation;
       prop_fixpoint_differential;
+      prop_guarded_differential;
       prop_ef_random_graphs;
     ]
 
@@ -531,6 +680,7 @@ let () =
           Alcotest.test_case "fixpoint shapes" `Quick test_fixpoint_shapes;
           Alcotest.test_case "repeated variables" `Quick test_repeated_variables;
           Alcotest.test_case "stage cell guard" `Quick test_stage_cell_guard;
+          Alcotest.test_case "out-of-domain arguments" `Quick test_out_of_domain;
         ] );
       ( "index",
         [

@@ -54,6 +54,29 @@ let test_csr_degrees () =
   checki "max degree" 2 (Csr.max_degree c);
   checkb "in degrees" true (Csr.in_degrees c = [| 0; 1; 2 |])
 
+let test_csr_transpose_and_sets () =
+  (* On random edge lists: rows built from a tuple set, and transposed
+     rows, equal what the sorting constructor builds. *)
+  let rng = Random.State.make [| 16 |] in
+  for _ = 1 to 200 do
+    let n = Random.State.int rng 9 in
+    let m = if n = 0 then 0 else Random.State.int rng (3 * n) in
+    let src = Array.init m (fun _ -> Random.State.int rng n)
+    and dst = Array.init m (fun _ -> Random.State.int rng n) in
+    let c = Csr.of_edges ~n (src, dst) in
+    let set =
+      Fmtk_structure.Tuple.Set.of_list
+        (Array.to_list (Array.mapi (fun i u -> [| u; dst.(i) |]) src))
+    in
+    checkb "of_tuple_set = of_edges" true (Csr.equal c (Csr.of_tuple_set ~n set));
+    checkb "transpose = swapped edges" true
+      (Csr.equal (Csr.transpose c) (Csr.of_edges ~n (dst, src)));
+    checkb "transpose twice" true (Csr.equal c (Csr.transpose (Csr.transpose c)))
+  done;
+  match Csr.of_tuple_set ~n:2 (Fmtk_structure.Tuple.Set.singleton [| 0; 2 |]) with
+  | _ -> Alcotest.fail "out-of-domain endpoint accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ---------- Structure auto-selection ---------- *)
 
 let test_backend_selection () =
@@ -351,6 +374,8 @@ let () =
           Alcotest.test_case "normalized rows" `Quick test_csr_normalized;
           Alcotest.test_case "append and relabel" `Quick test_csr_append_relabel;
           Alcotest.test_case "degrees" `Quick test_csr_degrees;
+          Alcotest.test_case "transpose and tuple sets" `Quick
+            test_csr_transpose_and_sets;
         ] );
       ( "backend",
         [

@@ -753,20 +753,29 @@ let test_pool_spawn_join () =
   Pool.shutdown pool
 
 let test_pool_reuse () =
-  let pool = Pool.create () in
+  (* An hour's grace: no scheduler delay can expire the parked domain
+     between two cycles. *)
+  let pool = Pool.create ~idle_grace:3600. () in
+  (* [join] returns when the job finishes; the domain parks a moment
+     later. Wait for it (ten seconds at most) before the next spawn, or
+     that spawn finds the park empty and creates a domain. *)
+  let await_park () =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec wait () =
+      Pool.parked_count pool >= 1
+      || (Unix.gettimeofday () < deadline && (Pool.nap (); wait ()))
+    in
+    wait ()
+  in
   (* Sequential spawn/join cycles must park and reuse one domain, not
      create one per job — this is the pool's entire reason to exist. *)
   for _ = 1 to 20 do
-    Pool.join (Pool.spawn pool (fun () -> ()))
+    Pool.join (Pool.spawn pool (fun () -> ()));
+    checkb "idle domain parked" true (await_park ())
   done;
   checkb "20 jobs dispatched" true (Pool.dispatched pool = 20);
-  checkb "domains reused, not respawned" true (Pool.spawned_total pool <= 2);
-  (* [join] returns when the job finishes; the domain parks a moment
-     later, so give it a few naps before asserting. *)
-  let rec await_park n =
-    Pool.parked_count pool >= 1 || (n > 0 && (Pool.nap (); await_park (n - 1)))
-  in
-  checkb "idle domains parked" true (await_park 100);
+  Alcotest.(check int) "one domain spawned, then reused" 1
+    (Pool.spawned_total pool);
   Pool.shutdown pool;
   checkb "shutdown empties the park" true (Pool.parked_count pool = 0);
   (match Pool.spawn pool (fun () -> ()) with
