@@ -2072,6 +2072,60 @@ let e29 () =
   in
   Dstore.close st3;
   rm_rf_dir rec_dir;
+  (* Update replay: [records] single-edge updates journaled on top of
+     one graph held in the snapshot, then a cold reopen. Replay keeps
+     each relation's pending edits and applies them in one pass, so the
+     journal costs O(records) on top of the snapshot load — against
+     about [records] copies of the graph if every record were applied
+     as it was read. *)
+  let update_replay g =
+    let dir = base ^ "-updates" in
+    rm_rf_dir dir;
+    let st, _ = ok_or (Dstore.open_durable ~sync:Dstore.Never ~dir ()) in
+    (match Dstore.put st ~name:"g" g with
+    | Ok () -> ()
+    | Error e -> failwith (Dstore.put_error_to_string e));
+    ok_or (Dstore.compact st);
+    let rng = Random.State.make [| 29 |] in
+    let n = Structure.size g in
+    let applied = ref 0 in
+    while !applied < records do
+      let tup = [| Random.State.int rng n; Random.State.int rng n |] in
+      let cur = Option.get (Dstore.get st "g") in
+      match
+        Dstore.update st ~name:"g" ~rel:"E" tup
+          ~add:(not (Structure.mem cur "E" tup))
+      with
+      | Ok (_, true, _) -> incr applied
+      | Ok (_, false, _) | Error _ -> failwith "E29: update did not apply"
+    done;
+    let bytes =
+      match Dstore.durability_stats st with
+      | Some d -> d.Dstore.journal_bytes
+      | None -> 0
+    in
+    Dstore.close st;
+    let st, r = ok_or (Dstore.open_durable ~dir ()) in
+    Dstore.close st;
+    (* the same snapshot without the journal: the floor replay sits on *)
+    Sys.remove (Filename.concat dir "journal.fmtk");
+    let st, floor = ok_or (Dstore.open_durable ~dir ()) in
+    Dstore.close st;
+    rm_rf_dir dir;
+    ( Structure.backend_summary g,
+      Structure.tuple_count g,
+      bytes,
+      r.Dstore.journal_records,
+      r.Dstore.recovery_ms,
+      floor.Dstore.recovery_ms )
+  in
+  let grng = Random.State.make [| 2029 |] in
+  let updates =
+    [
+      update_replay (Gen.random_graph ~rng:grng 1000 0.1);
+      update_replay (Gen.random_graph ~rng:grng 150 0.03);
+    ]
+  in
   pf "Recovery of %d structures (%d journal bytes):@." records journal_bytes;
   pf "  journal replay  %7.1f ms  (%.0f records/s)@."
     replay.Dstore.recovery_ms
@@ -2080,8 +2134,19 @@ let e29 () =
   pf "  snapshot load   %7.1f ms  (%.0f records/s)@." snap.Dstore.recovery_ms
     (float_of_int snap.Dstore.snapshot_records
     /. (snap.Dstore.recovery_ms /. 1000.));
+  List.iter
+    (fun (backend, tuples, bytes, recs, ms, floor_ms) ->
+      pf "  update replay   %7.1f ms  (%.0f records/s; %d single-edge \
+          updates, %d journal bytes, on a %s graph of %d edges whose \
+          snapshot alone loads in %.1f ms)@."
+        ms
+        (float_of_int recs /. (ms /. 1000.))
+        recs bytes backend tuples floor_ms)
+    updates;
   pf "Shape: interval-sync overhead within 15%% of in-memory; zero@.";
-  pf "errors in every mode; both recovery paths well under a second.@.";
+  pf "errors in every mode; both recovery paths well under a second;@.";
+  pf "update replay adds O(records), not a graph copy per record, to@.";
+  pf "its snapshot load.@.";
   match !json_path with
   | None -> ()
   | Some path ->
@@ -2107,9 +2172,22 @@ let e29 () =
       out oc "  ],\n";
       out oc
         "  \"recovery\": {\"records\": %d, \"journal_bytes\": %d, \
-         \"journal_replay_ms\": %.3f, \"snapshot_load_ms\": %.3f}\n"
+         \"journal_replay_ms\": %.3f, \"snapshot_load_ms\": %.3f},\n"
         records journal_bytes replay.Dstore.recovery_ms
         snap.Dstore.recovery_ms;
+      out oc "  \"update_replay\": [\n";
+      List.iteri
+        (fun i (backend, tuples, bytes, recs, ms, floor_ms) ->
+          out oc
+            "    {\"backend\": %S, \"tuples\": %d, \"records\": %d, \
+             \"journal_bytes\": %d, \"replay_ms\": %.3f, \
+             \"records_per_s\": %.0f, \"snapshot_only_ms\": %.3f}%s\n"
+            backend tuples recs bytes ms
+            (float_of_int recs /. (ms /. 1000.))
+            floor_ms
+            (if i = List.length updates - 1 then "" else ","))
+        updates;
+      out oc "  ]\n";
       out oc "}\n";
       close_out oc;
       pf "Wrote %s@." path

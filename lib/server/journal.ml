@@ -6,6 +6,8 @@ module Io_fault = Fmtk_runtime.Io_fault
 type record =
   | Put of { name : string; data : string }
   | Remove of { name : string }
+  | Update of { name : string; rel : string; tuple : int array; add : bool }
+  | Generation of int
 
 (* ---- CRC32 (IEEE, reflected, poly 0xEDB88320) ---- *)
 
@@ -58,37 +60,122 @@ let frame payload =
   Bytes.blit_string payload 0 b header_len n;
   Bytes.unsafe_to_string b
 
-(* ---- payload codec ---- *)
+(* ---- payload codec ----
+
+   A tag byte, the record's length-prefixed (u32) strings, then the
+   rest of the payload:
+     'P' name; rest = the structure data
+     'D' name; no rest
+     'U' name, relation; rest = an action byte (1 insert, 0 delete),
+         then one u63 per coordinate (arity = the rest's words)
+     'G' no strings; rest = one u63, the generation
+   where a u63 is a non-negative int in 8 big-endian bytes. *)
+
+let u63s vs =
+  let b = Bytes.create (8 * Array.length vs) in
+  Array.iteri
+    (fun i v ->
+      for j = 0 to 7 do
+        Bytes.set b ((8 * i) + j) (Char.chr ((v lsr (8 * (7 - j))) land 0xff))
+      done)
+    vs;
+  Bytes.unsafe_to_string b
+
+(* [None] when the word does not fit a non-negative OCaml int. *)
+let get_u63 s off =
+  if Char.code s.[off] land 0xc0 <> 0 then None
+  else
+    let v = ref 0 in
+    for i = 0 to 7 do
+      v := (!v lsl 8) lor Char.code s.[off + i]
+    done;
+    Some !v
 
 let encode_payload r =
-  let tag, name, data =
+  let tag, strings, rest =
     match r with
-    | Put { name; data } -> ('P', name, data)
-    | Remove { name } -> ('D', name, "")
+    | Put { name; data } -> ('P', [ name ], data)
+    | Remove { name } -> ('D', [ name ], "")
+    | Update { name; rel; tuple; add } ->
+        ('U', [ name; rel ], (if add then "\001" else "\000") ^ u63s tuple)
+    | Generation g -> ('G', [], u63s [| g |])
   in
-  let nlen = String.length name in
-  let b = Bytes.create (5 + nlen + String.length data) in
+  let len =
+    List.fold_left (fun n x -> n + 4 + String.length x) 1 strings
+    + String.length rest
+  in
+  let b = Bytes.create len in
   Bytes.set b 0 tag;
-  put_u32 b 1 nlen;
-  Bytes.blit_string name 0 b 5 nlen;
-  Bytes.blit_string data 0 b (5 + nlen) (String.length data);
+  let off =
+    List.fold_left
+      (fun off x ->
+        let n = String.length x in
+        put_u32 b off n;
+        Bytes.blit_string x 0 b (off + 4) n;
+        off + 4 + n)
+      1 strings
+  in
+  Bytes.blit_string rest 0 b off (String.length rest);
   Bytes.unsafe_to_string b
 
 let decode_payload s =
   let len = String.length s in
-  if len < 5 then Error "payload shorter than its fixed header"
-  else
-    let nlen = get_u32 s 1 in
-    if nlen < 0 || nlen > len - 5 then
-      Error (Printf.sprintf "name length %d exceeds payload" nlen)
+  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
+  (* The length-prefixed string at [off], and the offset after it. *)
+  let str what off =
+    if len - off < 4 then Error (Printf.sprintf "payload ends before the %s" what)
     else
-      let name = String.sub s 5 nlen in
-      match s.[0] with
-      | 'P' -> Ok (Put { name; data = String.sub s (5 + nlen) (len - 5 - nlen) })
-      | 'D' ->
-          if len <> 5 + nlen then Error "trailing bytes after remove record"
-          else Ok (Remove { name })
-      | c -> Error (Printf.sprintf "unknown record tag %C" c)
+      let n = get_u32 s off in
+      if n > len - off - 4 then
+        Error (Printf.sprintf "%s length %d exceeds payload" what n)
+      else Ok (String.sub s (off + 4) n, off + 4 + n)
+  in
+  let u63 what off =
+    match get_u63 s off with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "%s out of range" what)
+  in
+  if len = 0 then Error "empty payload"
+  else
+    match s.[0] with
+    | 'P' ->
+        let* name, off = str "name" 1 in
+        Ok (Put { name; data = String.sub s off (len - off) })
+    | 'D' ->
+        let* name, off = str "name" 1 in
+        if off <> len then Error "trailing bytes after remove record"
+        else Ok (Remove { name })
+    | 'U' ->
+        let* name, off = str "name" 1 in
+        let* rel, off = str "relation" off in
+        let* add =
+          if off >= len then Error "payload ends before the update action"
+          else
+            match s.[off] with
+            | '\001' -> Ok true
+            | '\000' -> Ok false
+            | c -> Error (Printf.sprintf "unknown update action %C" c)
+        in
+        let rest = len - off - 1 in
+        if rest mod 8 <> 0 then
+          Error "update coordinates are not whole 8-byte words"
+        else
+          let tuple = Array.make (rest / 8) 0 in
+          let rec fill i =
+            if i = Array.length tuple then Ok ()
+            else
+              let* v = u63 "update coordinate" (off + 1 + (8 * i)) in
+              tuple.(i) <- v;
+              fill (i + 1)
+          in
+          let* () = fill 0 in
+          Ok (Update { name; rel; tuple; add })
+    | 'G' ->
+        if len <> 9 then Error "generation record is not 8 bytes"
+        else
+          let* g = u63 "generation" 1 in
+          Ok (Generation g)
+    | c -> Error (Printf.sprintf "unknown record tag %C" c)
 
 let encode r = frame (encode_payload r)
 
@@ -159,7 +246,10 @@ let replay ~path ~init ~f =
                     Error
                       (Corrupt
                          { at = off; reason = "undecodable record: " ^ reason })
-                | Ok r -> go (f acc r) (count + 1) (off + header_len + plen)
+                | Ok r -> (
+                    match f acc r with
+                    | Ok acc -> go acc (count + 1) (off + header_len + plen)
+                    | Error reason -> Error (Corrupt { at = off; reason }))
             end
           end
         in
@@ -206,8 +296,12 @@ let write_all fd s pos len =
   in
   push 0
 
-let append w r =
-  let framed = encode r in
+let append ?generation w r =
+  let framed =
+    match generation with
+    | Some g when w.bytes = 0 -> encode (Generation g) ^ encode r
+    | _ -> encode r
+  in
   let n = String.length framed in
   match Option.map Io_fault.short_write w.inject with
   | Some (Some k) ->

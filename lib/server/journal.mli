@@ -9,12 +9,26 @@
 
     The third word checksums the header itself, so a corrupted length or
     payload-checksum field is detected as corruption rather than
-    misparsed as a record boundary. Payloads encode mutations:
-    [Put (name, data)] carries a structure serialized by
-    {!encode_structure} (the {!Fmtk_structure.Structure_io} directive
-    format, or the streaming [graph N] edge-list format for graph-shaped
-    structures, so CSR-backed million-edge graphs journal in O(edges)
-    with no per-tuple boxing); [Remove name] is a deletion.
+    misparsed as a record boundary. Payloads are one of four record
+    kinds:
+
+    - [Put (name, data)] binds a whole structure, serialized by
+      {!encode_structure} (the {!Fmtk_structure.Structure_io} directive
+      format, or the streaming [graph N] edge-list format for
+      graph-shaped structures, so CSR-backed million-edge graphs journal
+      in O(edges) with no per-tuple boxing) — a [load], and every
+      record of a {!Snapshot};
+    - [Remove name] is a [drop];
+    - [Update] is one acknowledged single-tuple insert or delete, a
+      logical record of tens of bytes: the name, the relation, the
+      action and the coordinates;
+    - [Generation g] names the snapshot a journal follows. A snapshot
+      starts with its generation, and the first record of the journal
+      written after it carries the same number, so recovery can tell a
+      journal the snapshot already covers (a crash between writing the
+      snapshot and resetting the journal) from the live tail. Files
+      written before generations existed carry none and read as
+      generation 0.
 
     {2 Recovery semantics}
 
@@ -26,15 +40,20 @@
     that ends exactly at end of file. Those yield [Torn] (the caller
     truncates and continues). Any other failure — a header-checksum
     mismatch anywhere, a payload mismatch with more data after it, an
-    undecodable payload that passed its checksum — cannot be produced by
-    a crash and is reported as [Error (Corrupt _)]: the caller must
-    refuse the store rather than silently drop acknowledged mutations. *)
+    undecodable payload that passed its checksum, or a record the
+    caller's fold refuses — cannot be produced by a crash and is
+    reported as [Error (Corrupt _)]: the caller must refuse the store
+    rather than silently drop acknowledged mutations. *)
 
-(** One acknowledged mutation. [data] is the serialized structure
-    ({!encode_structure}). *)
+(** One acknowledged mutation, or a generation stamp. [data] is the
+    serialized structure ({!encode_structure}); [tuple] holds
+    non-negative coordinates (any arity, 0 included); [add] is [true]
+    for an insert and [false] for a delete. *)
 type record =
   | Put of { name : string; data : string }
   | Remove of { name : string }
+  | Update of { name : string; rel : string; tuple : int array; add : bool }
+  | Generation of int
 
 (** {1 Codec} *)
 
@@ -45,7 +64,8 @@ val crc32 : string -> int
 val frame : string -> string
 
 (** [encode r] is the framed bytes of one record, exactly as
-    {!append} writes them. *)
+    {!append} writes them (less the generation stamp of an empty
+    journal). Update coordinates and generations must be non-negative. *)
 val encode : record -> string
 
 (** Serialize a structure for a [Put] payload: the [graph N] edge-list
@@ -76,11 +96,15 @@ val error_to_string : error -> string
 
 (** [replay ~path ~init ~f] folds [f] over every valid record in order.
     A missing file is an empty journal: [Ok (init, 0, Clean)]. Returns
-    the fold result, the record count, and the tail status. *)
+    the fold result, the record count, and the tail status. A record
+    [f] refuses ([Error reason]) stops the replay with
+    [Corrupt { at; reason }], [at] being that record's byte offset —
+    the hook for validating logical records against the state they
+    apply to. *)
 val replay :
   path:string ->
   init:'a ->
-  f:('a -> record -> 'a) ->
+  f:('a -> record -> ('a, string) result) ->
   ('a * int * tail, error) result
 
 (** {1 Writer} *)
@@ -94,10 +118,12 @@ val open_append :
   ?inject:Fmtk_runtime.Io_fault.t -> string -> (writer, string) result
 
 (** Append one framed record. No durability is implied until {!sync}.
-    [Error] on a real IO failure (the caller must stop appending — a
-    partial frame may be on disk); raises {!Fmtk_runtime.Io_fault.Crash}
-    under an armed fault plan. *)
-val append : writer -> record -> (unit, string) result
+    With [generation], an append to an empty journal writes
+    [Generation generation] first, in the same write (one append as far
+    as fault plans count). [Error] on a real IO failure (the caller must
+    stop appending — a partial frame may be on disk); raises
+    {!Fmtk_runtime.Io_fault.Crash} under an armed fault plan. *)
+val append : ?generation:int -> writer -> record -> (unit, string) result
 
 (** [fsync]. *)
 val sync : writer -> (unit, string) result

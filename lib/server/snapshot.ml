@@ -19,7 +19,7 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-let write ~dir ?inject entries =
+let write ~dir ?inject ?(generation = 0) entries =
   let tmp = temp_path ~dir in
   let* w = Journal.open_append ?inject tmp in
   let finish r =
@@ -31,6 +31,7 @@ let write ~dir ?inject entries =
   in
   finish
     (let* () = Journal.reset w (* a crashed earlier compaction may have left bytes *) in
+     let* () = Journal.append w (Journal.Generation generation) in
      let* () =
        List.fold_left
          (fun acc (name, s) ->
@@ -48,9 +49,18 @@ let write ~dir ?inject entries =
          Error (Printf.sprintf "rename: %s" (Unix.error_message e)))
 
 let load ~dir =
-  match
-    Journal.replay ~path:(path ~dir) ~init:[] ~f:(fun acc r -> r :: acc)
-  with
+  let f (first, generation, entries) r =
+    match r with
+    | Journal.Generation g when first -> Ok (false, g, entries)
+    | Journal.Put { name; data } -> (
+        match Journal.decode_structure data with
+        | Ok s -> Ok (false, generation, (name, s) :: entries)
+        | Error e -> Error (Printf.sprintf "record %S undecodable: %s" name e))
+    | Journal.Generation _ -> Error "generation record after the first"
+    | Journal.Remove _ | Journal.Update _ ->
+        Error "a snapshot holds only its generation and puts"
+  in
+  match Journal.replay ~path:(path ~dir) ~init:(true, 0, []) ~f with
   | Error e -> Error ("snapshot " ^ Journal.error_to_string e)
   | Ok (_, _, Journal.Torn { at; _ }) ->
       Error
@@ -58,16 +68,5 @@ let load ~dir =
            "snapshot corrupt at byte %d: torn record in an atomically \
             written file"
            at)
-  | Ok (rev_records, _, Journal.Clean) ->
-      List.fold_left
-        (fun acc r ->
-          let* entries = acc in
-          match r with
-          | Journal.Remove _ -> Ok entries
-          | Journal.Put { name; data } -> (
-              match Journal.decode_structure data with
-              | Ok s -> Ok ((name, s) :: entries)
-              | Error e ->
-                  Error
-                    (Printf.sprintf "snapshot record %S undecodable: %s" name e)))
-        (Ok []) rev_records
+  | Ok ((_, generation, rev_entries), _, Journal.Clean) ->
+      Ok (generation, List.rev rev_entries)

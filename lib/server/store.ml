@@ -1,5 +1,4 @@
 module Structure = Fmtk_structure.Structure
-module Tuple = Fmtk_structure.Tuple
 module Signature = Fmtk_logic.Signature
 module Io_fault = Fmtk_runtime.Io_fault
 
@@ -53,6 +52,7 @@ type dur = {
   snapshot_threshold : int;
   inject : Io_fault.t option;
   recovered : recovery;
+  mutable generation : int; (* the live snapshot's; stamps the journal *)
   mutable unsynced : int;
   mutable total : int; (* mutations journaled since open *)
   mutable compactions : int;
@@ -129,42 +129,139 @@ let rec mkdir_p dir =
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
+(* The checks an update must pass, live or replayed: a declared
+   relation, its arity, and coordinates inside the domain. *)
+let check_update s ~name ~rel tup =
+  match List.assoc_opt rel (Signature.rels (Structure.signature s)) with
+  | None -> Error (Printf.sprintf "no relation %S in %S's signature" rel name)
+  | Some arity ->
+      if Array.length tup <> arity then
+        Error
+          (Printf.sprintf "relation %S has arity %d, got a %d-tuple" rel arity
+             (Array.length tup))
+      else if Array.exists (fun v -> v < 0 || v >= Structure.size s) tup then
+        Error
+          (Printf.sprintf "tuple coordinates must lie in [0,%d)"
+             (Structure.size s))
+      else Ok ()
+
+(* Journal replay state. [pending] holds each name's update records not
+   yet applied, as (relation, tuple) -> whether the tuple ends up
+   present: they are applied in one pass per relation when replay ends
+   (a Put or Remove of the name supersedes them), so replay costs
+   O(records + structure size) rather than one copy per record. *)
+type replay = {
+  structures : (string, Structure.t) Hashtbl.t;
+  pending : (string, (string * int array, bool) Hashtbl.t) Hashtbl.t;
+  mutable first : bool;
+  mutable stale : bool; (* the snapshot already covers this journal *)
+  mutable mutations : int;
+}
+
+(* One journal record, validated as strictly as the live path: a record
+   that does not apply is refused (the replay reports it [Corrupt] at
+   its offset), never skipped. *)
+let replay_record ~generation st r =
+  let first = st.first in
+  st.first <- false;
+  let mutation f =
+    st.mutations <- st.mutations + 1;
+    f ();
+    Ok st
+  in
+  match r with
+  | _ when st.stale -> Ok st
+  | Journal.Generation g ->
+      if not first then Error "generation record inside the journal"
+      else if g > generation then
+        Error
+          (Printf.sprintf "journal generation %d is newer than the snapshot's %d"
+             g generation)
+      else begin
+        st.stale <- g < generation;
+        Ok st
+      end
+  | _ when first && generation > 0 ->
+      (* An unstamped journal predates every stamped snapshot. *)
+      st.stale <- true;
+      Ok st
+  | Journal.Put { name; data } -> (
+      match Journal.decode_structure data with
+      | Error e -> Error (Printf.sprintf "record %S undecodable: %s" name e)
+      | Ok s ->
+          mutation (fun () ->
+              Hashtbl.replace st.structures name s;
+              Hashtbl.remove st.pending name))
+  | Journal.Remove { name } ->
+      mutation (fun () ->
+          Hashtbl.remove st.structures name;
+          Hashtbl.remove st.pending name)
+  | Journal.Update { name; rel; tuple; add } -> (
+      match Hashtbl.find_opt st.structures name with
+      | None -> Error (Printf.sprintf "update of unknown structure %S" name)
+      | Some s ->
+          let* () = check_update s ~name ~rel tuple in
+          let edits =
+            match Hashtbl.find_opt st.pending name with
+            | Some e -> e
+            | None ->
+                let e = Hashtbl.create 16 in
+                Hashtbl.replace st.pending name e;
+                e
+          in
+          let present =
+            match Hashtbl.find_opt edits (rel, tuple) with
+            | Some p -> p
+            | None -> Structure.mem s rel tuple
+          in
+          if present = add then
+            Error (Printf.sprintf "update of %S changes nothing" name)
+          else mutation (fun () -> Hashtbl.replace edits (rel, tuple) add))
+
+let apply_pending st =
+  Hashtbl.iter
+    (fun name edits ->
+      let by_rel =
+        Hashtbl.fold
+          (fun (rel, tup) add acc ->
+            let es = Option.value ~default:[] (List.assoc_opt rel acc) in
+            (rel, (tup, add) :: es) :: List.remove_assoc rel acc)
+          edits []
+      in
+      let s =
+        List.fold_left
+          (fun s (rel, es) -> Structure.edit s rel es)
+          (Hashtbl.find st.structures name) by_rel
+      in
+      Hashtbl.replace st.structures name s)
+    st.pending
+
 let open_durable ?(capacity = 256) ?(max_size = 100_000) ?(sync = Always)
     ?(snapshot_threshold = 64 * 1024 * 1024) ?inject ~dir () =
   let t0 = Unix.gettimeofday () in
   let* () = mkdir_p dir in
-  let* snap = Snapshot.load ~dir in
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun (name, s) ->
-      Structure.ensure_indexes s;
-      Hashtbl.replace table name s)
-    snap;
+  let* generation, snap = Snapshot.load ~dir in
+  let st =
+    {
+      structures = Hashtbl.create 64;
+      pending = Hashtbl.create 16;
+      first = true;
+      stale = false;
+      mutations = 0;
+    }
+  in
+  List.iter (fun (name, s) -> Hashtbl.replace st.structures name s) snap;
   let jpath = journal_path ~dir in
-  let* rev_records, journal_records, tail =
-    match Journal.replay ~path:jpath ~init:[] ~f:(fun acc r -> r :: acc) with
+  let* st, _, tail =
+    match
+      Journal.replay ~path:jpath ~init:st ~f:(replay_record ~generation)
+    with
     | Ok v -> Ok v
     | Error e -> Error ("journal " ^ Journal.error_to_string e)
   in
-  let* () =
-    List.fold_left
-      (fun acc r ->
-        let* () = acc in
-        match r with
-        | Journal.Remove { name } ->
-            Hashtbl.remove table name;
-            Ok ()
-        | Journal.Put { name; data } -> (
-            match Journal.decode_structure data with
-            | Ok s ->
-                Structure.ensure_indexes s;
-                Hashtbl.replace table name s;
-                Ok ()
-            | Error e ->
-                Error
-                  (Printf.sprintf "journal record %S undecodable: %s" name e)))
-      (Ok ()) (List.rev rev_records)
-  in
+  apply_pending st;
+  (* Indexes once per name, after replay, not once per record. *)
+  Hashtbl.iter (fun _ s -> Structure.ensure_indexes s) st.structures;
   let* writer = Journal.open_append ?inject jpath in
   let finish r =
     match r with
@@ -176,6 +273,9 @@ let open_durable ?(capacity = 256) ?(max_size = 100_000) ?(sync = Always)
   finish
     (let* torn_bytes =
        match tail with
+       | _ when st.stale ->
+           let* () = Journal.reset writer in
+           Ok 0
        | Journal.Clean -> Ok 0
        | Journal.Torn { at; dropped } ->
            let* () = Journal.truncate_to writer at in
@@ -184,7 +284,7 @@ let open_durable ?(capacity = 256) ?(max_size = 100_000) ?(sync = Always)
      let recovered =
        {
          snapshot_records = List.length snap;
-         journal_records;
+         journal_records = st.mutations;
          torn_bytes;
          recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.;
        }
@@ -198,6 +298,7 @@ let open_durable ?(capacity = 256) ?(max_size = 100_000) ?(sync = Always)
          snapshot_threshold;
          inject;
          recovered;
+         generation;
          unsynced = 0;
          total = 0;
          compactions = 0;
@@ -208,7 +309,7 @@ let open_durable ?(capacity = 256) ?(max_size = 100_000) ?(sync = Always)
      Ok
        ( {
            mutex = Mutex.create ();
-           table;
+           table = st.structures;
            seqs = Hashtbl.create 64;
            capacity = max 1 capacity;
            max_size = max 1 max_size;
@@ -246,16 +347,18 @@ let compact_locked t d =
   let entries =
     Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.table []
   in
-  match Snapshot.write ~dir:d.dir ?inject:d.inject entries with
+  let generation = d.generation + 1 in
+  match Snapshot.write ~dir:d.dir ?inject:d.inject ~generation entries with
   | Error _ as e ->
       d.next_compact_at <- (2 * Journal.size d.writer) + d.snapshot_threshold;
       e
   | Ok () -> (
+      d.generation <- generation;
       match Journal.reset d.writer with
       | Error e ->
-          (* Snapshot landed but the journal could not be truncated:
-             replay is idempotent over the snapshot, so stale journal
-             records are harmless; the next open just replays them. *)
+          (* Snapshot landed but the journal could not be truncated: its
+             records carry an older generation (or none), so the next
+             open discards them rather than replaying them twice. *)
           d.next_compact_at <-
             (2 * Journal.size d.writer) + d.snapshot_threshold;
           Error (mark_broken d ("journal truncate: " ^ e))
@@ -273,7 +376,7 @@ let journal_mutation d record =
   match d.broken with
   | Some msg -> Error ("journal broken (read-only store): " ^ msg)
   | None -> (
-      match Journal.append d.writer record with
+      match Journal.append ~generation:d.generation d.writer record with
       | Error e -> Error (mark_broken d ("journal append: " ^ e))
       | Ok () ->
           let* () = sync_per_policy d in
@@ -336,70 +439,42 @@ let put t ~name s =
   end
 
 (* Single-tuple mutation: read-modify-write under the store mutex, so
-   concurrent updates to the same name serialize. The new structure value
-   is journaled like a [put] (full image — incremental journal records
-   are future work), and returned together with the name's new sequence
-   number so callers can re-bind caches keyed by structure identity and
-   apply deltas in commit order even though they run outside this
-   critical section. *)
+   concurrent updates to the same name serialize. The edit is
+   copy-on-write (Structure.edit, O(delta)) and journaled as one logical
+   Update record; the new value is returned together with the name's
+   new sequence number so callers can re-bind caches keyed by structure
+   identity and apply deltas in commit order even though they run
+   outside this critical section. *)
 let update t ~name ~rel tup ~add =
   locked t (fun () ->
       match Hashtbl.find_opt t.table name with
       | None ->
           Error (`Unknown (Printf.sprintf "no structure named %S" name))
       | Some s -> (
-          let sg = Structure.signature s in
-          match List.assoc_opt rel (Signature.rels sg) with
-          | None ->
-              Error
-                (`Invalid
-                   (Printf.sprintf "no relation %S in %S's signature" rel name))
-          | Some arity ->
-              if Array.length tup <> arity then
-                Error
-                  (`Invalid
-                     (Printf.sprintf
-                        "relation %S has arity %d, got a %d-tuple" rel arity
-                        (Array.length tup)))
-              else if
-                Array.exists (fun v -> v < 0 || v >= Structure.size s) tup
-              then
-                Error
-                  (`Invalid
-                     (Printf.sprintf
-                        "tuple coordinates must lie in [0,%d)"
-                        (Structure.size s)))
-              else
-                let cur = Structure.rel s rel in
-                let changed =
-                  if add then not (Tuple.Set.mem tup cur)
-                  else Tuple.Set.mem tup cur
+          match check_update s ~name ~rel tup with
+          | Error m -> Error (`Invalid m)
+          | Ok () ->
+              if Structure.mem s rel tup = add then
+                Ok (s, false, seq_of_locked t name)
+              else begin
+                let s' = Structure.edit s rel [ (tup, add) ] in
+                Structure.ensure_indexes s';
+                let* () =
+                  match t.dur with
+                  | None -> Ok ()
+                  | Some d -> (
+                      match
+                        journal_mutation d
+                          (Journal.Update { name; rel; tuple = tup; add })
+                      with
+                      | Ok () -> Ok ()
+                      | Error e -> Error (`Io e))
                 in
-                if not changed then Ok (s, false, seq_of_locked t name)
-                else begin
-                  let tuples =
-                    if add then Tuple.Set.add tup cur
-                    else Tuple.Set.remove tup cur
-                  in
-                  let s' = Structure.with_rel s rel arity tuples in
-                  Structure.ensure_indexes s';
-                  let* () =
-                    match t.dur with
-                    | None -> Ok ()
-                    | Some d -> (
-                        match
-                          journal_mutation d
-                            (Journal.Put
-                               { name; data = Journal.encode_structure s' })
-                        with
-                        | Ok () -> Ok ()
-                        | Error e -> Error (`Io e))
-                  in
-                  Hashtbl.replace t.table name s';
-                  let seq = bump_seq_locked t name in
-                  Option.iter (maybe_compact t) t.dur;
-                  Ok (s', true, seq)
-                end))
+                Hashtbl.replace t.table name s';
+                let seq = bump_seq_locked t name in
+                Option.iter (maybe_compact t) t.dur;
+                Ok (s', true, seq)
+              end))
 
 let remove t name =
   locked t (fun () ->

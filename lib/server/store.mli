@@ -11,10 +11,10 @@
 
     {!open_durable} backs the store with a {!Journal} and periodic
     {!Snapshot}s under a data directory. Every mutation ({!put},
-    {!remove}) is appended to the journal {e before} it becomes visible
-    and before the call returns, so a successful return — the server's
-    ack — means the mutation survives [kill -9], modulo the configured
-    {!sync_policy}:
+    {!remove}, a changing {!update}) is appended to the journal {e
+    before} it becomes visible and before the call returns, so a
+    successful return — the server's ack — means the mutation survives
+    [kill -9], modulo the configured {!sync_policy}:
 
     - [Always]: [fsync] before every ack — no acked mutation is ever
       lost.
@@ -23,12 +23,19 @@
       kill loses nothing, the data is in the page cache).
     - [Never]: durability is left to the OS writeback.
 
-    When the journal grows past [snapshot_threshold] bytes the store
-    compacts: the full table is written as an atomic {!Snapshot} and the
-    journal is truncated. Recovery loads the snapshot, replays the
-    journal tail, truncates a torn final record, and {e refuses} (the
-    [Error] case of {!open_durable}) on damage a crash cannot produce —
-    see {!Journal} for the classification.
+    A {!put} journals the structure's full image; an {!update} journals
+    one logical [Update] record of tens of bytes. When the journal grows
+    past [snapshot_threshold] bytes the store compacts: the full table
+    is written as an atomic {!Snapshot} under the next generation number
+    and the journal is truncated; the first record appended after that
+    carries the same generation. Recovery loads the snapshot, discards
+    a journal of an older generation (a crash between writing the
+    snapshot and truncating the journal leaves one), replays the
+    journal tail — each update through the same validation as the live
+    path, its edits applied in one pass per relation at the end —
+    truncates a torn final record, and {e refuses} (the [Error] case of
+    {!open_durable}) on damage a crash cannot produce, an update that
+    does not apply included — see {!Journal} for the classification.
 
     After a real IO failure mid-append the journal's tail is
     untrustworthy, so the store turns read-only: further mutations
@@ -114,11 +121,14 @@ val put : t -> name:string -> Structure.t -> (unit, put_error) result
 (** [update t ~name ~rel tup ~add] inserts ([add:true]) or deletes one
     tuple of relation [rel] of the structure bound to [name]. The
     read-modify-write is atomic (serialized under the store mutex) and
-    the resulting structure is journaled like a {!put}. Returns the new
+    costs O(delta): the new binding is a copy-on-write
+    {!Fmtk_structure.Structure.edit} of the old one, which keeps its
+    other relations and their indexes, and a durable store journals one
+    logical [Update] record, not the structure. Returns the new
     binding, [true] when the store changed — inserting a present tuple
-    or deleting an absent one is an acknowledged no-op ([false]), so the
-    caller can skip cache maintenance — and the name's mutation sequence
-    number. The sequence is assigned under the store mutex, so its order
+    or deleting an absent one is an acknowledged no-op ([false],
+    nothing journaled), so the caller can skip cache maintenance — and
+    the name's mutation sequence number. The sequence is assigned under the store mutex, so its order
     {e is} commit order: callers maintaining derived state outside this
     critical section (e.g. {!Qcache.apply_update}) use it to detect
     reordered or missed deltas. Validation is total: unknown names,

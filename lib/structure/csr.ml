@@ -224,5 +224,78 @@ let relabel t perm =
       incr i);
   of_edges ~n:t.n (src, dst)
 
+(* First index of row [u] holding a target >= [v]. *)
+let lower_bound t u v =
+  let lo = ref t.offs.(u) and hi = ref t.offs.(u + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.tgt.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let edit t edits =
+  let check = check_endpoint ~n:t.n in
+  (* Sort by edge, list order breaking ties, and keep each edge's last
+     edit: the edits that change something, at their old positions in
+     ascending order. *)
+  let tagged =
+    Array.of_list
+      (List.mapi
+         (fun i (u, v, add) ->
+           check u;
+           check v;
+           (u, v, i, add))
+         edits)
+  in
+  Array.sort compare tagged;
+  let k = Array.length tagged in
+  let changes = ref [] in
+  for i = k - 1 downto 0 do
+    let u, v, _, add = tagged.(i) in
+    let last =
+      i = k - 1
+      ||
+      let u', v', _, _ = tagged.(i + 1) in
+      u' <> u || v' <> v
+    in
+    if last then begin
+      let pos = lower_bound t u v in
+      let present = pos < t.offs.(u + 1) && t.tgt.(pos) = v in
+      if add <> present then changes := (u, v, pos, add) :: !changes
+    end
+  done;
+  if !changes = [] then t
+  else begin
+    (* Each change shifts the offsets of every later row by one. *)
+    let delta = Array.make (t.n + 1) 0 in
+    List.iter
+      (fun (u, _, _, add) ->
+        delta.(u + 1) <- (delta.(u + 1) + if add then 1 else -1))
+      !changes;
+    let offs = Array.make (t.n + 1) 0 in
+    let shift = ref 0 in
+    for w = 0 to t.n do
+      shift := !shift + delta.(w);
+      offs.(w) <- t.offs.(w) + !shift
+    done;
+    let tgt = Array.make offs.(t.n) 0 in
+    (* [src]: next old position to copy; [dst]: next new slot. *)
+    let src = ref 0 and dst = ref 0 in
+    List.iter
+      (fun (_, v, pos, add) ->
+        let len = pos - !src in
+        Array.blit t.tgt !src tgt !dst len;
+        dst := !dst + len;
+        if add then begin
+          tgt.(!dst) <- v;
+          incr dst;
+          src := pos
+        end
+        else src := pos + 1)
+      !changes;
+    Array.blit t.tgt !src tgt !dst (edge_count t - !src);
+    { n = t.n; offs; tgt }
+  end
+
 let equal a b =
   a.n = b.n && a.offs = b.offs && a.tgt = b.tgt

@@ -97,6 +97,18 @@ val append : t -> t -> t
     [perm] must be a permutation (not checked here — callers validate). *)
 val relabel : t -> int array -> t
 
+(** [edit t edits] applies [(u, v, add)] edits in list order — [add]
+    inserts the edge, [not add] deletes it; inserting a present edge or
+    deleting an absent one changes nothing — and returns the result as
+    a fresh [t], leaving [t] untouched (copy-on-write). One pass: the
+    target array is blitted around the edited positions and the row
+    offsets shifted past each edited row, O(n + m + k log k) for [k]
+    edits, with nothing boxed or re-sorted. Rows stay sorted and
+    duplicate-free, so {!equal} is still relation equality. Returns [t]
+    itself when no edit changes anything.
+    @raise Invalid_argument on an endpoint outside [0..n-1]. *)
+val edit : t -> (int * int * bool) list -> t
+
 (** Structural equality (= relation equality, by the normalization
     invariant). *)
 val equal : t -> t -> bool

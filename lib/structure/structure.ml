@@ -19,7 +19,8 @@ type t = {
   rels : rel_repr SMap.t;
   consts : int SMap.t;
   (* Lazily built per-relation membership indexes (see Index). Every
-     constructor/derivation starts from an empty cache — a derived
+     constructor/derivation starts from an empty cache, except [edit],
+     which keeps those of the relations it did not touch — a derived
      structure must never inherit indexes of relations it changed. *)
   mutable indexes : Index.t SMap.t;
   (* Lazily built symmetric Gaifman adjacency (see gaifman_csr). *)
@@ -273,6 +274,39 @@ let with_rel t name arity tuples =
   create ~signature ~size:t.size
     ~rels:(SMap.add name (repr_of_set ~size:t.size ~arity tuples) t.rels)
     ~consts:t.consts
+
+(* Copy-on-write: the result shares every other relation, and their
+   indexes, with [t]. Only the edited relation changes hands — edited in
+   place of a rebuild, then re-homed by [with_rel]'s backend rule. *)
+let edit t name edits =
+  let arity = Signature.arity t.signature name in
+  List.iter (fun (tup, _) -> check_tuple name t.size arity tup) edits;
+  if edits = [] then t
+  else begin
+    let repr' =
+      match repr t name with
+      | Rset s ->
+          repr_of_set ~size:t.size ~arity
+            (List.fold_left
+               (fun s (tup, add) ->
+                 if add then Tuple.Set.add tup s else Tuple.Set.remove tup s)
+               s edits)
+      | Rcsr r ->
+          let csr =
+            Csr.edit r.csr
+              (List.map (fun (tup, add) -> (tup.(0), tup.(1), add)) edits)
+          in
+          if Csr.edge_count csr >= csr_auto_threshold then
+            Rcsr { csr; set_view = None }
+          else Rset (set_of_repr (Rcsr { csr; set_view = None }))
+    in
+    let indexes =
+      match repr' with
+      | Rcsr r -> SMap.add name (Index.of_csr r.csr) t.indexes
+      | Rset _ -> SMap.remove name t.indexes
+    in
+    { t with rels = SMap.add name repr' t.rels; indexes; gaifman = None }
+  end
 
 let expand_consts t bindings =
   List.iter

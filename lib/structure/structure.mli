@@ -121,6 +121,22 @@ val tuple_count : t -> int
 (** Replace (or add, extending the signature) a relation wholesale. *)
 val with_rel : t -> string -> int -> Tuple.Set.t -> t
 
+(** [edit t name edits] applies single-tuple edits to one declared
+    relation, in list order: [(tup, true)] inserts [tup], [(tup, false)]
+    deletes it, and an edit that finds the tuple already in (resp.
+    out of) place changes nothing. The result equals what {!with_rel}
+    builds from the edited tuple set, with the same storage rule, but
+    costs O(delta): a set-backed relation takes persistent set
+    insertions and removals, and a CSR-backed one a copy-on-write row
+    edit ({!Csr.edit}) — no tuple-set view is built and no other tuple
+    is re-checked. Every other relation, and its membership index, is
+    shared with [t]; an edited CSR relation gets its zero-copy index at
+    once, an edited set-backed one is re-indexed on first probe. An
+    empty edit list returns [t] itself.
+    @raise Not_found for an undeclared relation.
+    @raise Invalid_argument on a wrong-arity or out-of-domain tuple. *)
+val edit : t -> string -> (int array * bool) list -> t
+
 (** [expand_consts t bindings] adds fresh constant symbols pinned to given
     elements — used to mark distinguished tuples in neighborhoods.
     @raise Invalid_argument if a name is already a constant of [t]. *)

@@ -91,6 +91,117 @@ let test_backend_selection () =
   checkb "of_graph is csr" true
     (Structure.rel_backend (Gen.torus 3 3) "E" = `Csr)
 
+(* ---------- Copy-on-write edits ----------
+
+   [Structure.edit] must build what [with_rel] builds from the edited
+   tuple set — the same relation on the same storage backend — from a
+   set-backed or a CSR-backed start, edit by edit or in one batch; its
+   rows, and those of [Csr.edit], must be what [Csr.of_edges] builds
+   from the edited edge list; and the start must be left as it was. *)
+
+module Tuple = Fmtk_structure.Tuple
+
+let apply_to_set set (tup, add) =
+  if add then Tuple.Set.add tup set else Tuple.Set.remove tup set
+
+let with_rel_edit s e =
+  Structure.with_rel s "E" 2 (apply_to_set (Structure.rel s "E") e)
+
+let rows_of s =
+  match Structure.csr_of_rel s "E" with
+  | Some c -> c
+  | None -> Csr.of_tuple_set ~n:(Structure.size s) (Structure.rel s "E")
+
+let check_edits ~what start edits =
+  let n = Structure.size start in
+  let before = Io.to_string start in
+  let reference = List.fold_left with_rel_edit start edits in
+  let model = List.fold_left apply_to_set (Structure.rel start "E") edits in
+  let expected_rows =
+    let l = Tuple.Set.elements model in
+    Csr.of_edges ~n
+      ( Array.of_list (List.map (fun t -> t.(0)) l),
+        Array.of_list (List.map (fun t -> t.(1)) l) )
+  in
+  List.iter
+    (fun (how, r) ->
+      let msg m = Printf.sprintf "%s, %s: %s" what how m in
+      checkb (msg "edit = with_rel") true (Structure.equal r reference);
+      checkb (msg "same backend as with_rel") true
+        (Structure.rel_backend r "E" = Structure.rel_backend reference "E");
+      checkb (msg "rows = of_edges") true (Csr.equal (rows_of r) expected_rows))
+    [
+      ( "stepwise",
+        List.fold_left (fun s e -> Structure.edit s "E" [ e ]) start edits );
+      ("batch", Structure.edit start "E" edits);
+    ];
+  checkb (what ^ ": Csr.edit = of_edges") true
+    (Csr.equal
+       (Csr.edit (rows_of start)
+          (List.map (fun (t, add) -> (t.(0), t.(1), add)) edits))
+       expected_rows);
+  checkb (what ^ ": start untouched") true (Io.to_string start = before)
+
+let test_edit_differential () =
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 200 do
+    let n = 1 + Random.State.int rng 12 in
+    let pair () = [| Random.State.int rng n; Random.State.int rng n |] in
+    let g =
+      Structure.make Signature.graph ~size:n
+        [ ("E", List.init (Random.State.int rng (2 * n)) (fun _ -> pair ())) ]
+    in
+    (* Small domains: repeated edges, no-op inserts and deletes, and
+       edits undone later in the same batch all come up often. *)
+    let edits =
+      List.init (Random.State.int rng 12) (fun _ -> (pair (), Random.State.bool rng))
+    in
+    check_edits ~what:"set start" g edits;
+    check_edits ~what:"csr start" (Structure.to_csr g) edits
+  done
+
+let test_edit_threshold () =
+  let t = Structure.csr_auto_threshold and n = 80 in
+  let pair i = [| i / n; i mod n |] in
+  let below =
+    Structure.make Signature.graph ~size:n [ ("E", List.init (t - 2) pair) ]
+  in
+  let fresh = List.init 3 (fun i -> pair (t - 2 + i)) in
+  let up = List.map (fun tup -> (tup, true)) fresh
+  and down = List.map (fun tup -> (tup, false)) fresh in
+  checkb "starts set-backed" true (Structure.rel_backend below "E" = `Set);
+  check_edits ~what:"crossing up" below up;
+  let above = Structure.edit below "E" up in
+  checkb "crossed up to csr" true (Structure.rel_backend above "E" = `Csr);
+  check_edits ~what:"crossing down" above down;
+  checkb "crossed down to sets" true
+    (Structure.rel_backend (Structure.edit above "E" down) "E" = `Set);
+  check_edits ~what:"up then down" below (up @ down);
+  (* Forced backends on the wrong side of the threshold re-home on
+     their first edit, as with_rel's rule says. *)
+  check_edits ~what:"forced sets" (Structure.to_sets above) [ List.hd down ];
+  check_edits ~what:"forced csr" (Structure.to_csr below) [ List.hd up ]
+
+let test_edit_sharing_and_errors () =
+  let sg = Signature.make [ ("E", 2); ("P", 1) ] in
+  let s =
+    Structure.make sg ~size:5 [ ("E", [ [| 0; 1 |] ]); ("P", [ [| 2 |] ]) ]
+  in
+  Structure.ensure_indexes s;
+  let s' = Structure.edit s "E" [ ([| 1; 2 |], true) ] in
+  checkb "untouched relation keeps its index" true
+    (Structure.index s' "P" == Structure.index s "P");
+  checkb "edited relation answers probes" true
+    (Structure.probe s' "E" [| 1; 2 |] && not (Structure.probe s "E" [| 1; 2 |]));
+  let refused f = match f () with _ -> false | exception (Not_found | Invalid_argument _) -> true in
+  checkb "undeclared relation" true (refused (fun () -> Structure.edit s "R" []));
+  checkb "wrong arity" true
+    (refused (fun () -> Structure.edit s "E" [ ([| 0 |], true) ]));
+  checkb "outside the domain" true
+    (refused (fun () -> Structure.edit s "E" [ ([| 0; 5 |], true) ]));
+  checkb "csr endpoint outside the domain" true
+    (refused (fun () -> Csr.edit (rows_of s) [ (0, 5, true) ]))
+
 (* ---------- Differential properties ----------
 
    Both backends of the same structure must agree observably. The
@@ -380,6 +491,12 @@ let () =
       ( "backend",
         [
           Alcotest.test_case "auto selection" `Quick test_backend_selection;
+          Alcotest.test_case "edit = with_rel = of_edges" `Quick
+            test_edit_differential;
+          Alcotest.test_case "edits across the csr threshold" `Quick
+            test_edit_threshold;
+          Alcotest.test_case "edit sharing and errors" `Quick
+            test_edit_sharing_and_errors;
           Alcotest.test_case "budget faults" `Quick test_census_budget_faults;
         ] );
       ( "generators",
