@@ -16,7 +16,8 @@
 #                             journal-replay and snapshot-load recovery)
 #   E30 -> BENCH_planner.json (naive interpreter vs cost-based physical
 #                             plans on multi-join queries, plus delta
-#                             maintenance vs full re-evaluation)
+#                             maintenance vs full re-evaluation and
+#                             reads of a maintained answer)
 # --games-only skips the E23/E25 re-timing and refreshes only the game
 # trails (BENCH_games.json + BENCH_engine.json). Extra arguments are
 # passed through to bench/main.exe; notably `--workers N` caps the

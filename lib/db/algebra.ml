@@ -26,29 +26,34 @@ module Database = struct
 
   (* Relations are lazy so a plan that drops a padding join (or never scans
      a relation) never pays to materialize it — significant for
-     structure-backed instances where "adom" is the whole domain. *)
-  type t = { rels : Relation.t Lazy.t SMap.t; source : Structure.t option }
+     structure-backed instances where "adom" is the whole domain. Each
+     is stored with its arity, which is known without forcing it. *)
+  type t = {
+    rels : (int * Relation.t Lazy.t) SMap.t;
+    source : Structure.t option;
+  }
 
   let make bindings =
     let rels =
       List.fold_left
-        (fun acc (n, r) -> SMap.add n (Lazy.from_val r) acc)
+        (fun acc (n, r) -> SMap.add n (Relation.arity r, Lazy.from_val r) acc)
         SMap.empty bindings
     in
     { rels; source = None }
 
   let find_exn db name =
     match SMap.find_opt name db.rels with
-    | Some r -> Lazy.force r
+    | Some (_, r) -> Lazy.force r
     | None -> raise (Schema_error (Printf.sprintf "no relation %S" name))
 
   let find db name =
     match SMap.find_opt name db.rels with
-    | Some r -> Ok (Lazy.force r)
+    | Some (_, r) -> Ok (Lazy.force r)
     | None -> Error (Printf.sprintf "no relation %S" name)
 
   let mem db name = SMap.mem name db.rels
   let names db = List.map fst (SMap.bindings db.rels)
+  let arities db = List.map (fun (n, (k, _)) -> (n, k)) (SMap.bindings db.rels)
   let source db = db.source
   let positional k = List.init k (fun i -> Printf.sprintf "#%d" (i + 1))
 
@@ -58,20 +63,21 @@ module Database = struct
       List.map
         (fun (name, k) ->
           ( name,
-            lazy (Relation.of_set (positional k) (Structure.rel s name)) ))
+            (k, lazy (Relation.of_set (positional k) (Structure.rel s name))) ))
         (Signature.rels sg)
     in
     let adom =
       ( "adom",
-        lazy
-          (Relation.make [ "#1" ]
-             (List.map (fun e -> [| e |]) (Structure.domain s))) )
+        ( 1,
+          lazy
+            (Relation.make [ "#1" ]
+               (List.map (fun e -> [| e |]) (Structure.domain s))) ) )
     in
     let consts =
       List.map
         (fun c ->
           ( "@" ^ c,
-            lazy (Relation.make [ "#1" ] [ [| Structure.const s c |] ]) ))
+            (1, lazy (Relation.make [ "#1" ] [ [| Structure.const s c |] ])) ))
         (Signature.consts sg)
     in
     let rels =

@@ -44,6 +44,9 @@ module Database : sig
   val mem : t -> string -> bool
   val names : t -> string list
 
+  (** Every relation name with its arity. Forces no relation. *)
+  val arities : t -> (string * int) list
+
   (** View a finite structure as a database instance: each relation [R/k]
       becomes a table with attributes [#1..#k], plus ["adom"] (attribute
       [#1]) and per-constant singletons ["@c"]. Relations materialize

@@ -7,7 +7,9 @@
    probing), Union adds, and Diff emits support-flip deltas
    (count(t) = countL(t) iff countR(t) = 0). A single-tuple base update
    produces deltas only along the paths that mention the touched relation;
-   everything else is untouched. The active domain is treated as fixed:
+   everything else is untouched. The root keeps its multiset as the
+   answer itself, an ordered relation, plus the counts above 1, so a read
+   of the answer copies nothing. The active domain is treated as fixed:
    updates must stay within the existing domain (checked by callers that
    mutate structures — see Store.update). *)
 
@@ -31,7 +33,16 @@ exception Build_error of string
 
 let err fmt = Printf.ksprintf (fun m -> raise (Build_error m)) fmt
 
-type node = { op : op; schema : string array; counts : int ArrTbl.t }
+(* The root's output multiset: its support as an ordered relation (what
+   [result] hands out) and, beside it, only the counts above 1 — for a
+   full conjunctive query every answer has one derivation and [multi]
+   stays empty. *)
+type answer = { mutable rel : Relation.t; multi : int ArrTbl.t }
+
+type node = { op : op; schema : string array; out : out }
+
+(* Every node but the root counts its output tuples in a hash table. *)
+and out = Counts of int ArrTbl.t | Answer of answer
 
 and op =
   | NBase of string
@@ -50,15 +61,43 @@ and op =
   | NUnion of { l : node; r : node; rmap : int array }
   | NDiff of { l : node; r : node; rmap : int array; rcnt : int ArrTbl.t }
 
-type t = { root : node; db : Database.t }
+(* [arities] holds every relation's arity, to check updates with: the
+   plan keeps no reference to the database it was built from. *)
+type t = { root : node; answer : answer; arities : (string * int) list }
 
 (* ---- multiset helpers ---- *)
 
 let cnt tbl t = match ArrTbl.find_opt tbl t with Some c -> c | None -> 0
 
-(* Apply a (possibly repetitive) delta list to a counts table; returns the
-   net per-tuple delta actually applied (zero-net entries dropped). *)
-let apply tick tbl deltas =
+let count out t =
+  match out with
+  | Counts tbl -> cnt tbl t
+  | Answer a ->
+      if Tuple.Set.mem t (Relation.tuples a.rel) then
+        Option.value (ArrTbl.find_opt a.multi t) ~default:1
+      else 0
+
+(* Only the root answers in a relation, and [build] converts it last, so
+   every node [build] reads from still counts in a table. *)
+let table node =
+  match node.out with
+  | Counts tbl -> tbl
+  | Answer _ -> invalid_arg "Delta: the root has no count table"
+
+(* Move [t]'s count from [old] to [c]. At the root, a tuple entering or
+   leaving the support is one ordered-set insert or removal. *)
+let set_count out t ~old c =
+  match out with
+  | Counts tbl -> if c = 0 then ArrTbl.remove tbl t else ArrTbl.replace tbl t c
+  | Answer a ->
+      if old = 0 then a.rel <- Relation.add t a.rel
+      else if c = 0 then a.rel <- Relation.remove t a.rel;
+      if c > 1 then ArrTbl.replace a.multi t c
+      else if old > 1 then ArrTbl.remove a.multi t
+
+(* Apply a (possibly repetitive) delta list to a multiset; returns the net
+   per-tuple delta actually applied (zero-net entries dropped). *)
+let apply tick out deltas =
   let merged = ArrTbl.create (max 4 (List.length deltas)) in
   List.iter
     (fun (t, d) ->
@@ -69,10 +108,10 @@ let apply tick tbl deltas =
     (fun t d acc ->
       if d = 0 then acc
       else begin
-        let c = cnt tbl t + d in
-        if c < 0 then err "delta: negative multiplicity"
-        else if c = 0 then ArrTbl.remove tbl t
-        else ArrTbl.replace tbl t c;
+        let old = count out t in
+        let c = old + d in
+        if c < 0 then err "delta: negative multiplicity";
+        set_count out t ~old c;
         (t, d) :: acc
       end)
     merged []
@@ -147,12 +186,16 @@ let build tick db e =
         {
           op = NBase n;
           schema = Array.of_list (Relation.attrs r);
-          counts;
+          out = Counts counts;
         }
     | Lit r ->
         let counts = ArrTbl.create 4 in
         seed_from_relation tick counts r;
-        { op = NTable; schema = Array.of_list (Relation.attrs r); counts }
+        {
+          op = NTable;
+          schema = Array.of_list (Relation.attrs r);
+          out = Counts counts;
+        }
     | Rename (m, e0) ->
         let c = go e0 in
         let f a = match List.assoc_opt a m with Some b -> b | None -> a in
@@ -165,8 +208,8 @@ let build tick db e =
           (fun t d ->
             tick ();
             if Physical.eval_spred sp t then ArrTbl.replace counts t d)
-          c.counts;
-        { op = NSelect (c, sp); schema = c.schema; counts }
+          (table c);
+        { op = NSelect (c, sp); schema = c.schema; out = Counts counts }
     | Project (ns, e0) ->
         let c = go e0 in
         let out = Array.of_list (List.map (slot_of c.schema) ns) in
@@ -176,8 +219,8 @@ let build tick db e =
             tick ();
             let t' = Array.map (fun i -> t.(i)) out in
             ArrTbl.replace counts t' (cnt counts t' + d))
-          c.counts;
-        { op = NProj (c, out); schema = Array.of_list ns; counts }
+          (table c);
+        { op = NProj (c, out); schema = Array.of_list ns; out = Counts counts }
     | Join (a, b) ->
         let l = go a and r = go b in
         let ls = Array.to_list l.schema and rs = Array.to_list r.schema in
@@ -189,10 +232,10 @@ let build tick db e =
         let lidx = ArrTbl.create 16 and ridx = ArrTbl.create 16 in
         ArrTbl.iter
           (fun t d -> idx_add tick lidx lkey [ (t, d) ])
-          l.counts;
+          (table l);
         ArrTbl.iter
           (fun t d -> idx_add tick ridx rkey [ (t, d) ])
-          r.counts;
+          (table r);
         let counts = ArrTbl.create 16 in
         ArrTbl.iter
           (fun lt ld ->
@@ -206,24 +249,24 @@ let build tick db e =
                     let t = combine lt rext rt in
                     ArrTbl.replace counts t (cnt counts t + (ld * rd)))
                   sub)
-          l.counts;
+          (table l);
         {
           op = NJoin { l; r; lkey; rkey; rext; lidx; ridx };
           schema = Array.append l.schema (Array.of_list new_attrs);
-          counts;
+          out = Counts counts;
         }
     | Union (a, b) ->
         let l = go a and r = go b in
         let rmap = Array.map (fun x -> slot_of r.schema x) l.schema in
         let counts = ArrTbl.create 16 in
-        ArrTbl.iter (fun t d -> ArrTbl.replace counts t d) l.counts;
+        ArrTbl.iter (fun t d -> ArrTbl.replace counts t d) (table l);
         ArrTbl.iter
           (fun t d ->
             tick ();
             let t' = align rmap t in
             ArrTbl.replace counts t' (cnt counts t' + d))
-          r.counts;
-        { op = NUnion { l; r; rmap }; schema = l.schema; counts }
+          (table r);
+        { op = NUnion { l; r; rmap }; schema = l.schema; out = Counts counts }
     | Diff (a, b) ->
         let l = go a and r = go b in
         let rmap = Array.map (fun x -> slot_of r.schema x) l.schema in
@@ -233,14 +276,38 @@ let build tick db e =
             tick ();
             let t' = align rmap t in
             ArrTbl.replace rcnt t' (cnt rcnt t' + d))
-          r.counts;
+          (table r);
         let counts = ArrTbl.create 16 in
         ArrTbl.iter
           (fun t d -> if cnt rcnt t = 0 then ArrTbl.replace counts t d)
-          l.counts;
-        { op = NDiff { l; r; rmap; rcnt }; schema = l.schema; counts }
+          (table l);
+        {
+          op = NDiff { l; r; rmap; rcnt };
+          schema = l.schema;
+          out = Counts counts;
+        }
   in
   go e
+
+(* Give the root its ordered answer in place of its count table, which
+   nothing else refers to and is dropped. *)
+let answer_root root =
+  let multi = ArrTbl.create 16 in
+  let support =
+    ArrTbl.fold
+      (fun t c acc ->
+        if c > 1 then ArrTbl.replace multi t c;
+        t :: acc)
+      (table root) []
+  in
+  let a =
+    {
+      rel =
+        Relation.of_set (Array.to_list root.schema) (Tuple.Set.of_list support);
+      multi;
+    }
+  in
+  ({ root with out = Answer a }, a)
 
 (* ---- propagation ---- *)
 
@@ -252,16 +319,15 @@ let rec step tick node ~rel ~tup ~d : (int array * int) list =
   | NBase r ->
       if r <> rel then []
       else
-        let present = cnt node.counts tup > 0 in
+        let present = count node.out tup > 0 in
         if (d > 0 && present) || (d < 0 && not present) then []
-        else apply tick node.counts [ (tup, d) ]
+        else apply tick node.out [ (tup, d) ]
   | NSelect (c, sp) ->
       let dc = step tick c ~rel ~tup ~d in
-      apply tick node.counts
-        (List.filter (fun (t, _) -> Physical.eval_spred sp t) dc)
+      apply tick node.out (List.filter (fun (t, _) -> Physical.eval_spred sp t) dc)
   | NProj (c, out) ->
       let dc = step tick c ~rel ~tup ~d in
-      apply tick node.counts
+      apply tick node.out
         (List.map (fun (t, dd) -> (Array.map (fun i -> t.(i)) out, dd)) dc)
   | NJoin { l; r; lkey; rkey; rext; lidx; ridx } ->
       let dl = step tick l ~rel ~tup ~d in
@@ -307,13 +373,12 @@ let rec step tick node ~rel ~tup ~d : (int array * int) list =
                   out := (combine lt rext rt, -(ld * rd)) :: !out)
               dr)
           dl;
-        apply tick node.counts !out
+        apply tick node.out !out
       end
   | NUnion { l; r; rmap } ->
       let dl = step tick l ~rel ~tup ~d in
       let dr = step tick r ~rel ~tup ~d in
-      apply tick node.counts
-        (dl @ List.map (fun (t, dd) -> (align rmap t, dd)) dr)
+      apply tick node.out (dl @ List.map (fun (t, dd) -> (align rmap t, dd)) dr)
   | NDiff { l; r; rmap; rcnt } ->
       let dl = step tick l ~rel ~tup ~d in
       let dr = step tick r ~rel ~tup ~d in
@@ -321,7 +386,7 @@ let rec step tick node ~rel ~tup ~d : (int array * int) list =
       else begin
         let dr = List.map (fun (t, dd) -> (align rmap t, dd)) dr in
         (* net right-side delta per tuple, applied to the aligned mirror *)
-        let drn = apply tick rcnt dr in
+        let drn = apply tick (Counts rcnt) dr in
         (* per affected tuple: value = countL(t) * [countR(t) = 0] *)
         let affected = ArrTbl.create 8 in
         List.iter (fun (t, dd) -> ArrTbl.replace affected t (cnt affected t + dd)) dl;
@@ -337,7 +402,7 @@ let rec step tick node ~rel ~tup ~d : (int array * int) list =
         ArrTbl.iter
           (fun t dl_t ->
             tick ();
-            let new_l = cnt l.counts t in
+            let new_l = count l.out t in
             let old_l = new_l - dl_t in
             let new_r = cnt rcnt t in
             let old_r = new_r - cnt dr_tbl t in
@@ -345,7 +410,7 @@ let rec step tick node ~rel ~tup ~d : (int array * int) list =
             let new_v = if new_r = 0 then new_l else 0 in
             if new_v <> old_v then out := (t, new_v - old_v) :: !out)
           affected;
-        apply tick node.counts !out
+        apply tick node.out !out
       end
 
 (* ---- public API ---- *)
@@ -359,28 +424,22 @@ let tick_of budget =
 
 let materialize ?budget db e =
   let tick = tick_of budget in
-  match build tick db (Planner.rewrite db e) with
-  | n -> Ok { root = n; db }
+  match answer_root (build tick db (Planner.rewrite db e)) with
+  | root, answer -> Ok { root; answer; arities = Database.arities db }
   | exception Build_error m -> Error m
   | exception Schema_error m -> Error m
 
-let result t =
-  let rows =
-    ArrTbl.fold (fun tup _ acc -> Tuple.Set.add tup acc) t.root.counts
-      Tuple.Set.empty
-  in
-  Relation.of_set (Array.to_list t.root.schema) rows
+let result t = t.answer.rel
 
 let update ?budget t ~rel tup ~add =
   let tick = tick_of budget in
-  match Database.find t.db rel with
-  | Error m -> Error m
-  | Ok r ->
-      if Relation.arity r <> Array.length tup then
-        Error
-          (Printf.sprintf "delta: arity mismatch for %S (expected %d, got %d)"
-             rel (Relation.arity r) (Array.length tup))
-      else (
-        match step tick t.root ~rel ~tup ~d:(if add then 1 else -1) with
-        | _ -> Ok ()
-        | exception Build_error m -> Error m)
+  match List.assoc_opt rel t.arities with
+  | None -> Error (Printf.sprintf "no relation %S" rel)
+  | Some k when k <> Array.length tup ->
+      Error
+        (Printf.sprintf "delta: arity mismatch for %S (expected %d, got %d)"
+           rel k (Array.length tup))
+  | Some _ -> (
+      match step tick t.root ~rel ~tup ~d:(if add then 1 else -1) with
+      | _ -> Ok ()
+      | exception Build_error m -> Error m)

@@ -1,7 +1,8 @@
 module Tuple = Fmtk_structure.Tuple
 module Index = Fmtk_structure.Index
 
-type t = { attrs : string list; tuples : Tuple.Set.t }
+(* [card] caches [Tuple.Set.cardinal tuples]. *)
+type t = { attrs : string list; tuples : Tuple.Set.t; card : int }
 
 let check_attrs attrs =
   let sorted = List.sort String.compare attrs in
@@ -13,24 +14,45 @@ let check_attrs attrs =
   | Some a -> invalid_arg (Printf.sprintf "Relation: duplicate attribute %S" a)
   | None -> ()
 
+let check_tuple k tup =
+  if Array.length tup <> k then
+    invalid_arg
+      (Printf.sprintf "Relation: tuple %s has %d fields, expected %d"
+         (Tuple.to_string tup) (Array.length tup) k)
+
 let of_set attrs tuples =
   check_attrs attrs;
   let k = List.length attrs in
-  Tuple.Set.iter
-    (fun tup ->
-      if Array.length tup <> k then
-        invalid_arg
-          (Printf.sprintf "Relation: tuple %s has %d fields, expected %d"
-             (Tuple.to_string tup) (Array.length tup) k))
-    tuples;
-  { attrs; tuples }
+  let card =
+    Tuple.Set.fold
+      (fun tup n ->
+        check_tuple k tup;
+        n + 1)
+      tuples 0
+  in
+  { attrs; tuples; card }
 
 let make attrs tuple_list = of_set attrs (Tuple.Set.of_list tuple_list)
 let attrs r = r.attrs
 let tuples r = r.tuples
-let cardinality r = Tuple.Set.cardinal r.tuples
+let cardinality r = r.card
 let arity r = List.length r.attrs
 let empty attrs = of_set attrs Tuple.Set.empty
+
+(* [r] with its tuples replaced by [tuples], which have [r]'s attributes. *)
+let with_tuples r tuples = { r with tuples; card = Tuple.Set.cardinal tuples }
+
+(* [Tuple.Set.add] and [remove] return their argument itself when nothing
+   changes, so the cached cardinality moves only on a real change. *)
+let add tup r =
+  check_tuple (arity r) tup;
+  let tuples = Tuple.Set.add tup r.tuples in
+  if tuples == r.tuples then r else { r with tuples; card = r.card + 1 }
+
+let remove tup r =
+  check_tuple (arity r) tup;
+  let tuples = Tuple.Set.remove tup r.tuples in
+  if tuples == r.tuples then r else { r with tuples; card = r.card - 1 }
 
 let position r name =
   let rec go i = function
@@ -56,13 +78,12 @@ let rename mapping r =
       (fun a -> match List.assoc_opt a mapping with Some b -> b | None -> a)
       r.attrs
   in
-  of_set attrs r.tuples
+  check_attrs attrs;
+  { r with attrs }
 
 let select p r =
-  let tuples =
-    Tuple.Set.filter (fun tup -> p (fun name -> tup.(position r name))) r.tuples
-  in
-  { r with tuples }
+  with_tuples r
+    (Tuple.Set.filter (fun tup -> p (fun name -> tup.(position r name))) r.tuples)
 
 let join a b =
   let shared = List.filter (fun x -> List.mem x a.attrs) b.attrs in
@@ -82,13 +103,8 @@ let join a b =
         b.tuples Tuple.Set.empty
     in
     let idx = Index.of_tuples ~arity:k keys in
-    {
-      a with
-      tuples =
-        Tuple.Set.filter
-          (fun ta -> Index.mem idx (key_of a_shared_pos ta))
-          a.tuples;
-    })
+    with_tuples a
+      (Tuple.Set.filter (fun ta -> Index.mem idx (key_of a_shared_pos ta)) a.tuples))
   else
   let b_only_pos = List.map (position b) b_only in
   (* Hash b on its shared-attribute key. *)
@@ -117,11 +133,11 @@ let align_to reference r =
 
 let union a b =
   let b = align_to a b in
-  { a with tuples = Tuple.Set.union a.tuples b.tuples }
+  with_tuples a (Tuple.Set.union a.tuples b.tuples)
 
 let diff a b =
   let b = align_to a b in
-  { a with tuples = Tuple.Set.diff a.tuples b.tuples }
+  with_tuples a (Tuple.Set.diff a.tuples b.tuples)
 
 let equal a b =
   List.sort String.compare a.attrs = List.sort String.compare b.attrs

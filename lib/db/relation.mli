@@ -10,12 +10,27 @@ val make : string list -> int array list -> t
 
 val of_set : string list -> Tuple.Set.t -> t
 val attrs : t -> string list
+
+(** The tuples, in {!Tuple.compare} order. O(1): no copy is made. *)
 val tuples : t -> Tuple.Set.t
+
+(** Number of tuples, cached: O(1). *)
 val cardinality : t -> int
+
 val arity : t -> int
 
 (** Empty relation over given attributes. *)
 val empty : string list -> t
+
+(** [add tup r] is [r] with [tup] inserted, in O(log n). Adding a tuple
+    already present returns [r] itself.
+    @raise Invalid_argument if [tup] has not one field per attribute. *)
+val add : int array -> t -> t
+
+(** [remove tup r] is [r] without [tup], in O(log n). Removing an absent
+    tuple returns [r] itself.
+    @raise Invalid_argument if [tup] has not one field per attribute. *)
+val remove : int array -> t -> t
 
 (** {1 Operators} *)
 

@@ -68,10 +68,13 @@ val with_compiled :
 
 (** [with_result t ~sname ~seq s text phi f] answers [phi] from the
     maintained materialization (building it on a miss, budget-governed),
-    applying [f vars answers] under the entry's lock. [(s, seq)] must be
-    a pair read atomically by {!Store.get_seq}: a rebuilt entry is bound
-    to [seq] so later deltas slot in at [seq + 1]. [Error] on planner or
-    materialization failure; nothing is cached then. *)
+    applying [f vars answers] under the entry's lock. On a hit [answers]
+    is the plan's own maintained relation ({!Fmtk_db.Delta.result}), not
+    a copy: its {!Relation.cardinality} is O(1) and its smallest tuples
+    come first, so [f] can count and sample it in O(sample). [(s, seq)]
+    must be a pair read atomically by {!Store.get_seq}: a rebuilt entry
+    is bound to [seq] so later deltas slot in at [seq + 1]. [Error] on
+    planner or materialization failure; nothing is cached then. *)
 val with_result :
   ?budget:Budget.t ->
   t ->

@@ -268,11 +268,11 @@ let run_request t (job : job) =
       match Qcache.formula t.cache (Structure.signature s) formula with
       | Error e -> raise (Reject ("parse-error", e))
       | Ok phi ->
-          let answer_fields vars tuples =
-            if vars = [] then
-              [ ("value", Json.Bool (not (Tuple.Set.is_empty tuples))) ]
+          (* [total] is the size of [tuples]; the sample is their 50
+             smallest, in O(log n + 50). *)
+          let answer_fields vars ~total tuples =
+            if vars = [] then [ ("value", Json.Bool (total > 0)) ]
             else begin
-              let total = Tuple.Set.cardinal tuples in
               let sample =
                 Tuple.Set.to_seq tuples |> Seq.take 50 |> List.of_seq
               in
@@ -291,7 +291,9 @@ let run_request t (job : job) =
             match
               Qcache.with_result ~budget:job.budget t.cache
                 ~sname:structure ~seq s formula phi (fun vars rel ->
-                  answer_fields vars (Fmtk_db.Relation.tuples rel))
+                  answer_fields vars
+                    ~total:(Fmtk_db.Relation.cardinality rel)
+                    (Fmtk_db.Relation.tuples rel))
             with
             | Error e -> raise (Reject ("plan-error", e))
             | Ok fields -> (`Ok, ("engine", Json.Str "ra") :: fields)
@@ -308,10 +310,11 @@ let run_request t (job : job) =
                 if Compiled.free_vars compiled = [] then
                   (`Ok, [ ("value", Json.Bool (Compiled.run compiled [||])) ])
                 else
+                  let tuples = Compiled.definable_relation_of compiled in
                   ( `Ok,
                     answer_fields
                       (Compiled.free_vars compiled)
-                      (Compiled.definable_relation_of compiled) ))
+                      ~total:(Tuple.Set.cardinal tuples) tuples ))
           end)
   | Protocol.Update { structure; rel; tuple; add } -> (
       let tup = Array.of_list tuple in

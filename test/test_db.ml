@@ -84,6 +84,50 @@ let test_union_diff () =
     Alcotest.fail "union with different attrs"
   with Invalid_argument _ -> ()
 
+(* The cached cardinality agrees with the tuple set after every operator
+   and single-tuple edit; [add] and [remove] check arity, and a no-op edit
+   leaves the relation equal. *)
+let test_cardinality_add_remove () =
+  let card_ok label r =
+    checki label (Tuple.Set.cardinal (Relation.tuples r)) (Relation.cardinality r)
+  in
+  let r_ab' = Relation.make [ "a"; "b" ] [ [| 9; 9 |]; [| 1; 2 |] ] in
+  List.iter
+    (fun (label, r) -> card_ok label r)
+    [
+      ("make", r_ab);
+      ("empty", Relation.empty [ "a" ]);
+      ("project", Relation.project [ "b" ] r_ab);
+      ("rename", Relation.rename [ ("a", "x") ] r_ab);
+      ("select", Relation.select (fun lk -> lk "a" = 1) r_ab);
+      ("join", Relation.join r_ab r_bc);
+      ("semijoin", Relation.join r_ab (Relation.project [ "b" ] r_bc));
+      ("union", Relation.union r_ab r_ab');
+      ("diff", Relation.diff r_ab r_ab');
+      ("add", Relation.add [| 7; 7 |] r_ab);
+      ("remove", Relation.remove [| 1; 2 |] r_ab);
+    ];
+  checki "add grows" 4 (Relation.cardinality (Relation.add [| 7; 7 |] r_ab));
+  checki "remove shrinks" 2 (Relation.cardinality (Relation.remove [| 1; 2 |] r_ab));
+  let present = Relation.add [| 1; 2 |] r_ab in
+  card_ok "add present" present;
+  checkb "add present leaves it equal" true (Relation.equal present r_ab);
+  let absent = Relation.remove [| 7; 7 |] r_ab in
+  card_ok "remove absent" absent;
+  checkb "remove absent leaves it equal" true (Relation.equal absent r_ab);
+  List.iter
+    (fun (label, edit) ->
+      try
+        ignore (edit r_ab);
+        Alcotest.failf "%s: wrong arity accepted" label
+      with Invalid_argument _ -> ())
+    [
+      ("add", Relation.add [| 1 |]);
+      ("add", Relation.add [| 1; 2; 3 |]);
+      ("remove", Relation.remove [| 1 |]);
+      ("remove", Relation.remove [| 1; 2; 3 |]);
+    ]
+
 (* ---------- Algebra eval ---------- *)
 
 let test_algebra_eval () =
@@ -308,6 +352,8 @@ let () =
           Alcotest.test_case "select/rename" `Quick test_select_rename;
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "union/diff" `Quick test_union_diff;
+          Alcotest.test_case "cardinality, add, remove" `Quick
+            test_cardinality_add_remove;
         ] );
       ( "algebra",
         [

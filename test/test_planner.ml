@@ -24,7 +24,12 @@ module Relation = Fmtk_db.Relation
 module Budget = Fmtk_runtime.Budget
 
 let checkb msg = Alcotest.check Alcotest.bool msg
+let checki msg = Alcotest.check Alcotest.int msg
 let f = Parser.parse_exn
+
+(* CI's fault-injection pass (FMTK_INJECT=1) runs the delta property on
+   four times as many update streams. *)
+let inject_scale = if Sys.getenv_opt "FMTK_INJECT" = Some "1" then 4 else 1
 
 (* ---------- generators ---------- *)
 
@@ -131,9 +136,14 @@ let prop_rewrite_preserves_semantics =
 
 (* ---------- delta maintenance vs full re-evaluation ---------- *)
 
+(* Every root kind: a renamed base ([E(x,y)]), a projection over a
+   selection ([E(x,x)]), a projection with multiplicities
+   ([exists z. ...]), a join, a union and a difference. *)
 let delta_formulas =
   List.map f
     [
+      "E(x,y)";
+      "E(x,x)";
       "E(x,y) & E(y,z)";
       "E(x,y) & !E(y,x)";
       "exists z. E(x,z) & E(z,y)";
@@ -163,13 +173,22 @@ let gen_update n =
   in
   return (rel, tup, add)
 
+let first_50 ts = List.of_seq (Seq.take 50 (Tuple.Set.to_seq ts))
+
+(* After every update the maintained answer equals a fresh one: the same
+   set, the same cached count, and the same 50-tuple sample the server
+   sends. Each update is applied twice when [again] is set, so the
+   stream also carries no-op inserts and deletes, on the root atom
+   among others. *)
 let prop_delta_tracks_recompute =
-  QCheck2.Test.make ~count:60
+  QCheck2.Test.make ~count:(60 * inject_scale)
     ~name:"delta-maintained = recomputed under insert/delete streams"
     QCheck2.Gen.(
       let* s = gen_structure in
       let* phi = oneofl delta_formulas in
-      let* ups = list_size (int_range 1 40) (gen_update (Structure.size s)) in
+      let* ups =
+        list_size (int_range 1 40) (pair (gen_update (Structure.size s)) bool)
+      in
       return (s, phi, ups))
     (fun (s, phi, ups) ->
       let fv = Formula.free_vars phi in
@@ -180,34 +199,68 @@ let prop_delta_tracks_recompute =
         | Ok d -> d
         | Error m -> QCheck2.Test.fail_reportf "materialize: %s" m
       in
-      let mirror = ref s in
-      let step = ref 0 in
-      List.for_all
-        (fun (rel, tup, add) ->
-          (match Delta.update d ~rel tup ~add with
-          | Ok () -> ()
-          | Error m -> QCheck2.Test.fail_reportf "delta update: %s" m);
-          mirror := apply_structure !mirror rel tup add;
-          incr step;
-          (* compare every few steps and always on the last one *)
-          !step mod 5 <> 0
-          ||
-          let maintained = Relation.tuples (Delta.result d) in
-          let fresh =
-            match Compile.answers_naive !mirror phi with
-            | Ok (_, ts) -> ts
-            | Error (`Msg m) -> QCheck2.Test.fail_reportf "naive: %s" m
-          in
-          Tuple.Set.equal maintained fresh)
-        ups
-      &&
-      let maintained = Relation.tuples (Delta.result d) in
-      let fresh =
-        match Compile.answers_naive !mirror phi with
-        | Ok (_, ts) -> ts
-        | Error (`Msg m) -> QCheck2.Test.fail_reportf "naive: %s" m
+      let agrees mirror =
+        let r = Delta.result d in
+        let fresh =
+          match Compile.answers_naive mirror phi with
+          | Ok (_, ts) -> ts
+          | Error (`Msg m) -> QCheck2.Test.fail_reportf "naive: %s" m
+        in
+        Tuple.Set.equal (Relation.tuples r) fresh
+        && Relation.cardinality r = Tuple.Set.cardinal fresh
+        && first_50 (Relation.tuples r) = first_50 fresh
       in
-      Tuple.Set.equal maintained fresh)
+      let mirror = ref s in
+      agrees s
+      && List.for_all
+           (fun ((rel, tup, add), again) ->
+             List.for_all
+               (fun () ->
+                 (match Delta.update d ~rel tup ~add with
+                 | Ok () -> ()
+                 | Error m -> QCheck2.Test.fail_reportf "delta update: %s" m);
+                 mirror := apply_structure !mirror rel tup add;
+                 agrees !mirror)
+               (if again then [ (); () ] else [ () ]))
+           ups)
+
+(* A plan keeps the arities it checks updates against, not the database
+   it was built from: a [P(x)] plan over a structure whose [E] is a large
+   CSR relation is exactly as big as one over an empty [E], before and
+   after an update to [E], and that update forces nothing. *)
+let test_plan_pins_no_structure () =
+  let n = 2000 in
+  let ps = Tuple.Set.of_list (List.init 10 (fun i -> [| 3 * i |])) in
+  let with_edges m =
+    let src = Array.init m (fun i -> i mod n) and dst = Array.init m (fun i -> i / n) in
+    Structure.with_rel (Structure.of_graph sg ~size:n [ ("E", (src, dst)) ]) "P" 1 ps
+  in
+  let big = with_edges 200_000 in
+  checkb "E is CSR-backed" true (Structure.rel_backend big "E" = `Csr);
+  let plan s =
+    match
+      Delta.materialize (Algebra.Database.of_structure s)
+        (Algebra.Project ([ "x" ], Compile.compile (f "P(x)")))
+    with
+    | Ok d -> d
+    | Error m -> Alcotest.fail m
+  in
+  let small_plan = plan (with_edges 0) and big_plan = plan big in
+  let words d = Obj.reachable_words (Obj.repr d) in
+  checki "plan size does not depend on E" (words small_plan) (words big_plan);
+  List.iter
+    (fun d ->
+      match Delta.update d ~rel:"E" [| 0; n - 1 |] ~add:true with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ small_plan; big_plan ];
+  checki "nor after an update to E" (words small_plan) (words big_plan);
+  checkb "answer unchanged" true
+    (Tuple.Set.equal (Relation.tuples (Delta.result big_plan)) ps);
+  checkb "arity error refused" true
+    (Result.is_error (Delta.update big_plan ~rel:"E" [| 0 |] ~add:true));
+  checkb "unknown relation refused" true
+    (Result.is_error (Delta.update big_plan ~rel:"R" [| 0 |] ~add:true))
 
 (* ---------- budget fault injection: clean give-ups only ---------- *)
 
@@ -464,6 +517,11 @@ let () =
         [
           Alcotest.test_case "budget injection never lies" `Quick
             test_budget_fault_injection;
+        ] );
+      ( "delta",
+        [
+          Alcotest.test_case "plan pins no structure" `Quick
+            test_plan_pins_no_structure;
         ] );
       ( "plans",
         [

@@ -1314,6 +1314,69 @@ let test_update_and_ra_eval () =
   checks "still serving" "ok" (status (Client.request c {|{"op":"ping","id":13}|}));
   Client.close c
 
+(* A maintained plan answers field for field like the compiled engine —
+   the same count, the same 50 smallest tuples, the same [truncated] —
+   while updates move tuples into and out of that 50-tuple window. Every
+   [ra] eval after the first is a plan hit, and every update is one delta
+   propagation. *)
+let test_ra_sample_matches_compiled () =
+  with_server ~preload:[ ("o", "order:12") ] @@ fun srv port ->
+  let c = Client.connect port in
+  let result_fields resp =
+    match field "result" resp with
+    | Some (Json.Obj fields) -> fields
+    | _ -> Alcotest.failf "response without result object: %S" resp
+  in
+  let eval ~ra =
+    result_fields
+      (Client.request c
+         (Printf.sprintf
+            {|{"op":"eval","id":1,"structure":"o","formula":"lt(x,y) & lt(y,z)","ra":%b}|}
+            ra))
+  in
+  let hits () = (Server.stats srv).Server.plan_hits in
+  let agree label =
+    let before = hits () in
+    let planned = eval ~ra:true and compiled = eval ~ra:false in
+    checkb (label ^ ": engine") true
+      (List.assoc_opt "engine" planned = Some (Json.Str "ra"));
+    List.iter
+      (fun name ->
+        checkb
+          (Printf.sprintf "%s: %s" label name)
+          true
+          (List.assoc_opt name planned = List.assoc_opt name compiled
+          && List.assoc_opt name planned <> None))
+      [ "vars"; "count"; "tuples"; "truncated" ];
+    checkb (label ^ ": truncated") true
+      (List.assoc_opt "truncated" planned = Some (Json.Bool true));
+    hits () - before
+  in
+  ignore (agree "initial");
+  checkb "initial count" true
+    (List.assoc_opt "count" (eval ~ra:true) = Some (Json.Num 220.));
+  List.iteri
+    (fun i (tuple, action) ->
+      let r =
+        Client.request c
+          (Printf.sprintf
+             {|{"op":"update","id":2,"structure":"o","rel":"lt","tuple":%s,"action":%S}|}
+             tuple action)
+      in
+      let label = Printf.sprintf "%s %s" action tuple in
+      checkb (label ^ ": changed") true
+        (List.assoc_opt "changed" (result_fields r) = Some (Json.Bool true));
+      checki (label ^ ": maintained") (i + 1)
+        (Server.stats srv).Server.plans_maintained;
+      checki (label ^ ": plan hit") 1 (agree label))
+    [
+      ("[0,1]", "delete");
+      ("[5,0]", "insert");
+      ("[5,0]", "delete");
+      ("[0,1]", "insert");
+    ];
+  Client.close c
+
 let test_oversized_line () =
   with_server ~configure:(fun c -> { c with Server.max_line = 256 }) @@ fun _ port ->
   let c = Client.connect port in
@@ -1869,6 +1932,8 @@ let () =
         [
           Alcotest.test_case "end-to-end" `Quick test_end_to_end;
           Alcotest.test_case "update + ra eval" `Quick test_update_and_ra_eval;
+          Alcotest.test_case "ra sample = compiled sample" `Quick
+            test_ra_sample_matches_compiled;
           Alcotest.test_case "drop" `Quick test_drop_end_to_end;
           Alcotest.test_case "durable restart" `Quick
             test_durable_server_restart;
