@@ -576,16 +576,39 @@ let e17 () =
 (* ---------- E18: Datalog naive vs semi-naive ---------- *)
 
 let e18 () =
-  pf "TC on the n-chain: fixpoint work (join steps):@.";
-  pf "  %6s %12s %12s %8s@." "n" "naive" "semi-naive" "ratio";
-  List.iter
-    (fun n ->
-      let db = Engine.Db.of_structure (Gen.successor n) in
-      let _, s1 = Engine.naive Programs.transitive_closure db in
-      let _, s2 = Engine.seminaive Programs.transitive_closure db in
-      pf "  %6d %12d %12d %8.1f@." n s1.Engine.join_work s2.Engine.join_work
-        (float_of_int s1.Engine.join_work /. float_of_int s2.Engine.join_work))
-    [ 8; 16; 32; 48 ];
+  (* The table is also a check, as in E20: the section fails unless both
+     strategies compute the matrix TC in n rounds on the n-chain, and the
+     naive/semi-naive work ratio grows with n. *)
+  let check what ok = if not ok then failwith ("E18: " ^ what) in
+  pf "TC on the n-chain: rounds, and rule-body rows produced (join work):@.";
+  pf "  %6s %8s %12s %12s %8s@." "n" "rounds" "naive" "semi-naive" "ratio";
+  ignore
+    (List.fold_left
+       (fun last n ->
+         let g = Gen.successor n in
+         let db = Engine.Db.of_structure g in
+         let r1, s1 = Engine.naive Programs.transitive_closure db in
+         let r2, s2 = Engine.seminaive Programs.transitive_closure db in
+         let ratio =
+           float_of_int s1.Engine.join_work /. float_of_int s2.Engine.join_work
+         in
+         pf "  %6d %8d %12d %12d %8.1f@." n s2.Engine.iterations
+           s1.Engine.join_work s2.Engine.join_work ratio;
+         let tc = Graph.transitive_closure g in
+         check
+           (Printf.sprintf "a fixpoint differs from matrix TC at n = %d" n)
+           (Tuple.Set.equal (Engine.Db.find r1 "tc") tc
+           && Tuple.Set.equal (Engine.Db.find r2 "tc") tc);
+         check
+           (Printf.sprintf "%d naive and %d semi-naive rounds at n = %d"
+              s1.Engine.iterations s2.Engine.iterations n)
+           (s1.Engine.iterations = n && s2.Engine.iterations = n);
+         check
+           (Printf.sprintf "work ratio %.1f at n = %d does not exceed %.1f"
+              ratio n last)
+           (ratio > last);
+         ratio)
+       0. [ 8; 16; 32; 48 ]);
   pf "Shape: the naive/semi-naive ratio grows with n.@.";
   pf "@.Wall-clock (Bechamel):@.";
   let tests =

@@ -490,7 +490,7 @@ let datalog_cmd =
             let db = Engine.Db.of_structure s in
             let result, stats = eval db in
             let tuples = Engine.Db.find result pred in
-            Format.printf "%s: %d tuples (%d iterations, %d join steps)@." pred
+            Format.printf "%s: %d tuples (%d iterations, %d body rows)@." pred
               (Tuple.Set.cardinal tuples)
               stats.Engine.iterations stats.Engine.join_work;
             Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) tuples;

@@ -1,9 +1,15 @@
 (** Datalog evaluation: naive and semi-naive bottom-up fixpoints, with
     stratified negation.
 
-    Both strategies compute the same minimal model; semi-naive restricts
-    each recursive join to derivations that use at least one {e new} tuple,
-    which is the classical work saving measured by experiment E18. *)
+    Both strategies compute the same minimal model in one stratum loop.
+    Each rule body compiles to relational algebra (positive literals
+    joined, negated literals as anti-joins) and runs through
+    {!Fmtk_db.Planner.plan} and {!Fmtk_db.Physical.run}; head tuples are
+    built from the body's rows. Naive evaluation evaluates every rule
+    against the whole IDB each round; semi-naive evaluation evaluates each
+    rule once per positive IDB literal, that literal reading only the
+    previous round's new tuples — the work saving E18 measures. Both take
+    the same number of rounds. *)
 
 module Tuple = Fmtk_structure.Tuple
 module Structure = Fmtk_structure.Structure
@@ -17,27 +23,30 @@ module Db : sig
   val find : t -> string -> Tuple.Set.t
   (** Empty set for unknown predicates. *)
 
-  val preds : t -> string list
-
   (** EDB view of a structure: one predicate per relation, plus the unary
       ["adom"] (needed to make rules like [sg(x,x) :- adom(x)] safe). *)
   val of_structure : Structure.t -> t
 end
 
-(** Work counters: fixpoint iterations and environment extensions performed
-    during joins. *)
+(** Work counters. [iterations] counts fixpoint rounds, summed over the
+    strata. [join_work] counts the rows the rule bodies produced, summed
+    over every rule evaluation: a body's rows are its variable bindings,
+    before they are projected onto the head. *)
 type stats = { iterations : int; join_work : int }
 
-(** [naive program db] — the minimal model (IDB ∪ EDB) plus stats.
-    @raise Invalid_argument if a rule is not range-restricted or the
-    program is not stratifiable.
+(** [naive program db] — the minimal model (IDB ∪ EDB) plus stats. A
+    predicate missing from [db] is empty.
+    @raise Invalid_argument if a rule is not range-restricted, the program
+    is not stratifiable, a predicate is used with two arities, or [db]
+    holds a tuple of another arity than the program gives its predicate.
     @raise Fmtk_runtime.Budget.Exhausted when the (default unlimited)
-    [budget] runs out — polled once per unit of join work, amortized
-    through the budget's poll-interval counter. *)
+    [budget] runs out — polled once per row each physical operator
+    processes, amortized through the budget's poll-interval counter. *)
 val naive :
   ?budget:Fmtk_runtime.Budget.t -> Ast.program -> Db.t -> Db.t * stats
 
-(** Semi-naive (differential) evaluation; same result, less join work. *)
+(** Semi-naive (differential) evaluation; same result and the same
+    [iterations], less join work. *)
 val seminaive :
   ?budget:Fmtk_runtime.Budget.t -> Ast.program -> Db.t -> Db.t * stats
 

@@ -21,12 +21,15 @@ type expr =
 
 exception Schema_error of string
 
+let adom = "#adom"
+let adom_as x = Rename ([ ("#1", x) ], Base adom)
+
 module Database = struct
   module SMap = Map.Make (String)
 
   (* Relations are lazy so a plan that drops a padding join (or never scans
      a relation) never pays to materialize it — significant for
-     structure-backed instances where "adom" is the whole domain. Each
+     structure-backed instances where [adom] is the whole domain. Each
      is stored with its arity, which is known without forcing it. *)
   type t = {
     rels : (int * Relation.t Lazy.t) SMap.t;
@@ -66,8 +69,8 @@ module Database = struct
             (k, lazy (Relation.of_set (positional k) (Structure.rel s name))) ))
         (Signature.rels sg)
     in
-    let adom =
-      ( "adom",
+    let domain =
+      ( adom,
         ( 1,
           lazy
             (Relation.make [ "#1" ]
@@ -84,7 +87,7 @@ module Database = struct
       List.fold_left
         (fun acc (n, r) -> SMap.add n r acc)
         SMap.empty
-        ((adom :: rels) @ consts)
+        ((domain :: rels) @ consts)
     in
     { rels; source = Some s }
 end

@@ -1,7 +1,7 @@
 (** Relational algebra: syntax and evaluation over a database instance.
 
     A database instance maps relation names to {!Relation.t}; the instance
-    obtained from a structure also contains the unary relation ["adom"]
+    obtained from a structure also contains the unary relation {!adom}
     holding the whole domain (so compiled FO queries agree with natural
     semantics) and one singleton relation ["@c"] per constant [c].
 
@@ -30,6 +30,14 @@ type expr =
 (** Raised by the [_exn] entry points on unknown base relations. *)
 exception Schema_error of string
 
+(** ["#adom"], the active-domain table of {!Database.of_structure}. No
+    parsed relation ('#' starts a comment in the structure text format)
+    and no ["@c"] table can take this name. *)
+val adom : string
+
+(** {!adom} with its attribute named [x]: the padding {!Compile} emits. *)
+val adom_as : string -> expr
+
 module Database : sig
   type t
 
@@ -48,7 +56,7 @@ module Database : sig
   val arities : t -> (string * int) list
 
   (** View a finite structure as a database instance: each relation [R/k]
-      becomes a table with attributes [#1..#k], plus ["adom"] (attribute
+      becomes a table with attributes [#1..#k], plus {!adom} (attribute
       [#1]) and per-constant singletons ["@c"]. Relations materialize
       lazily, on first access. *)
   val of_structure : Fmtk_structure.Structure.t -> t

@@ -7,13 +7,11 @@ open Algebra
 let nullary_true = Lit (Relation.make [] [ [||] ])
 let nullary_false = Lit (Relation.empty [])
 
-(* adom restricted to one attribute. *)
-let adom_as x = Rename ([ ("#1", x) ], Base "adom")
 let const_as c x = Rename ([ ("#1", x) ], Base ("@" ^ c))
 
 (* Nullary "the domain is nonempty" guard, used when a quantifier binds a
    variable that does not occur in its scope. *)
-let domain_nonempty = Project ([], Base "adom")
+let domain_nonempty = Project ([], Base adom)
 
 (* Extends [e] (with attribute set [have]) to attribute set [want] by
    joining unconstrained adom columns. *)

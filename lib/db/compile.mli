@@ -2,10 +2,10 @@
 
     This implements the classical equivalence behind "FOL as a query
     language": every FO formula translates to an algebra expression over the
-    database view of a structure. Because the instance's ["adom"] table
-    holds the {e whole} domain, the compiled query agrees exactly with the
-    natural (Tarski) semantics implemented by {!Fmtk_eval.Eval} — this is
-    cross-checked by tests and experiment E6.
+    database view of a structure. Because the instance's {!Algebra.adom}
+    table holds the {e whole} domain, the compiled query agrees exactly with
+    the natural (Tarski) semantics implemented by {!Fmtk_eval.Eval} — this
+    is cross-checked by tests and experiment E6.
 
     Evaluation goes through the {!Planner}/{!Physical} pipeline. The
     default entry points [answers]/[sat] additionally {e refuse} queries
@@ -50,7 +50,7 @@ val sat :
 
 (** Like {!answers} but without the safe-range gate: any formula, under
     the active-domain-padded semantics (which agrees with Tarski semantics
-    because ["adom"] holds the whole domain). *)
+    because {!Algebra.adom} holds the whole domain). *)
 val answers_any :
   ?budget:Fmtk_runtime.Budget.t ->
   Fmtk_structure.Structure.t ->

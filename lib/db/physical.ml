@@ -84,7 +84,7 @@ let run ?budget db plan =
   in
   let memo : (int, table) Hashtbl.t = Hashtbl.create 8 in
   (* Per-run membership indexes for IdxProbe over relations the source
-     structure does not index (derived instances, "adom", "@c"). *)
+     structure does not index (derived instances, [Algebra.adom], "@c"). *)
   let adhoc : (string, Index.t) Hashtbl.t = Hashtbl.create 4 in
   let base name =
     match Algebra.Database.find db name with

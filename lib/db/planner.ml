@@ -5,9 +5,9 @@
    Stage 2 (plan): join-tree flattening, cardinality estimation from
    relation sizes + per-column distinct counts, greedy join ordering, GYO
    ear reduction to detect acyclic join trees and emit semijoin
-   (Yannakakis-style) programs, anti-join recognition for compiled
-   negation, and access-path selection (index probe / index-nested-loop)
-   against the source structure's indexes. *)
+   (Yannakakis-style) programs, anti-joins for compiled negation and for
+   a - (a ⋈ g), and access-path selection (index probe /
+   index-nested-loop) against the source structure's indexes. *)
 
 open Algebra
 module SSet = Set.Make (String)
@@ -67,7 +67,7 @@ let is_nullary_true = function
 
 (* The shape Compile.adom_as emits for padding joins. *)
 let adom_attr = function
-  | Rename ([ ("#1", x) ], Base "adom") -> Some x
+  | Rename ([ ("#1", x) ], Base n) when n = adom -> Some x
   | _ -> None
 
 let rec rw db e =
@@ -322,6 +322,10 @@ let plan ?stats db e =
             };
           dmap = List.map (fun (a, d) -> (a, d *. 2.)) l.dmap;
         }
+    | Diff (a, Join (a', g))
+      when a = a' && List.for_all (fun x -> List.mem x (attrs_of db a)) (attrs_of db g) ->
+        (* a - (a ⋈ g), g's attributes among a's, is the anti-join a ▷ g *)
+        anti_apply (tr a) (attrs_of db g) g
     | Diff (a, b) ->
         let l = tr a and r = tr b in
         let rmap = align l.p.P.schema r.p.P.schema in
@@ -659,16 +663,13 @@ let plan ?stats db e =
     match xs with
     | [] -> err "planner: nullary anti leaf"
     | x0 :: xs' ->
-        List.fold_left
-          (fun acc x -> Join (acc, Rename ([ ("#1", x) ], Base "adom")))
-          (Rename ([ ("#1", x0) ], Base "adom"))
-          xs'
+        List.fold_left (fun acc x -> Join (acc, adom_as x)) (adom_as x0) xs'
   and adom_cand x =
-    let s = rstat st "adom" in
+    let s = rstat st adom in
     {
       p =
         {
-          P.node = P.Scan { rel = "adom"; eqs = []; consts = []; out = [| 0 |] };
+          P.node = P.Scan { rel = adom; eqs = []; consts = []; out = [| 0 |] };
           schema = [| x |];
           est = float_of_int s.rows;
         };

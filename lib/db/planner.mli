@@ -5,10 +5,10 @@
     (join-tree flattening, cardinality estimation from relation sizes and
     per-column distinct counts, greedy join ordering, GYO ear reduction
     with a Yannakakis-style semijoin full reducer on the acyclic fragment,
-    anti-join recognition for compiled negation, and access-path selection
-    against {!Fmtk_structure.Index}). The resulting {!Physical.t} must
-    evaluate to exactly what {!Algebra.eval} computes — checked by the
-    differential planner suite. *)
+    anti-joins for compiled negation and for [a - (a ⋈ g)], and
+    access-path selection against {!Fmtk_structure.Index}). The resulting
+    {!Physical.t} must evaluate to exactly what {!Algebra.eval} computes —
+    checked by the differential planner suite. *)
 
 (** Semantics-preserving logical rewrite. May force (lazy) relations of
     [db] to resolve base schemas.

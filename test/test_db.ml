@@ -156,7 +156,7 @@ let test_database_of_structure () =
   let s = Structure.make sg ~size:3 ~consts:[ ("a", 1) ] [ ("E", [ [| 0; 1 |] ]) ] in
   let db = Algebra.Database.of_structure s in
   checki "adom is full domain" 3
-    (Relation.cardinality (Algebra.Database.find_exn db "adom"));
+    (Relation.cardinality (Algebra.Database.find_exn db Algebra.adom));
   checki "constant singleton" 1
     (Relation.cardinality (Algebra.Database.find_exn db "@a"));
   checki "E table" 1 (Relation.cardinality (Algebra.Database.find_exn db "E"))

@@ -499,7 +499,40 @@ let test_probe_residual_constraints () =
         Algebra.Diff (leaf "S", Select (Eq_const ("x", 0), leaf "R")) );
       ( "anti probe keeps attr equality",
         Algebra.Diff (leaf "S", Select (Eq_attr ("x", "y"), leaf "R")) );
+      (* a - (a ⋈ g) plans as the anti-join a ▷ g: the same residuals *)
+      ( "anti-join keeps const selection",
+        Algebra.Diff
+          (leaf "S", Join (leaf "S", Select (Eq_const ("x", 0), leaf "R"))) );
+      ( "anti-join keeps attr equality",
+        Algebra.Diff
+          (leaf "S", Join (leaf "S", Select (Eq_attr ("x", "y"), leaf "R"))) );
+      ( "anti-join on a projection",
+        Algebra.Diff
+          ( Join (leaf "S", leaf "R"),
+            Join
+              ( Join (leaf "S", leaf "R"),
+                Rename ([ ("#1", "y") ], Project ([ "#1" ], Base "S")) ) ) );
     ]
+
+(* A structure may name a relation "adom". It is the user's relation: the
+   active-domain table the compiled queries pad with keeps its own name,
+   so neither replaces the other. *)
+let test_user_adom_relation () =
+  let s =
+    Fmtk_structure.Structure_io.parse_exn
+      "domain 3\nrel E/2 =\nrel adom/1 = (0)\n"
+  in
+  List.iter
+    (fun txt ->
+      let phi = f txt in
+      let vars, planned =
+        match Compile.answers_any s phi with
+        | Ok answer -> answer
+        | Error (`Msg m) -> Alcotest.failf "%s: %s" txt m
+      in
+      let vars', direct = Eval.answers s phi in
+      checkb txt true (vars = vars' && Tuple.Set.equal planned direct))
+    [ "!E(x,x)"; "adom(x)"; "!adom(x)"; "adom(x) & !E(x,y)"; "forall y. adom(y)" ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -531,5 +564,7 @@ let () =
           Alcotest.test_case "probe residual constraints" `Quick
             test_probe_residual_constraints;
           Alcotest.test_case "safe-range gate" `Quick test_safe_range_gate;
+          Alcotest.test_case "user relation named adom" `Quick
+            test_user_adom_relation;
         ] );
     ]

@@ -279,6 +279,41 @@ let test_compiled_fixpoint_budget () =
         (Budget.sub (Budget.create ~fuel ~poll_interval:1 ()) ~poll_interval:1))
     [ 1; 5; 50 ]
 
+let test_datalog_budget () =
+  (* Datalog rule bodies run on Physical, which polls once per row: an
+     injected exhaustion or cancellation, or a small fuel pool, ends
+     either strategy in [Exhausted], never in a fixpoint. *)
+  let db = Engine.Db.of_structure (Gen.successor 8) in
+  let expect_exhausted name budget =
+    List.iter
+      (fun (strategy, eval) ->
+        match eval Programs.transitive_closure db with
+        | _ -> Alcotest.failf "%s: %s returned a fixpoint" name strategy
+        | exception Budget.Exhausted _ -> ())
+      [
+        ("naive", Engine.naive ~budget);
+        ("semi-naive", Engine.seminaive ~budget);
+      ]
+  in
+  for k = 1 to 10 * inject_scale do
+    expect_exhausted
+      (Printf.sprintf "Exhaust_at %d" k)
+      (Budget.create ~inject:(Budget.Exhaust_at k) ());
+    expect_exhausted
+      (Printf.sprintf "Cancel_at %d" k)
+      (Budget.create ~inject:(Budget.Cancel_at k) ())
+  done;
+  List.iter
+    (fun fuel ->
+      expect_exhausted
+        (Printf.sprintf "fuel %d" fuel)
+        (Budget.create ~fuel ~poll_interval:1 ());
+      (* A child without its own fuel draws on the parent's pool. *)
+      expect_exhausted
+        (Printf.sprintf "shared pool of %d" fuel)
+        (Budget.sub (Budget.create ~fuel ~poll_interval:1 ()) ~poll_interval:1))
+    [ 1; 5; 50 ]
+
 let par_config = { Ef.default_config with parallel = true; workers = Some 4 }
 
 let test_raise_in_worker () =
@@ -884,6 +919,7 @@ let () =
           Alcotest.test_case "cancel_at" `Quick test_cancel_at_injection;
           Alcotest.test_case "compiled fixpoint" `Quick
             test_compiled_fixpoint_budget;
+          Alcotest.test_case "datalog" `Quick test_datalog_budget;
           Alcotest.test_case "raise in worker" `Quick test_raise_in_worker;
           Alcotest.test_case "cross-domain cancel" `Slow
             test_cross_domain_cancellation;

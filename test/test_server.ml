@@ -1377,6 +1377,47 @@ let test_ra_sample_matches_compiled () =
     ];
   Client.close c
 
+(* A structure relation named "adom" is the user's own. The RA engine
+   pads with its active-domain table under another name, so an [ra] eval
+   answers like the compiled engine, and an update to the user's relation
+   reaches only the plans that read it. *)
+let test_user_adom_ra () =
+  with_server @@ fun _ port ->
+  let c = Client.connect port in
+  checks "load" "ok"
+    (status
+       (Client.request c
+          {|{"op":"load","id":1,"name":"a","text":"domain 3\nrel E/2 =\nrel adom/1 = (0)\n"}|}));
+  let count ~ra formula =
+    let r =
+      Client.request c
+        (Printf.sprintf
+           {|{"op":"eval","id":2,"structure":"a","formula":%S,"ra":%b}|}
+           formula ra)
+    in
+    match field "result" r with
+    | Some (Json.Obj fields) -> List.assoc_opt "count" fields
+    | _ -> Alcotest.failf "response without result object: %S" r
+  in
+  let agree label =
+    List.iter
+      (fun phi ->
+        let planned = count ~ra:true phi in
+        checkb (Printf.sprintf "%s: %s" label phi) true
+          (planned <> None && planned = count ~ra:false phi))
+      [ "!E(x,x)"; "adom(x)"; "adom(x) & !E(x,y)" ]
+  in
+  agree "loaded";
+  checkb "!E(x,x) holds everywhere" true
+    (count ~ra:true "!E(x,x)" = Some (Json.Num 3.));
+  checks "update" "ok"
+    (status
+       (Client.request c
+          {|{"op":"update","id":3,"structure":"a","rel":"adom","tuple":[1],"action":"insert"}|}));
+  agree "after update";
+  checkb "adom(x) grew" true (count ~ra:true "adom(x)" = Some (Json.Num 2.));
+  Client.close c
+
 let test_oversized_line () =
   with_server ~configure:(fun c -> { c with Server.max_line = 256 }) @@ fun _ port ->
   let c = Client.connect port in
@@ -1934,6 +1975,8 @@ let () =
           Alcotest.test_case "update + ra eval" `Quick test_update_and_ra_eval;
           Alcotest.test_case "ra sample = compiled sample" `Quick
             test_ra_sample_matches_compiled;
+          Alcotest.test_case "user relation named adom" `Quick
+            test_user_adom_ra;
           Alcotest.test_case "drop" `Quick test_drop_end_to_end;
           Alcotest.test_case "durable restart" `Quick
             test_durable_server_restart;
