@@ -1827,7 +1827,7 @@ let e28 () =
   pf "shape: ns/node should stay flat as n grows 100x.@.";
   pf "  %-10s %9s %-12s %10s %9s %7s@." "family" "n" "workload" "wall ms"
     "ns/node" "detail";
-  let run family n g =
+  let run ?(refine = true) family n g =
     (* One full-pipeline run per measurement: fresh registry, so the
        census pays serialization, hashing and type registration every
        time — the steady state a new input sees. *)
@@ -1846,12 +1846,14 @@ let e28 () =
         let reg = Neighborhood.create_registry () in
         let census = Neighborhood.census ~workers reg g ~radius:1 in
         types := List.length census);
-    let colours = ref 0 in
-    measure "wl_refine" (fun () -> !colours) (fun () ->
-        let c = Wl.refine ~workers g in
-        let seen = Hashtbl.create 64 in
-        Array.iter (fun v -> Hashtbl.replace seen v ()) c;
-        colours := Hashtbl.length seen)
+    if refine then begin
+      let colours = ref 0 in
+      measure "wl_refine" (fun () -> !colours) (fun () ->
+          let c = Wl.refine ~workers g in
+          let seen = Hashtbl.create 64 in
+          Array.iter (fun v -> Hashtbl.replace seen v ()) c;
+          colours := Hashtbl.length seen)
+    end
   in
   List.iter
     (fun n ->
@@ -1860,6 +1862,16 @@ let e28 () =
     sizes;
   List.iter
     (fun n -> run "regular4" n (Gen.random_regular ~rng:(rng ()) n 4))
+    sizes;
+  (* One pinned constant: no ball is serializable, so every element
+     builds its neighborhood and resolves it exactly — still O(ball) per
+     element. Census only: 1-WL individualizes the constant and then
+     needs diameter-many rounds, O(n^1.5) on a torus. *)
+  List.iter
+    (fun n ->
+      let side = int_of_float (sqrt (float_of_int n)) in
+      run ~refine:false "torus+c" (side * side)
+        (Structure.expand_consts (Gen.torus side side) [ ("c", 0) ]))
     sizes;
   (* The acceptance shape: per family and workload, ns/node at the
      largest size within 3x of the smallest. *)
@@ -1881,7 +1893,7 @@ let e28 () =
                 (if ratio <= 3.0 then "(within 3x)" else "(EXCEEDS 3x)")
           | _ -> ())
         [ "hanf_census"; "wl_refine" ])
-    [ "torus"; "regular4" ];
+    [ "torus"; "regular4"; "torus+c" ];
   pf "Shape: every scaling row within 3x — the census and refinement@.";
   pf "are O(n) in practice, not just asymptotically.@.";
   match !json_path with

@@ -344,16 +344,18 @@ let census_cmd =
   let run s radius =
     exec @@ fun () ->
     let reg = Neighborhood.create_registry () in
-    let census = Neighborhood.census reg s ~radius in
-    Format.printf "radius-%d neighborhood census (%d types):@." radius
-      (List.length census);
-    List.iter
-      (fun (id, count) ->
-        let rep = Neighborhood.representative reg id in
-        Format.printf "  type %d: %d element(s), ball size %d@." id count
-          (Structure.size rep))
-      census;
-    Ok ()
+    match Neighborhood.census reg s ~radius with
+    | exception Invalid_argument m -> Error (`Msg m)
+    | census ->
+        Format.printf "radius-%d neighborhood census (%d types):@." radius
+          (List.length census);
+        List.iter
+          (fun (id, count) ->
+            let rep = Neighborhood.representative reg id in
+            Format.printf "  type %d: %d element(s), ball size %d@." id count
+              (Structure.size rep))
+          census;
+        Ok ()
   in
   let radius =
     Arg.(
@@ -370,13 +372,17 @@ let census_cmd =
 let hanf_cmd =
   let run a b radius threshold =
     exec @@ fun () ->
-    (match threshold with
-    | None ->
-        Format.printf "G ⇆%d G': %b@." radius (Hanf.equiv ~radius a b)
-    | Some m ->
-        Format.printf "G ⇆*%d,%d G': %b@." m radius
-          (Hanf.threshold_equiv ~threshold:m ~radius a b));
-    Ok ()
+    match
+      match threshold with
+      | None -> (Printf.sprintf "⇆%d" radius, Hanf.equiv ~radius a b)
+      | Some m ->
+          ( Printf.sprintf "⇆*%d,%d" m radius,
+            Hanf.threshold_equiv ~threshold:m ~radius a b )
+    with
+    | exception Invalid_argument m -> Error (`Msg m)
+    | relation, holds ->
+        Format.printf "G %s G': %b@." relation holds;
+        Ok ()
   in
   let radius =
     Arg.(

@@ -1,5 +1,6 @@
 module Structure = Fmtk_structure.Structure
 module Wl = Fmtk_structure.Wl
+module Csr = Fmtk_structure.Csr
 module Budget = Fmtk_runtime.Budget
 module Formula = Fmtk_logic.Formula
 module Ef = Fmtk_games.Ef
@@ -36,8 +37,8 @@ type outcome = {
 (* Sorted multiset of Gaifman degrees. Degree-k-element counts are
    FO-expressible, so a mismatch is a sound distinguishability witness. *)
 let degree_multiset t =
-  Gaifman.adjacency t |> Array.map List.length |> Array.to_list
-  |> List.sort Int.compare
+  let g = Gaifman.adjacency_csr t in
+  List.sort Int.compare (List.init (Structure.size t) (Csr.degree g))
 
 (* 2-WL (= C^3) census comparison, the strongest certificate rung: a
    mismatch means some C^3 sentence separates the structures, and every

@@ -87,9 +87,15 @@ let generator_opt spec =
   | [ "random"; n; p; seed ] -> (
       match (int_of_string_opt n, float_of_string_opt p, int_of_string_opt seed)
       with
-      | Some n, Some p, Some seed ->
-          gen n (n *| (n - 1)) (fun () ->
-              Gen.random_graph ~rng:(Random.State.make [| seed |]) n p)
+      | Some n, Some prob, Some seed ->
+          (* [not (0 <= p <= 1)] also catches NaN. *)
+          if not (0. <= prob && prob <= 1.) then
+            Some
+              (Error
+                 (Printf.sprintf "random spec edge probability must be in [0,1], got %s" p))
+          else
+            gen n (n *| (n - 1)) (fun () ->
+                Gen.random_graph ~rng:(Random.State.make [| seed |]) n prob)
       | _ -> Some (Error "random spec is random:SIZE:EDGE_PROB:SEED"))
   | _ -> None
 

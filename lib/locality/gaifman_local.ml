@@ -5,7 +5,7 @@ type query = Structure.t -> Tuple.Set.t
 
 let violation ~arity ~radius q t =
   let answers = q t in
-  let adj = Gaifman.adjacency t in
+  let w = Gaifman.walker t in
   let reg = Neighborhood.create_registry () in
   (* Group all arity-tuples by neighborhood type; a violation is a group
      containing both an answer and a non-answer. *)
@@ -16,8 +16,8 @@ let violation ~arity ~radius q t =
     (fun tup ->
       if !result = None then begin
         let tup_list = Array.to_list tup in
-        let nb = Gaifman.neighborhood ~adj t radius tup_list in
-        let id = Neighborhood.type_id reg nb in
+        ignore (Gaifman.walk w radius tup_list);
+        let id = Neighborhood.type_id reg (Gaifman.build_neighborhood w) in
         let in_q = Tuple.Set.mem tup answers in
         let group =
           match Hashtbl.find_opt groups id with

@@ -15,6 +15,10 @@ let equiv ?workers ?budget ~radius g g' =
   c = c'
 
 let threshold_equiv ?workers ?budget ~threshold ~radius g g' =
+  (* Below 1, "both counts >= threshold" holds for absent types too. *)
+  if threshold < 1 then
+    invalid_arg
+      (Printf.sprintf "Hanf.threshold_equiv: threshold %d below 1" threshold);
   let c, c' = joint_censuses ?workers ?budget ~radius g g' in
   let count id census = Option.value ~default:0 (List.assoc_opt id census) in
   let ids = List.sort_uniq compare (List.map fst (c @ c')) in
@@ -26,15 +30,13 @@ let threshold_equiv ?workers ?budget ~threshold ~radius g g' =
 
 (* Census of pointed-tuple neighborhood types: c ↦ type of N_r(ā, c),
    with type ids drawn from a shared registry so censuses are comparable
-   across structures. *)
-let pointed_census reg ~radius ~adj g tuple =
+   across structures. [w] walks [g]: O(ball) per c. *)
+let pointed_census reg ~radius w g tuple =
   let counts = Hashtbl.create 16 in
   List.iter
     (fun c ->
-      let id =
-        Neighborhood.type_id reg
-          (Gaifman.neighborhood ~adj g radius (tuple @ [ c ]))
-      in
+      ignore (Gaifman.walk w radius (tuple @ [ c ]));
+      let id = Neighborhood.type_id reg (Gaifman.build_neighborhood w) in
       Hashtbl.replace counts id
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
     (Structure.domain g);
@@ -45,30 +47,29 @@ let equiv_pointed ~radius (g, a_tuple) (g', b_tuple) =
   && List.length a_tuple = List.length b_tuple
   &&
   let reg = Neighborhood.create_registry () in
-  let adj = Gaifman.adjacency g and adj' = Gaifman.adjacency g' in
-  pointed_census reg ~radius ~adj g a_tuple
-  = pointed_census reg ~radius ~adj:adj' g' b_tuple
+  pointed_census reg ~radius (Gaifman.walker g) g a_tuple
+  = pointed_census reg ~radius (Gaifman.walker g') g' b_tuple
 
 let mary_violation ~arity ~radius query (g, g') =
   if Structure.size g <> Structure.size g' then None
   else
     let module Tuple = Fmtk_structure.Tuple in
     let reg = Neighborhood.create_registry () in
-    let adj = Gaifman.adjacency g and adj' = Gaifman.adjacency g' in
-    let classify target_adj target answers =
+    let classify target answers =
+      let w = Gaifman.walker target in
       let table = Hashtbl.create 64 in
       Seq.iter
         (fun tup ->
           let tl = Array.to_list tup in
-          let key = pointed_census reg ~radius ~adj:target_adj target tl in
+          let key = pointed_census reg ~radius w target tl in
           let in_q = Tuple.Set.mem tup answers in
           let cur = Option.value ~default:[] (Hashtbl.find_opt table key) in
           Hashtbl.replace table key ((tl, in_q) :: cur))
         (Tuple.all (Structure.size target) arity);
       table
     in
-    let ta = classify adj g (query g) in
-    let tb = classify adj' g' (query g') in
+    let ta = classify g (query g) in
+    let tb = classify g' (query g') in
     let result = ref None in
     Hashtbl.iter
       (fun key entries_a ->

@@ -1,15 +1,12 @@
 module Structure = Fmtk_structure.Structure
 module Signature = Fmtk_logic.Signature
-module Tuple = Fmtk_structure.Tuple
 module Iso = Fmtk_structure.Iso
-module Index = Fmtk_structure.Index
-module Csr = Fmtk_structure.Csr
 module Budget = Fmtk_runtime.Budget
 module Shard = Fmtk_runtime.Shard
 
 (* ---- Type registry ---- *)
 
-(* Serialization keys of radius-r balls (see [serialize] below) are flat
+(* Serialization keys of radius-r balls ({!Gaifman.serialize}) are flat
    int arrays; like [Wl]'s colour keys they need a full-content hash. *)
 module KeyTbl = Hashtbl.Make (struct
   type t = int array
@@ -115,293 +112,22 @@ let type_id reg nb =
     | Some id -> id
     | None -> register reg nb
 
-(* ---- Streaming census: the bounded-arity fast path ----
+(* ---- The census ----
 
-   For signatures with no constants and every relation unary or binary,
-   a radius-r ball is extracted by a scratch-buffer BFS over the cached
-   CSR Gaifman adjacency (allocating O(ball), never O(structure)) and
-   canonically described by a flat int serialization in BFS order. Equal
-   serializations are isomorphic balls (the serialization lists, per
-   member, its unary/self-loop memberships and every in-ball incident
-   edge with directions per relation), so a cache keyed on them resolves
-   repeat shapes without any iso test; mismatched serializations of
-   isomorphic balls merely miss the cache and pay one exact [type_id].
-   Census ids and counts are therefore identical to the generic path's.
+   Every element runs one body: walk its radius-r ball (Gaifman's
+   walker, O(ball)), then — where the ball's serialization describes it
+   — probe the serialization cache, and on a miss build the
+   neighborhood and resolve it through [type_id]. Equal serializations
+   are isomorphic balls, so a cache hit returns the id [type_id] would;
+   mismatched serializations of isomorphic balls merely miss and pay one
+   exact [type_id]. Census ids and counts are therefore the same with or
+   without the cache.
 
-   Sharding: contiguous vertex ranges, one fresh local registry (and
-   serialization cache) per worker, merged in range order afterwards —
-   global ids are assigned at each type's first realizing element, which
-   is the same order the sequential pass uses, so results are
-   byte-identical for every worker count. *)
-
-type rel_probe = U of Index.t | B of Csr.t
-
-type fast_ctx = {
-  sg : Signature.t;
-  g : Csr.t;  (* Gaifman adjacency *)
-  kinds : (string * rel_probe) list;  (* signature order *)
-  unary : Index.t array;  (* arity-1 indexes, signature order *)
-  binary : Csr.t array;  (* arity-2 rows, signature order *)
-}
-
-(* The fast path needs every per-member unary mask to fit an OCaml int.
-   Binary relations are walked as CSR rows — one row read per ball
-   member per relation, never a per-pair membership probe (each probe is
-   a random memory access, and at 10^6 nodes those dominate the whole
-   census). *)
-let fast_ctx t =
-  let sg = Structure.signature t in
-  let rels = Signature.rels sg in
-  let nu = List.length (List.filter (fun (_, k) -> k = 1) rels) in
-  if
-    Signature.consts sg <> []
-    || List.exists (fun (_, k) -> k < 1 || k > 2) rels
-    || nu > 62
-  then None
-  else begin
-    (* Index/CSR construction and the Gaifman build mutate [t]'s caches;
-       all happen here, before any worker domain is spawned. *)
-    let n = Structure.size t in
-    let kinds =
-      List.map
-        (fun (name, k) ->
-          if k = 1 then (name, U (Structure.index t name))
-          else
-            let csr =
-              match Structure.csr_of_rel t name with
-              | Some c -> c
-              | None -> Csr.of_tuple_set ~n (Structure.rel t name)
-            in
-            (name, B csr))
-        rels
-    in
-    let unary =
-      Array.of_list (List.filter_map (function _, U i -> Some i | _ -> None) kinds)
-    in
-    let binary =
-      Array.of_list (List.filter_map (function _, B c -> Some c | _ -> None) kinds)
-    in
-    Some { sg; g = Structure.gaifman_csr t; kinds; unary; binary }
-  end
-
-(* Per-worker scratch: two size-n arrays reset only on touched entries,
-   a ball buffer doubling as the BFS queue, a reusable key vector, and a
-   small row buffer for sorting in-ball targets by local id. *)
-type scratch = {
-  dist : int array;  (* -1 = outside the current ball *)
-  local : int array;  (* BFS-order local id, -1 outside *)
-  mutable ball : int array;
-  mutable ball_len : int;
-  key : Csr.Vec.vec;
-  mutable tmp : int array;
-  mutable tmp_len : int;
-}
-
-let make_scratch n =
-  {
-    dist = Array.make (max n 1) (-1);
-    local = Array.make (max n 1) (-1);
-    ball = Array.make 16 0;
-    ball_len = 0;
-    key = Csr.Vec.create ~cap:64 ();
-    tmp = Array.make 16 0;
-    tmp_len = 0;
-  }
-
-let push_tmp sc v =
-  if sc.tmp_len = Array.length sc.tmp then begin
-    let grown = Array.make (2 * sc.tmp_len) 0 in
-    Array.blit sc.tmp 0 grown 0 sc.tmp_len;
-    sc.tmp <- grown
-  end;
-  sc.tmp.(sc.tmp_len) <- v;
-  sc.tmp_len <- sc.tmp_len + 1
-
-(* Insertion sort: rows are ball-sized, a handful of elements. *)
-let sort_tmp sc =
-  for i = 1 to sc.tmp_len - 1 do
-    let x = sc.tmp.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && sc.tmp.(!j) > x do
-      sc.tmp.(!j + 1) <- sc.tmp.(!j);
-      decr j
-    done;
-    sc.tmp.(!j + 1) <- x
-  done
-
-let push_ball sc u =
-  if sc.ball_len = Array.length sc.ball then begin
-    let grown = Array.make (2 * sc.ball_len) 0 in
-    Array.blit sc.ball 0 grown 0 sc.ball_len;
-    sc.ball <- grown
-  end;
-  sc.ball.(sc.ball_len) <- u;
-  sc.local.(u) <- sc.ball_len;
-  sc.ball_len <- sc.ball_len + 1
-
-let bfs_ball ctx sc ~radius v =
-  sc.ball_len <- 0;
-  sc.dist.(v) <- 0;
-  push_ball sc v;
-  let head = ref 0 in
-  while !head < sc.ball_len do
-    let u = sc.ball.(!head) in
-    incr head;
-    let du = sc.dist.(u) in
-    if du < radius then
-      Csr.iter_row ctx.g u (fun w ->
-          if sc.dist.(w) < 0 then begin
-            sc.dist.(w) <- du + 1;
-            push_ball sc w
-          end)
-  done
-
-let reset_scratch sc =
-  for i = 0 to sc.ball_len - 1 do
-    let u = sc.ball.(i) in
-    sc.dist.(u) <- -1;
-    sc.local.(u) <- -1
-  done
-
-(* Serialize the current ball: size, then per member (in BFS order) its
-   unary mask followed by, per binary relation, the member's in-ball
-   out-targets as sorted local ids, [-1]-terminated. Equal
-   serializations => the local-id bijection is an isomorphism of the
-   induced neighborhoods pinning the center (local id 0): unary
-   memberships and every relation's exact directed edge set (self-loops
-   included; in-edges appear in the source member's section) coincide.
-   One CSR row read per member per relation — no per-pair probes. *)
-let serialize ctx sc =
-  Csr.Vec.clear sc.key;
-  Csr.Vec.push sc.key sc.ball_len;
-  for i = 0 to sc.ball_len - 1 do
-    let u = sc.ball.(i) in
-    let umask = ref 0 in
-    Array.iteri
-      (fun j idx -> if Index.mem1 idx u then umask := !umask lor (1 lsl j))
-      ctx.unary;
-    Csr.Vec.push sc.key !umask;
-    Array.iter
-      (fun csr ->
-        sc.tmp_len <- 0;
-        Csr.iter_row csr u (fun w ->
-            let lw = sc.local.(w) in
-            if lw >= 0 then push_tmp sc lw);
-        sort_tmp sc;
-        for j = 0 to sc.tmp_len - 1 do
-          Csr.Vec.push sc.key sc.tmp.(j)
-        done;
-        Csr.Vec.push sc.key (-1))
-      ctx.binary
-  done;
-  Csr.Vec.to_array sc.key
-
-(* Materialize the current ball as a neighborhood structure (local
-   numbering = BFS order, center pinned as "@p1") — the cache-miss path,
-   O(ball) like the serialization. *)
-let build_neighborhood ctx sc =
-  let rels =
-    List.map
-      (fun (name, probe) ->
-        let acc = ref [] in
-        (match probe with
-        | U idx ->
-            for i = sc.ball_len - 1 downto 0 do
-              if Index.mem1 idx sc.ball.(i) then acc := [| i |] :: !acc
-            done
-        | B csr ->
-            for i = sc.ball_len - 1 downto 0 do
-              let u = sc.ball.(i) in
-              Csr.iter_row csr u (fun w ->
-                  let lw = sc.local.(w) in
-                  if lw >= 0 then acc := [| i; lw |] :: !acc)
-            done);
-        (name, !acc))
-      ctx.kinds
-  in
-  let nb = Structure.make ctx.sg ~size:sc.ball_len rels in
-  Structure.expand_consts nb [ ("@p1", 0) ]
-
-(* ---- Generic (fallback) extraction: constants or higher arities ---- *)
-
-(* Per-element incidence index: the tuples each element occurs in. Makes
-   one-element neighborhood extraction cost proportional to the ball, not
-   the whole structure — the census over all elements is then linear for
-   fixed radius and degree (the requirement of Theorem 3.11). *)
-let incidence_index t =
-  let incident = Array.make (Structure.size t) [] in
-  List.iter
-    (fun (rname, _) ->
-      Structure.iter_rel t rname (fun tup ->
-          let seen = ref [] in
-          Array.iter
-            (fun e ->
-              if not (List.mem e !seen) then begin
-                seen := e :: !seen;
-                incident.(e) <- (rname, tup) :: incident.(e)
-              end)
-            tup))
-    (Signature.rels (Structure.signature t));
-  incident
-
-let neighborhood_of ~sg ~incident ~ball ~pinned =
-  let in_ball = Hashtbl.create 16 in
-  List.iteri (fun i e -> Hashtbl.add in_ball e i) ball;
-  let per_rel = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (rname, tup) ->
-          if Array.for_all (Hashtbl.mem in_ball) tup then begin
-            let renamed = Array.map (Hashtbl.find in_ball) tup in
-            let set =
-              Option.value ~default:Tuple.Set.empty
-                (Hashtbl.find_opt per_rel rname)
-            in
-            Hashtbl.replace per_rel rname (Tuple.Set.add renamed set)
-          end)
-        incident.(e))
-    ball;
-  let rels =
-    List.map
-      (fun (rname, _) ->
-        ( rname,
-          Tuple.Set.elements
-            (Option.value ~default:Tuple.Set.empty
-               (Hashtbl.find_opt per_rel rname)) ))
-      (Signature.rels sg)
-  in
-  let nb =
-    Structure.make
-      (Signature.make (Signature.rels sg))
-      ~size:(List.length ball) rels
-  in
-  Structure.expand_consts nb [ ("@p1", Hashtbl.find in_ball pinned) ]
-
-let generic_element_types ~budget reg t ~radius =
-  let poller = Budget.poller budget in
-  let adj = Gaifman.adjacency t in
-  let sg = Structure.signature t in
-  if Signature.consts sg <> [] then
-    (* Constants would need per-ball re-interpretation; use the generic
-       (whole-structure) extraction. *)
-    Array.of_list
-      (List.map
-         (fun e ->
-           Budget.check poller;
-           type_id reg (Gaifman.neighborhood ~adj t radius [ e ]))
-         (Structure.domain t))
-  else
-    let incident = incidence_index t in
-    Array.of_list
-      (List.map
-         (fun e ->
-           Budget.check poller;
-           let ball = Gaifman.ball_adj ~adj radius [ e ] in
-           type_id reg (neighborhood_of ~sg ~incident ~ball ~pinned:e))
-         (Structure.domain t))
-
-(* ---- Streaming census driver ---- *)
+   Sharding: contiguous vertex ranges, one walker and one fresh local
+   registry (and serialization cache) per worker, merged in range order
+   afterwards — global ids are assigned at each type's first realizing
+   element, which is the same order the sequential pass uses, so results
+   are byte-identical for every worker count. *)
 
 (* Whether the registry's serialization cache speaks this signature. *)
 let serial_usable reg sg =
@@ -411,32 +137,41 @@ let serial_usable reg sg =
       true
   | Some sg' -> Signature.equal sg' sg
 
-let fast_element_types ~workers ~budget reg t ctx ~radius =
+(* The per-element body. [cache]: serialize the ball, try [probe], and
+   remember misses in [reg]'s cache. *)
+let element_type ~radius ~cache ~probe w reg v =
+  ignore (Gaifman.walk w radius [ v ]);
+  let key = if cache then Gaifman.serialize w else [||] in
+  match if cache then probe key else None with
+  | Some id -> id
+  | None ->
+      let id = type_id reg (Gaifman.build_neighborhood w) in
+      if cache && KeyTbl.length reg.serial < serial_cap then
+        KeyTbl.replace reg.serial key id;
+      id
+
+let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
   let n = Structure.size t in
   let types = Array.make n 0 in
-  let use_cache = serial_usable reg ctx.sg in
+  (* Built here, before any worker domain is spawned: the walker forces
+     [t]'s cached Gaifman rows and indexes. *)
+  let w0 = Gaifman.walker t in
+  let serial = Gaifman.serializable w0 in
+  let use_cache = serial && serial_usable reg (Structure.signature t) in
   let w, chunk = Shard.plan ~workers ~n in
   if w <= 1 then begin
     (* Sequential: resolve against the registry and its cache directly. *)
     let poller = Budget.poller budget in
-    let sc = make_scratch n in
+    let probe key =
+      match KeyTbl.find_opt reg.serial key with
+      | Some _ as hit ->
+          reg.serial_hits <- reg.serial_hits + 1;
+          hit
+      | None -> None
+    in
     for v = 0 to n - 1 do
       Budget.check poller;
-      bfs_ball ctx sc ~radius v;
-      let key = if use_cache then serialize ctx sc else [||] in
-      let id =
-        match if use_cache then KeyTbl.find_opt reg.serial key else None with
-        | Some id ->
-            reg.serial_hits <- reg.serial_hits + 1;
-            id
-        | None ->
-            let id = type_id reg (build_neighborhood ctx sc) in
-            if use_cache && KeyTbl.length reg.serial < serial_cap then
-              KeyTbl.replace reg.serial key id;
-            id
-      in
-      reset_scratch sc;
-      types.(v) <- id
+      types.(v) <- element_type ~radius ~cache:use_cache ~probe w0 reg v
     done;
     types
   end
@@ -449,25 +184,18 @@ let fast_element_types ~workers ~budget reg t ctx ~radius =
     let locals = Array.init w (fun _ -> create_registry ~bucketing:true ()) in
     Shard.ranges ~workers:w ~budget ~n (fun poller ~stop ~idx ~lo ~hi ->
         let lreg = locals.(idx) in
-        let sc = make_scratch n in
+        let wk = Gaifman.walker t in
+        let probe key =
+          match
+            if use_cache then KeyTbl.find_opt reg.serial key else None
+          with
+          | Some gid -> Some (-gid - 2)
+          | None -> KeyTbl.find_opt lreg.serial key
+        in
         let v = ref lo in
         while !v < hi && not (stop ()) do
           Budget.check poller;
-          bfs_ball ctx sc ~radius !v;
-          let key = serialize ctx sc in
-          (match
-             if use_cache then KeyTbl.find_opt reg.serial key else None
-           with
-          | Some gid -> types.(!v) <- -gid - 2
-          | None -> (
-              match KeyTbl.find_opt lreg.serial key with
-              | Some lid -> types.(!v) <- lid
-              | None ->
-                  let lid = type_id lreg (build_neighborhood ctx sc) in
-                  if KeyTbl.length lreg.serial < serial_cap then
-                    KeyTbl.replace lreg.serial key lid;
-                  types.(!v) <- lid));
-          reset_scratch sc;
+          types.(!v) <- element_type ~radius ~cache:serial ~probe wk lreg !v;
           incr v
         done);
     (* Merge in range order: global ids are assigned at each type's
@@ -499,11 +227,6 @@ let fast_element_types ~workers ~budget reg t ctx ~radius =
     done;
     types
   end
-
-let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
-  match fast_ctx t with
-  | Some ctx -> fast_element_types ~workers ~budget reg t ctx ~radius
-  | None -> generic_element_types ~budget reg t ~radius
 
 let census ?workers ?budget reg t ~radius =
   let types = element_types ?workers ?budget reg t ~radius in

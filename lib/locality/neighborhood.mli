@@ -4,16 +4,19 @@
     how many elements of a structure realize τ — the object both Hanf
     relations ([⇆r] and [⇆*m,r], slides 59 and Theorem 3.10) compare.
 
-    {b Streaming.} For signatures with no constants and only unary/binary
-    relations, the census streams: each element's ball is extracted by a
-    scratch-buffer BFS over the cached CSR Gaifman adjacency (O(ball)
-    per element, never O(structure)) and resolved through a
-    serialization cache before any exact isomorphism test — the path
-    that carries the million-element experiments (E28). Other signatures
-    fall back to the generic whole-ball extraction. Both paths produce
-    identical type ids and censuses, and so does every [workers] value
-    (sharded censuses merge per-range registries in range order,
-    reproducing the sequential id assignment). *)
+    {b One census loop.} Every element runs the same body, whatever the
+    signature: a {!Gaifman.walker} walks its radius-r ball (a
+    scratch-buffer BFS over the cached CSR Gaifman adjacency: O(ball) per
+    element, never O(structure)); where the ball's serialization
+    describes it ({!Gaifman.serializable}: no constants, unary and binary
+    relations only) a serialization cache resolves it before any exact
+    isomorphism test; otherwise, and on a cache miss, its neighborhood is
+    built ({!Gaifman.build_neighborhood}) and resolved exactly by
+    {!type_id}. Type ids and censuses are identical with or without the
+    cache, and for every [workers] value (sharded censuses give each
+    worker its own walker and registry and merge them in range order,
+    reproducing the sequential id assignment). This is the path that
+    carries the million-element experiments (E28). *)
 
 module Structure = Fmtk_structure.Structure
 

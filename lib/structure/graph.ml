@@ -7,22 +7,6 @@ let edges ?(rel = "E") t =
     (Structure.rel t rel) []
   |> List.rev
 
-let adjacency ?(rel = "E") t =
-  let adj = Array.make (Structure.size t) [] in
-  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) (edges ~rel t);
-  Array.map (List.sort Int.compare) adj
-
-let undirected_adjacency ?(rel = "E") t =
-  let n = Structure.size t in
-  let sets = Array.make n [] in
-  let add u v = if not (List.mem v sets.(u)) then sets.(u) <- v :: sets.(u) in
-  List.iter
-    (fun (u, v) ->
-      add u v;
-      add v u)
-    (edges ~rel t);
-  Array.map (List.sort Int.compare) sets
-
 let out_degrees ?(rel = "E") t =
   let d = Array.make (Structure.size t) 0 in
   List.iter (fun (u, _) -> d.(u) <- d.(u) + 1) (edges ~rel t);
@@ -40,60 +24,47 @@ let degree_set ?(rel = "E") t =
 let max_degree ?(rel = "E") t =
   List.fold_left max 0 (degree_set ~rel t)
 
-let bfs ~adj sources =
-  let n = Array.length adj in
-  let dist = Array.make n max_int in
-  let q = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) = max_int then (
-        dist.(s) <- 0;
-        Queue.add s q))
-    sources;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun v ->
-        if dist.(v) = max_int then (
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v q))
-      adj.(u)
-  done;
-  dist
-
+(* Union-find over the relation's pairs: n minus the successful unions. *)
 let component_count ?(rel = "E") t =
-  let adj = undirected_adjacency ~rel t in
-  let n = Structure.size t in
-  let seen = Array.make n false in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if not seen.(s) then (
-      incr count;
-      let dist = bfs ~adj [ s ] in
-      Array.iteri (fun v d -> if d < max_int then seen.(v) <- true) dist)
-  done;
+  let parent = Array.init (Structure.size t) Fun.id in
+  (* Path halving: tail-recursive, so a long chain cannot overflow. *)
+  let rec find u =
+    let p = parent.(u) in
+    if p = u then u
+    else begin
+      parent.(u) <- parent.(p);
+      find parent.(u)
+    end
+  in
+  let count = ref (Structure.size t) in
+  Structure.iter_rel2 t rel (fun u v ->
+      let ru = find u and rv = find v in
+      if ru <> rv then begin
+        parent.(ru) <- rv;
+        decr count
+      end);
   !count
 
 let connected ?(rel = "E") t =
   Structure.size t <= 1 || component_count ~rel t = 1
 
 let acyclic ?(rel = "E") t =
-  let adj = adjacency ~rel t in
   let n = Structure.size t in
+  let g =
+    match Structure.csr_of_rel t rel with
+    | Some c -> c
+    | None -> Csr.of_tuple_set ~n (Structure.rel t rel)
+  in
   (* 0 = unvisited, 1 = on stack, 2 = done *)
   let state = Array.make n 0 in
   let rec has_cycle u =
     state.(u) <- 1;
-    let cyc =
-      List.exists
-        (fun v ->
-          if state.(v) = 1 then true
-          else if state.(v) = 0 then has_cycle v
-          else false)
-        adj.(u)
-    in
+    let cyc = ref false in
+    Csr.iter_row g u (fun v ->
+        if (not !cyc) && (state.(v) = 1 || (state.(v) = 0 && has_cycle v))
+        then cyc := true);
     state.(u) <- 2;
-    cyc
+    !cyc
   in
   not
     (List.exists

@@ -2,17 +2,12 @@
 
     All functions take the relation name (default ["E"]). These are the
     substrate queries of the paper's Section 3: connectivity, acyclicity,
-    transitive closure, degrees. *)
+    transitive closure, degrees. Undirected distances and balls are
+    [Fmtk_locality.Gaifman]'s, walked over the structure's cached CSR
+    Gaifman graph; there is no list adjacency here. *)
 
 (** Edge list of the relation. *)
 val edges : ?rel:string -> Structure.t -> (int * int) list
-
-(** Out-neighbour adjacency lists. *)
-val adjacency : ?rel:string -> Structure.t -> int list array
-
-(** Undirected adjacency (edge orientation forgotten), as used for distances
-    in the Gaifman sense (slide 57). *)
-val undirected_adjacency : ?rel:string -> Structure.t -> int list array
 
 val out_degrees : ?rel:string -> Structure.t -> int array
 val in_degrees : ?rel:string -> Structure.t -> int array
@@ -24,18 +19,16 @@ val degree_set : ?rel:string -> Structure.t -> int list
 (** Maximum in- or out-degree. *)
 val max_degree : ?rel:string -> Structure.t -> int
 
-(** BFS distances from a set of sources in the undirected graph;
-    unreachable nodes get [max_int]. *)
-val bfs : adj:int list array -> int list -> int array
-
 (** Connected in the undirected sense; the empty graph and singletons are
     connected. *)
 val connected : ?rel:string -> Structure.t -> bool
 
-(** Number of connected components (undirected). *)
+(** Number of connected components (undirected): union-find over the
+    relation's pairs, O(n + m). *)
 val component_count : ?rel:string -> Structure.t -> int
 
-(** Acyclic as a {e directed} graph (no directed cycle). *)
+(** Acyclic as a {e directed} graph (no directed cycle): depth-first
+    search over the relation's forward CSR rows. *)
 val acyclic : ?rel:string -> Structure.t -> bool
 
 (** Acyclic as an {e undirected} graph (forest; antiparallel edge pairs are

@@ -434,7 +434,10 @@ let test_spec_families () =
       match Spec.parse bad with
       | Ok _ -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ "torus:4"; "chorded:10:0"; "regular:20:21:7"; "regular:5:3:1" ];
+    [
+      "torus:4"; "chorded:10:0"; "regular:20:21:7"; "regular:5:3:1";
+      "random:10:1.5:1"; "random:10:-0.5:1"; "random:10:nan:1";
+    ];
   (* A generator's declared sizes, computed from its arguments, are the
      built structure's: exact, or an upper bound on the tuples. *)
   List.iter

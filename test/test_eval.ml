@@ -207,11 +207,11 @@ let prop_no_isolated =
       let fo =
         Eval.sat g (f "exists x. forall y. !E(x,y) & !E(y,x)")
       in
-      let adj = Fmtk_structure.Graph.undirected_adjacency g in
+      let gaifman = Structure.gaifman_csr g in
       let semantic =
         List.exists
           (fun e ->
-            List.for_all (fun n -> n = e) adj.(e)
+            Fmtk_structure.Csr.degree gaifman e = 0
             && not (Structure.mem g "E" [| e; e |]))
           (Structure.domain g)
       in

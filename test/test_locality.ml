@@ -7,6 +7,7 @@ module Parser = Fmtk_logic.Parser
 module Formula = Fmtk_logic.Formula
 module Structure = Fmtk_structure.Structure
 module Tuple = Fmtk_structure.Tuple
+module Csr = Fmtk_structure.Csr
 module Iso = Fmtk_structure.Iso
 module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
@@ -32,15 +33,14 @@ let test_gaifman_adjacency () =
   (* A ternary tuple makes all its elements pairwise adjacent. *)
   let sg = Signature.make [ ("R", 3) ] in
   let s = Structure.make sg ~size:4 [ ("R", [ [| 0; 1; 2 |] ]) ] in
-  let adj = Gaifman.adjacency s in
-  checkb "0~1" true (List.mem 1 adj.(0));
-  checkb "0~2" true (List.mem 2 adj.(0));
-  checkb "1~2" true (List.mem 2 adj.(1));
-  checkb "3 isolated" true (adj.(3) = []);
+  let g = Gaifman.adjacency_csr s in
+  checkb "0~1" true (Csr.mem g 0 1);
+  checkb "0~2" true (Csr.mem g 0 2);
+  checkb "1~2" true (Csr.mem g 1 2);
+  checkb "3 isolated" true (Csr.degree g 3 = 0);
   (* Orientation is forgotten. *)
-  let g = Gen.successor 3 in
-  let adj = Gaifman.adjacency g in
-  checkb "undirected" true (List.mem 0 adj.(1) && List.mem 1 adj.(0))
+  let g = Gaifman.adjacency_csr (Gen.successor 3) in
+  checkb "undirected" true (Csr.mem g 1 0 && Csr.mem g 0 1)
 
 let test_distance_and_ball () =
   let chain = Gen.path 7 in
@@ -65,6 +65,43 @@ let test_neighborhood_pinning () =
   let p = Gaifman.neighborhood chain 1 [ 1 ] in
   let q = Gaifman.neighborhood chain 1 [ 0 ] in
   checkb "different pin" false (Iso.isomorphic p q)
+
+(* [f] raises [Invalid_argument] with a message naming [value]. *)
+let refuses name value f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument m ->
+      let named =
+        let k = String.length value in
+        let rec at i =
+          i + k <= String.length m && (String.sub m i k = value || at (i + 1))
+        in
+        at 0
+      in
+      checkb (Printf.sprintf "%s: %S names %s" name m value) true named
+
+let test_validation () =
+  let c = Gen.cycle 5 in
+  refuses "ball, radius 0" "99" (fun () -> Gaifman.ball c 0 [ 99 ]);
+  refuses "ball, radius 1" "99" (fun () -> Gaifman.ball c 1 [ 99 ]);
+  refuses "distance target" "99" (fun () -> Gaifman.distance c 0 99);
+  refuses "distance source" "-3" (fun () -> Gaifman.distance c (-3) 0);
+  refuses "neighborhood" "99" (fun () -> Gaifman.neighborhood c 1 [ 99 ]);
+  refuses "pointed tuple" "99" (fun () ->
+      Hanf.equiv_pointed ~radius:1 (c, [ 99 ]) (c, [ 0 ]));
+  refuses "ball, negative radius" "-1" (fun () -> Gaifman.ball c (-1) [ 0 ]);
+  refuses "census, negative radius" "-1" (fun () ->
+      Neighborhood.census (Neighborhood.create_registry ()) c ~radius:(-1));
+  refuses "hanf, negative radius" "-1" (fun () ->
+      Hanf.equiv ~radius:(-1) (Gen.cycle 6) (Gen.successor 6));
+  refuses "threshold 0" "0" (fun () ->
+      Hanf.threshold_equiv ~threshold:0 ~radius:1 (Gen.cycle 6) (Gen.successor 6));
+  refuses "negative threshold" "-2" (fun () ->
+      Hanf.threshold_equiv ~threshold:(-2) ~radius:1 (Gen.cycle 6)
+        (Gen.successor 6));
+  (* Threshold 1 still tells a cycle from a chain. *)
+  checkb "threshold 1" false
+    (Hanf.threshold_equiv ~threshold:1 ~radius:1 (Gen.cycle 6) (Gen.successor 6))
 
 (* ---------- Neighborhood census ---------- *)
 
@@ -416,6 +453,111 @@ let test_hierarchy_on_zoo () =
     (Gaifman_local.holds_on ~arity:2 ~radius:3 path2 [ chain ]);
   checkb "path2 BNDP" true (Bndp.bounded path2 (List.map Gen.successor [ 4; 8; 16 ]))
 
+(* ---------- Oracle properties: balls, neighborhoods, census ids ---------- *)
+
+(* Random structures over a random subset of nullary, unary, binary and
+   ternary relations, with 0–2 constants — signatures both with and
+   without a serializable ball, so the census runs with and without its
+   cache. *)
+let gen_mixed : Structure.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* n = int_range 1 7 in
+  let elt = int_range 0 (n - 1) in
+  let* keep = list_repeat 4 bool in
+  let rels =
+    List.filteri (fun i _ -> List.nth keep i) [ ("Z", 0); ("P", 1); ("E", 2); ("R", 3) ]
+  in
+  let* tuples =
+    flatten_l
+      (List.map
+         (fun (name, k) ->
+           map (fun ts -> (name, ts)) (list_size (int_range 0 (2 * n)) (array_repeat k elt)))
+         rels)
+  in
+  let* pinned = list_size (int_range 0 2) elt in
+  let consts = List.mapi (fun i e -> (Printf.sprintf "c%d" i, e)) pinned in
+  return
+    (Structure.make
+       (Signature.make ~consts:(List.map fst consts) rels)
+       ~size:n ~consts tuples)
+
+let print_mixed = Format.asprintf "%a" Structure.pp
+
+(* A structure, a radius in 0..2 and a tuple of 1–2 (maybe repeated)
+   elements. *)
+let gen_pointed =
+  let open QCheck2.Gen in
+  let* t = gen_mixed in
+  let* r = int_range 0 2 in
+  let* tuple = list_size (int_range 1 2) (int_range 0 (Structure.size t - 1)) in
+  return (t, r, tuple)
+
+let print_pointed (t, r, tuple) =
+  Printf.sprintf "%s\nradius %d, tuple [%s]" (print_mixed t) r
+    (String.concat "; " (List.map string_of_int tuple))
+
+(* Reference ball: BFS over the pairs that co-occur in some tuple. *)
+let ref_ball t r seeds =
+  let n = Structure.size t in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (name, _) ->
+      Structure.iter_rel t name (fun tup ->
+          Array.iter
+            (fun u -> Array.iter (fun v -> if u <> v then adj.(u) <- v :: adj.(u)) tup)
+            tup))
+    (Signature.rels (Structure.signature t));
+  let dist = Array.make n (-1) in
+  List.iter (fun s -> dist.(s) <- 0) seeds;
+  for d = 1 to r do
+    Array.iteri
+      (fun u du ->
+        if du = d - 1 then
+          List.iter (fun v -> if dist.(v) < 0 then dist.(v) <- d) adj.(u))
+      (Array.copy dist)
+  done;
+  List.filter (fun e -> dist.(e) >= 0) (Structure.domain t)
+
+(* Reference neighborhood: [Structure.induced] on the reference ball,
+   then the tuple pinned as "@p1", "@p2", … *)
+let ref_neighborhood t r tuple =
+  let sub, embed = Structure.induced t (ref_ball t r tuple) in
+  let new_of e =
+    let rec go i = if embed.(i) = e then i else go (i + 1) in
+    go 0
+  in
+  Structure.expand_consts sub
+    (List.mapi (fun i e -> (Printf.sprintf "@p%d" (i + 1), new_of e)) tuple)
+
+let prop_ball_oracle =
+  QCheck2.Test.make ~count:300 ~name:"ball = reference BFS" ~print:print_pointed
+    gen_pointed (fun (t, r, tuple) -> Gaifman.ball t r tuple = ref_ball t r tuple)
+
+let prop_neighborhood_oracle =
+  QCheck2.Test.make ~count:300 ~name:"neighborhood ≅ induced + pins"
+    ~print:print_pointed gen_pointed (fun (t, r, tuple) ->
+      Iso.isomorphic (Gaifman.neighborhood t r tuple) (ref_neighborhood t r tuple))
+
+let prop_census_oracle =
+  QCheck2.Test.make ~count:150 ~name:"element types = reference ids, workers 1/2/4"
+    ~print:print_mixed gen_mixed (fun t ->
+      List.for_all
+        (fun radius ->
+          let reg = Neighborhood.create_registry () in
+          let expected =
+            Array.of_list
+              (List.map
+                 (fun e -> Neighborhood.type_id reg (ref_neighborhood t radius [ e ]))
+                 (Structure.domain t))
+          in
+          List.for_all
+            (fun workers ->
+              Neighborhood.element_types ~workers (Neighborhood.create_registry ()) t
+                ~radius
+              = expected)
+            [ 1; 2; 4 ])
+        [ 0; 1; 2 ])
+
 let () =
   Alcotest.run "fmtk_locality"
     [
@@ -424,7 +566,11 @@ let () =
           Alcotest.test_case "adjacency" `Quick test_gaifman_adjacency;
           Alcotest.test_case "distance and balls" `Quick test_distance_and_ball;
           Alcotest.test_case "neighborhood pinning" `Quick test_neighborhood_pinning;
+          Alcotest.test_case "argument validation" `Quick test_validation;
         ] );
+      ( "oracles",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_ball_oracle; prop_neighborhood_oracle; prop_census_oracle ] );
       ( "census",
         [
           Alcotest.test_case "chain" `Quick test_census_chain;

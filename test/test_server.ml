@@ -116,6 +116,29 @@ let body_code env =
   | Error (code, _) -> Some code
   | Ok _ -> None
 
+let test_protocol_mutants () =
+  let docs =
+    [
+      {|{"op":"eval","id":1,"structure":"c6","formula":"forall x. exists y. E(x,y)","timeout":2.5}|};
+      {|{"op":"load","id":"two","name":"g","spec":"random:10:0.5:1"}|};
+      {|{"op":"load","id":3,"name":"t","text":"domain 2\nrel E/2 = (0,1)\n"}|};
+      {|{"op":"update","id":4,"structure":"c6","rel":"E","tuple":[0,3],"action":"insert"}|};
+      {|{"op":"decide","id":5,"left":"a","right":"b","rank":3,"fuel":100}|};
+    ]
+  in
+  List.iteri
+    (fun i doc ->
+      checkb "valid request parses" true
+        (Result.is_ok (Protocol.parse_request doc).Protocol.body);
+      List.iter
+        (fun m ->
+          match (Protocol.parse_request m).Protocol.body with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "mutant %S raised %s" m (Printexc.to_string e))
+        (Mutants.of_doc ~seed:(200 + i) ~count:2000 doc))
+    docs
+
 let test_protocol_parse () =
   (* Well-formed requests of every op. *)
   let ok line =
@@ -1216,6 +1239,9 @@ let test_end_to_end () =
   expect_error "bad load spec"
     {|{"op":"load","id":11,"name":"x","spec":"cycle:-3"}|}
     "parse-error";
+  expect_error "edge probability outside [0,1]"
+    {|{"op":"load","id":14,"name":"x","spec":"random:10:1.5:1"}|}
+    "parse-error";
   (* Tiny fuel: the solver gives up, the server answers and survives. *)
   let r =
     Client.request c
@@ -1923,7 +1949,12 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "totality" `Quick test_json_totality;
         ] );
-      ("protocol", [ Alcotest.test_case "parse" `Quick test_protocol_parse ]);
+      ( "protocol",
+        [
+          Alcotest.test_case "parse" `Quick test_protocol_parse;
+          Alcotest.test_case "byte mutants stay total" `Quick
+            test_protocol_mutants;
+        ] );
       ( "store",
         [
           Alcotest.test_case "bounds" `Quick test_store;

@@ -8,6 +8,7 @@ module Iso = Fmtk_structure.Iso
 module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Io = Fmtk_structure.Structure_io
+module Gaifman = Fmtk_locality.Gaifman
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let checki msg = Alcotest.check Alcotest.int msg
@@ -196,10 +197,15 @@ let test_complete () =
   checkb "K1 complete" true (Graph.is_complete (Gen.complete 1))
 
 let test_bfs () =
-  let adj = Graph.undirected_adjacency (Gen.path 5) in
-  let d = Graph.bfs ~adj [ 0 ] in
+  let p = Gen.path 5 in
+  let d = Array.init 5 (Gaifman.distance p 0) in
   checkb "distances" true (d = [| 0; 1; 2; 3; 4 |]);
-  let d2 = Graph.bfs ~adj [ 0; 4 ] in
+  (* Distance from a set: the least radius whose ball holds the node. *)
+  let from srcs v =
+    let rec go r = if List.mem v (Gaifman.ball p r srcs) then r else go (r + 1) in
+    go 0
+  in
+  let d2 = Array.init 5 (from [ 0; 4 ]) in
   checkb "multi-source" true (d2 = [| 0; 1; 2; 1; 0 |])
 
 (* ---------- Generators ---------- *)
@@ -281,6 +287,39 @@ let test_io_errors () =
       "domain 2\nbogus line";
     ]
 
+(* ---------- Decoder totality under byte mutation ---------- *)
+
+let test_io_mutants () =
+  let mixed =
+    Structure.make
+      (Signature.make ~consts:[ "a" ] [ ("Z", 0); ("P", 1); ("E", 2); ("R", 3) ])
+      ~size:4 ~consts:[ ("a", 3) ]
+      [
+        ("Z", [ [||] ]);
+        ("P", [ [| 0 |]; [| 3 |] ]);
+        ("E", [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 3 |] ]);
+        ("R", [ [| 0; 1; 2 |] ]);
+      ]
+  in
+  let docs =
+    [
+      ("directive", Io.to_string mixed);
+      ("graph directed", Io.to_graph_string (Gen.cycle 5));
+      ("graph undirected", "# five nodes\ngraph 5\n0 1\n1 2\n\n3 4\n");
+    ]
+  in
+  List.iteri
+    (fun i (name, doc) ->
+      checkb (name ^ " parses") true (Result.is_ok (Io.parse doc));
+      List.iter
+        (fun m ->
+          match Io.parse m with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s mutant %S raised %s" name m (Printexc.to_string e))
+        (Mutants.of_doc ~seed:(100 + i) ~count:2000 doc))
+    docs
+
 (* ---------- QCheck properties ---------- *)
 
 let gen_graph : Structure.t QCheck2.Gen.t =
@@ -322,7 +361,32 @@ let prop_tc_idempotent =
 let prop_component_count =
   QCheck2.Test.make ~count:100 ~name:"connected iff one component" gen_graph
     (fun g ->
-      Graph.connected g = (Graph.component_count g <= 1 || Structure.size g <= 1))
+      (* Reference components: propagate the least label along edges to
+         a fixpoint, then count the labels left. *)
+      let label = Array.init (Structure.size g) Fun.id in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (u, v) ->
+            let m = min label.(u) label.(v) in
+            if label.(u) <> m || label.(v) <> m then begin
+              label.(u) <- m;
+              label.(v) <- m;
+              changed := true
+            end)
+          (Graph.edges g)
+      done;
+      let components = List.length (List.sort_uniq compare (Array.to_list label)) in
+      (* Reference acyclicity: no element reaches itself. *)
+      let tc = Graph.transitive_closure g in
+      let acyclic =
+        List.for_all (fun v -> not (Tuple.Set.mem [| v; v |] tc)) (Structure.domain g)
+      in
+      Graph.connected g = (Graph.component_count g <= 1 || Structure.size g <= 1)
+      && Graph.component_count g = components
+      && Graph.acyclic g = acyclic
+      && Graph.acyclic (Structure.to_csr g) = acyclic)
 
 let prop_io_roundtrip =
   QCheck2.Test.make ~count:100 ~name:"structure io roundtrip" gen_graph (fun g ->
@@ -387,6 +451,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "parse" `Quick test_io_parse;
           Alcotest.test_case "errors" `Quick test_io_errors;
+          Alcotest.test_case "byte mutants stay total" `Quick test_io_mutants;
         ] );
       ("properties", qcheck_cases);
     ]
