@@ -22,7 +22,6 @@ module Pebble = Fmtk_games.Pebble
 module Counting_game = Fmtk_games.Counting_game
 module Wl = Fmtk_structure.Wl
 module Strategy = Fmtk_games.Strategy
-module Distinguish = Fmtk_games.Distinguish
 module Gaifman = Fmtk_locality.Gaifman
 module Gaifman_local = Fmtk_locality.Gaifman_local
 module Neighborhood = Fmtk_locality.Neighborhood
@@ -72,6 +71,18 @@ let run_bechamel tests =
     (List.sort compare rows)
 
 let bench name fn = Bechamel.Test.make ~name (Bechamel.Staged.stage fn)
+
+(* Direct wall-clock measurement, the mean of [iters] runs after one
+   warm-up run: Bechamel's OLS is great for shapes, but speedup tables
+   want plain ratios of ns/run on identical work. *)
+let time_ns ~iters fn =
+  ignore (Sys.opaque_identity (fn ()));
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (fn ()))
+  done;
+  let t1 = Unix.gettimeofday () in
+  (t1 -. t0) *. 1e9 /. float_of_int iters
 
 (* ---------- E1: combined complexity O(n^k) ---------- *)
 
@@ -165,6 +176,9 @@ let e3 () =
 (* ---------- E4: EVEN(∅) via games ---------- *)
 
 let e4 () =
+  (* A gate, like E18/E20: the section fails unless every row is
+     certified. *)
+  let check what ok = if not ok then failwith ("E4: " ^ what) in
   pf "EVEN on bare sets: witnesses |A| = 2n, |B| = 2n+1 (slides 44-45):@.";
   pf "  %4s %6s %6s %12s %14s@." "n" "|A|" "|B|" "method" "certified";
   List.iter
@@ -186,13 +200,18 @@ let e4 () =
                  b (Strategy.sets a b)
                = None )
       in
-      pf "  %4d %6d %6d %12s %14b@." n (2 * n) ((2 * n) + 1) via ok)
+      pf "  %4d %6d %6d %12s %14b@." n (2 * n) ((2 * n) + 1) via ok;
+      check (Printf.sprintf "rank %d (%s) is not certified" n via) ok)
     [ 1; 2; 3; 4; 5; 6; 8 ];
   pf "Shape: certified at every rank ⇒ EVEN is not FO-definable.@."
 
 (* ---------- E5: Theorem 3.1 ---------- *)
 
 let e5 () =
+  (* A gate: the section fails unless the sweep matches the closed form,
+     the boundary rows and the minimal linear-order sizes are the ones
+     Theorem 3.1's sharp form predicts, and every strategy row holds. *)
+  let check what ok = if not ok then failwith ("E5: " ^ what) in
   pf "L_m ≡n L_k — exact solver sweep (n ≤ 3), characterization:@.";
   pf "m = k or min(m,k) ≥ 2^n - 1 (Theorem 3.1 states ≥ 2^n suffices)@.";
   let mismatches = ref 0 in
@@ -209,11 +228,18 @@ let e5 () =
     done
   done;
   pf "  solver vs closed form mismatches (n ≤ 3): %d@." !mismatches;
+  check (Printf.sprintf "%d sweep mismatches" !mismatches) (!mismatches = 0);
   pf "  boundary rows at n = 3 (threshold 2^3 - 1 = 7):@.";
   List.iter
     (fun (m, k) ->
-      pf "    L%-2d ≡3 L%-2d : %b@." m k
-        (Ef.duplicator_wins ~rounds:3 (Gen.linear_order m) (Gen.linear_order k)))
+      let v =
+        Ef.duplicator_wins ~rounds:3 (Gen.linear_order m) (Gen.linear_order k)
+      in
+      pf "    L%-2d ≡3 L%-2d : %b@." m k v;
+      check
+        (Printf.sprintf "boundary row L%d vs L%d differs from the closed form"
+           m k)
+        (v = Strategy.linear_orders_equiv ~rounds:3 m k))
     [ (6, 7); (7, 8); (7, 9); (8, 9) ];
   pf "  successor vs order (the paper's \"successor would do\" remark):@.";
   pf "  minimal m with X_m ≡n X_(m+1), by exact solver:@.";
@@ -230,7 +256,34 @@ let e5 () =
     (fun n ->
       let s = minimal_m Gen.successor n and l = minimal_m Gen.linear_order n in
       let show = function Some m -> string_of_int m | None -> ">16" in
-      pf "    n=%d: successor chains %s, linear orders %s@." n (show s) (show l))
+      pf "    n=%d: successor chains %s, linear orders %s@." n (show s) (show l);
+      check
+        (Printf.sprintf "minimal linear order at n = %d is %s, not 2^n - 1" n
+           (show l))
+        (l = Some ((1 lsl n) - 1)))
+    [ 1; 2; 3 ];
+  (* The boundary pairs the spoiler still wins: the sentence the
+     certified solve reads off the game's memo, against the plain solve
+     (sequential, mean of 20 runs; timings are reported, not gated). *)
+  pf "  certificates at the boundary (L_(2^n-2) vs L_(2^n-1), rank n):@.";
+  let seq = { Ef.default_config with parallel = false } in
+  List.iter
+    (fun n ->
+      let m = (1 lsl n) - 2 in
+      let a = Gen.linear_order m and b = Gen.linear_order (m + 1) in
+      let phi =
+        match Ef.certify ~config:seq ~rounds:n a b with
+        | Ef.Distinguished, Some phi, _ -> phi
+        | _ -> failwith (Printf.sprintf "E5: no certificate for L%d vs L%d" m (m + 1))
+      in
+      let solve_ns =
+        time_ns ~iters:20 (fun () -> Ef.solve_verdict ~config:seq ~rounds:n a b)
+      in
+      let certify_ns =
+        time_ns ~iters:20 (fun () -> Ef.certify ~config:seq ~rounds:n a b)
+      in
+      pf "    n=%d: L%d vs L%d  size %3d  solve %9.0f ns  certified %9.0f ns@." n
+        m (m + 1) (Formula.size phi) solve_ns certify_ns)
     [ 1; 2; 3 ];
   pf "  strategy-verified large instances:@.";
   List.iter
@@ -245,7 +298,8 @@ let e5 () =
             "20k sampled lines" )
       in
       pf "    L%-3d ≡%d L%-3d (distance-doubling strategy, %s): %b@." m n k how
-        ok)
+        ok;
+      check (Printf.sprintf "strategy row L%d vs L%d at n = %d fails" m k n) ok)
     [ (16, 17, 4, true); (31, 32, 5, false); (40, 64, 5, false) ]
 
 (* ---------- E6/E7: the order->graph constructions ---------- *)
@@ -905,17 +959,6 @@ let scaling_grid () =
       let base = List.filter (fun w -> w <= k) [ 1; 2; 4; 8 ] in
       if List.mem k base then base else base @ [ k ]
 
-(* Direct wall-clock measurement: Bechamel's OLS is great for shapes, but
-   the speedup table wants plain ratios of ns/run on identical work. *)
-let time_ns ~iters fn =
-  ignore (Sys.opaque_identity (fn ()));
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (fn ()))
-  done;
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int iters
-
 type e23_entry = {
   name : string;
   kind : string; (* "eval" or "ef" *)
@@ -1319,6 +1362,12 @@ let e25 () =
 (* ---------- E26: game engine port + C^k vs k-WL cross-validation ---------- *)
 
 let e26 () =
+  (* A gate on its shape rows (the timing rows are only reported): the
+     section fails unless the E5 sweep has no mismatch, every worker
+     count gives the sequential verdict, the agreement grid has no
+     disagreement, every CFI row reads 2 vs 1 components with 1-WL
+     blind and 2-WL seeing, and the game-level C^2/C^3 split holds. *)
+  let check what ok = if not ok then failwith ("E26: " ^ what) in
   (* Part 1: the generic-engine solvers on the E5/E24 reference
      workloads. The numbers to compare against live in BENCH_games.json
      (regenerated by bench/run_bench.sh --games-only): the port must sit
@@ -1362,6 +1411,8 @@ let e26 () =
   let e5_mismatches = ref 0 in
   let e5_sweep_ns =
     time_ns ~iters:1 (fun () ->
+        (* time_ns also runs a warm-up: count one sweep only. *)
+        e5_mismatches := 0;
         for n = 0 to 3 do
           let bound = min 9 ((1 lsl n) + 2) in
           for m = 0 to bound do
@@ -1377,6 +1428,9 @@ let e26 () =
   in
   pf "  %-36s %12.0f ns %9d mismatches@." "E5: closed-form sweep (n <= 3)"
     e5_sweep_ns !e5_mismatches;
+  check
+    (Printf.sprintf "%d E5 sweep mismatches" !e5_mismatches)
+    (!e5_mismatches = 0);
   (* Worker-scaling curve through the kernel's parallel path (deques,
      pooled domains, L1 memo tiers) on the E5 reference workload;
      speedups against the forced workers=1 sequential fast path, with
@@ -1402,6 +1456,7 @@ let e26 () =
         (w, s.Ef.workers, ns))
       (scaling_grid ())
   in
+  check "a worker count changed the verdict" !scale_match;
   (* Part 2: C^k agreement grid — the bijective k-pebble counting game
      (unbounded rank approximated by rank r) against (k-1)-WL, which
      decides C^k equivalence exactly. The sound direction is an
@@ -1443,6 +1498,9 @@ let e26 () =
     grid_pairs;
   pf "  grid disagreements: %d (0 = game and refinement cross-validate)@."
     !grid_mismatches;
+  check
+    (Printf.sprintf "%d grid disagreements" !grid_mismatches)
+    (!grid_mismatches = 0);
   (* Part 3: the CFI certificate. Twisting one fibre of a cycle cover
      flips the component count (2 -> 1) without moving any degree or
      1-WL colour: the pair is C^2-blind but C^3-separated, witnessing
@@ -1459,12 +1517,17 @@ let e26 () =
       pf "  %-6d %4d %6d vs %d %8s %8s@." m (Structure.size u) (fst comps)
         (snd comps)
         (if wl1 then "blind" else "sees")
-        (if wl2 then "blind" else "sees"))
+        (if wl2 then "blind" else "sees");
+      check
+        (Printf.sprintf "CFI row m = %d does not read 2 vs 1, blind, sees" m)
+        (comps = (2, 1) && wl1 && not wl2))
     [ 3; 4; 5 ];
   let game_blind = Counting_game.equiv_ck ~k:2 ~rank:6 cfi3_u cfi3_t in
   let game_sees = not (Counting_game.equiv_ck ~k:3 ~rank:8 cfi3_u cfi3_t) in
   pf "  game level (m=3): C^2 blind at rank 6: %b, C^3 sees at rank 8: %b@."
     game_blind game_sees;
+  check "the C^2 game sees CFI(3)" game_blind;
+  check "the C^3 game is blind on CFI(3)" game_sees;
   pf "Shape: every grid row agrees; CFI rows read blind/sees down the@.";
   pf "columns — the engine's third instance reproduces the WL hierarchy.@.";
   match !json_path with

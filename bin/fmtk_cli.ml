@@ -25,7 +25,6 @@ module Physical = Fmtk_db.Physical
 module Ef = Fmtk_games.Ef
 module Pebble = Fmtk_games.Pebble
 module Counting_game = Fmtk_games.Counting_game
-module Distinguish = Fmtk_games.Distinguish
 module Neighborhood = Fmtk_locality.Neighborhood
 module Hanf = Fmtk_locality.Hanf
 module Estimator = Fmtk_zeroone.Estimator
@@ -264,14 +263,7 @@ let game_cmd =
       stats.positions stats.memo_hits stats.workers;
     Ok ()
   in
-  let run a b rounds pebbles counting distinguish budget =
-    exec @@ fun () ->
-    match pebbles with
-    | Some k when k > 0 -> run_pebbled a b ~rounds ~pebbles:k ~counting budget
-    | Some _ -> Error (`Msg "need at least one pebble")
-    | None when counting ->
-        Error (`Msg "--counting needs a pebble count (-k K)")
-    | None ->
+  let run_ef a b ~rounds ~distinguish budget =
     let outcome = Decide.equiv ~budget ~extract:distinguish ~rank:rounds a b in
     (match outcome.Decide.verdict with
     | Decide.Equivalent ->
@@ -301,6 +293,23 @@ let game_cmd =
     | Decide.Gave_up r -> raise (Budget.Exhausted r));
     Ok ()
   in
+  let run a b rounds pebbles counting distinguish budget =
+    exec @@ fun () ->
+    (* A signature clash between the structures (a relation at two
+       arities, a one-sided constant) is an input error. *)
+    match
+      match pebbles with
+      | Some _ when distinguish ->
+          Error (`Msg "--distinguish needs the plain EF game (drop -k K)")
+      | Some k when k > 0 -> run_pebbled a b ~rounds ~pebbles:k ~counting budget
+      | Some _ -> Error (`Msg "need at least one pebble")
+      | None when counting ->
+          Error (`Msg "--counting needs a pebble count (-k K)")
+      | None -> run_ef a b ~rounds ~distinguish budget
+    with
+    | result -> result
+    | exception Invalid_argument m -> Error (`Msg m)
+  in
   let rounds =
     Arg.(
       required
@@ -328,7 +337,9 @@ let game_cmd =
     Arg.(
       value & flag
       & info [ "distinguish" ]
-          ~doc:"When the spoiler wins, print a separating sentence.")
+          ~doc:
+            "When the spoiler wins, print a separating sentence (plain EF \
+             game only).")
   in
   Cmd.v
     (Cmd.info "game" ~doc:"Play the Ehrenfeucht-Fraïssé game on two structures")

@@ -8,7 +8,6 @@ module Gen = Fmtk_structure.Gen
 module Graph = Fmtk_structure.Graph
 module Formula = Fmtk_logic.Formula
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 module Strategy = Fmtk_games.Strategy
 module Queries = Fmtk.Queries
 module Reductions = Fmtk.Reductions
@@ -33,11 +32,11 @@ let () =
 
   (* The constructive counterpart: below the witness size the spoiler wins
      and we can print the separating sentence. *)
-  (match Distinguish.sentence ~rounds:3 (Gen.set 3) (Gen.set 2) with
-  | Some phi ->
+  (match Ef.certify ~rounds:3 (Gen.set 3) (Gen.set 2) with
+  | _, Some phi, _ ->
       Format.printf "sets of size 3 vs 2 are separated at rank 3 by: %a@."
         Formula.pp phi
-  | None -> assert false);
+  | _, None, _ -> assert false);
 
   header "EVEN on linear orders (Theorem 3.1)";
   (* Exact solver up to rank 3; the distance-doubling strategy certifies

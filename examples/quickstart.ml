@@ -9,7 +9,6 @@ module Structure = Fmtk_structure.Structure
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 
 let () =
   (* 1. A database is a finite structure: a little directed graph. *)
@@ -36,13 +35,14 @@ let () =
   let equivalent = Ef.duplicator_wins ~rounds:2 g c5 in
   Format.printf "C4 ≡2 C5?  %b@." equivalent;
 
-  (* 5. When the spoiler wins, the library exhibits a sentence that tells
-     the structures apart. *)
-  (match Distinguish.sentence ~rounds:3 g c5 with
-  | Some psi ->
+  (* 5. When the spoiler wins, the solve also yields a sentence that tells
+     the structures apart: its winning strategy, read off the game's memo
+     and checked on both structures before it is returned. *)
+  (match Ef.certify ~rounds:3 g c5 with
+  | _, Some psi, _ ->
       Format.printf "Distinguishing sentence (qr ≤ 3): %a@." Formula.pp psi;
       Format.printf "  on C4: %b, on C5: %b@." (Eval.sat g psi) (Eval.sat c5 psi)
-  | None -> Format.printf "C4 ≡3 C5 (no rank-3 sentence separates them)@.");
+  | _, None, _ -> Format.printf "C4 ≡3 C5 (no rank-3 sentence separates them)@.");
 
   (* 6. The headline tool: EVEN is not FO-expressible — certified. *)
   match

@@ -3,7 +3,6 @@ module Iso = Fmtk_structure.Iso
 module Formula = Fmtk_logic.Formula
 module Budget = Fmtk_runtime.Budget
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 
 let by_rank ?config ?budget ~rank ts =
   let ts = Array.of_list ts in
@@ -16,7 +15,7 @@ let by_rank ?config ?budget ~rank ts =
     (fun i t ->
       let found =
         List.find_opt
-          (fun (_, rep) -> Ef.equiv ?config ?budget ~rank t ts.(rep))
+          (fun (_, rep) -> Ef.duplicator_wins ?config ?budget ~rounds:rank t ts.(rep))
           (List.mapi (fun c rep -> (c, rep)) (List.rev !reps))
       in
       match found with
@@ -60,18 +59,13 @@ let by_rank_budgeted ?config ?(budget = Budget.unlimited) ~rank ts =
 
 let separators ?budget ~rank ts =
   let arr = Array.of_list ts in
-  let classes = by_rank ?budget ~rank ts in
-  let out = ref [] in
-  Array.iteri
-    (fun i _ ->
-      Array.iteri
-        (fun j _ ->
-          if i < j && classes.(i) <> classes.(j) then
-            match Distinguish.sentence ?budget ~rounds:rank arr.(i) arr.(j) with
-            | Some phi -> out := (i, j, phi) :: !out
-            | None ->
-                (* by_rank said they differ; extraction must succeed *)
-                assert false)
-        arr)
-    arr;
-  List.rev !out
+  let n = Array.length arr in
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j ->
+             match Ef.certify ?budget ~rounds:rank arr.(i) arr.(j) with
+             | _, Some phi, _ -> Some (i, j, phi)
+             | Ef.Gave_up r, _, _ -> raise (Budget.Exhausted r)
+             | (Ef.Equivalent | Ef.Distinguished), None, _ -> None)
+           (List.init (n - i - 1) (fun d -> i + 1 + d))))

@@ -40,10 +40,12 @@ val by_rank_budgeted :
   ?budget:Fmtk_runtime.Budget.t ->
   rank:int -> Structure.t list -> partition
 
-(** [separators ~rank ts] — for each pair of structures in distinct
-    classes, a sentence of quantifier rank ≤ rank true on the first and
-    false on the second (from {!Fmtk_games.Distinguish}).
-    @raise Fmtk_runtime.Budget.Exhausted when [budget] runs out. *)
+(** [separators ~rank ts] — for each pair [i < j] of structures in
+    distinct classes, a sentence of quantifier rank ≤ rank true on the
+    [i]-th and false on the [j]-th: one {!Fmtk_games.Ef.certify} solve
+    per pair, keeping the pairs that get a sentence.
+    @raise Fmtk_runtime.Budget.Exhausted when [budget] runs out during a
+    solve; a pair whose sentence walk runs out is left out. *)
 val separators :
   ?budget:Fmtk_runtime.Budget.t ->
   rank:int -> Structure.t list -> (int * int * Formula.t) list

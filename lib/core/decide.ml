@@ -4,7 +4,6 @@ module Csr = Fmtk_structure.Csr
 module Budget = Fmtk_runtime.Budget
 module Formula = Fmtk_logic.Formula
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 module Gaifman = Fmtk_locality.Gaifman
 module Hanf = Fmtk_locality.Hanf
 
@@ -67,29 +66,19 @@ let hanf_radius ~rank a b =
       else None
 
 let equiv ?config ?(budget = Budget.unlimited) ?(extract = false) ~rank a b =
-  match Ef.solve_verdict ?config ~budget ~rounds:rank a b with
-  | Ef.Equivalent, (st : Ef.stats) ->
-      {
-        verdict = Equivalent;
-        answered_by = Some Exact_game;
-        positions = st.positions;
-      }
-  | Ef.Distinguished, st ->
-      let sentence =
-        if extract then
-          try Distinguish.sentence ~budget ~rounds:rank a b
-          with Budget.Exhausted _ -> None
-        else None
-      in
-      {
-        verdict = Distinguished sentence;
-        answered_by = Some Exact_game;
-        positions = st.positions;
-      }
-  | Ef.Gave_up r, st ->
-      let answered verdict m =
-        { verdict; answered_by = Some m; positions = st.positions }
-      in
+  let verdict, sentence, (st : Ef.stats) =
+    if extract then Ef.certify ?config ~budget ~rounds:rank a b
+    else
+      let v, st = Ef.solve_verdict ?config ~budget ~rounds:rank a b in
+      (v, None, st)
+  in
+  let answered verdict m =
+    { verdict; answered_by = Some m; positions = st.positions }
+  in
+  match verdict with
+  | Ef.Equivalent -> answered Equivalent Exact_game
+  | Ef.Distinguished -> answered (Distinguished sentence) Exact_game
+  | Ef.Gave_up r ->
       if kwl_mismatch a b then answered Distinguishable Kwl_refinement
       else if degree_multiset a <> degree_multiset b then
         answered Distinguishable Degree_sequence

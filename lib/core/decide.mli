@@ -52,8 +52,8 @@ type verdict =
   | Equivalent
       (** [A ≡rank B] — exact, or certified by Hanf locality. *)
   | Distinguished of Formula.t option
-      (** [A ≢rank B] — exact; the sentence is present when extraction
-          was requested and fit in the budget. *)
+      (** [A ≢rank B] — exact; the separating sentence is present when
+          extraction was requested and its walk fit in the budget. *)
   | Distinguishable
       (** Some FO sentence separates [A] and [B] (certificate), but its
           rank may exceed [rank] — in particular the structures are not
@@ -70,8 +70,10 @@ type outcome = {
 (** [equiv ?config ?budget ?extract ~rank a b] — decide [A ≡rank B]
     under [budget] (default unlimited), degrading down the ladder on
     exhaustion. [extract] (default false) asks for a separating sentence
-    on the exact [Distinguished] path (skipped silently if the remaining
-    budget runs out during extraction). Never raises [Budget.Exhausted]. *)
+    on the exact [Distinguished] path: the game is then solved once, and
+    sequentially, by {!Fmtk_games.Ef.certify}, which reads the sentence
+    off the solve's memo and checks it ([None] if the budget runs out
+    during that read). Never raises [Budget.Exhausted]. *)
 val equiv :
   ?config:Ef.config ->
   ?budget:Budget.t ->

@@ -8,10 +8,16 @@
    spoiler moves of the disjunction over duplicator replies. *)
 
 module Structure = Fmtk_structure.Structure
+module Tuple = Fmtk_structure.Tuple
 module Iso = Fmtk_structure.Iso
 module Wl = Fmtk_structure.Wl
 module Orbit = Fmtk_structure.Orbit
 module Budget = Fmtk_runtime.Budget
+module Signature = Fmtk_logic.Signature
+module Formula = Fmtk_logic.Formula
+module Term = Fmtk_logic.Term
+module Transform = Fmtk_logic.Transform
+module Compiled = Fmtk_eval.Compiled
 
 type config = {
   memo : bool;
@@ -83,32 +89,37 @@ module Game = struct
     in
     matching @ rest
 
-  (* Can the duplicator answer the spoiler's [pick]? [other_first] means
-     the spoiler played in [b] and the duplicator answers in [a]. *)
+  (* The duplicator's candidate answers to the spoiler's [pick], in the
+     order they are tried. [other_first] means the spoiler played in [b]
+     and the duplicator answers in [a]. *)
+  let replies ctx pos other_first pick =
+    if other_first then
+      ordered_replies ctx.colors_b.(pick)
+        (moves_of pos.oa ctx.dom_a)
+        ctx.colors_a
+    else
+      ordered_replies ctx.colors_a.(pick) (moves_of pos.ob ctx.dom_b) ctx.colors_b
+
+  (* The played pair of a spoiler pick and a duplicator reply. *)
+  let pair other_first pick reply =
+    if other_first then (reply, pick) else (pick, reply)
+
+  let child ctx pos (x, y) =
+    {
+      rounds = pos.rounds - 1;
+      pairs = (x, y) :: pos.pairs;
+      packed = Packed.insert pos.packed ((x * ctx.span) + y);
+      oa = refine ctx.orbit_a pos.oa x;
+      ob = refine ctx.orbit_b pos.ob y;
+    }
+
+  (* Can the duplicator answer the spoiler's [pick]? *)
   let answer ctx ~recurse pos other_first pick =
-    let replies =
-      if other_first then
-        ordered_replies ctx.colors_b.(pick)
-          (moves_of pos.oa ctx.dom_a)
-          ctx.colors_a
-      else
-        ordered_replies ctx.colors_a.(pick)
-          (moves_of pos.ob ctx.dom_b)
-          ctx.colors_b
-    in
     List.exists
       (fun reply ->
-        let x, y = if other_first then (reply, pick) else (pick, reply) in
-        Iso.extension_ok ctx.a ctx.b pos.pairs (x, y)
-        && recurse
-             {
-               rounds = pos.rounds - 1;
-               pairs = (x, y) :: pos.pairs;
-               packed = Packed.insert pos.packed ((x * ctx.span) + y);
-               oa = refine ctx.orbit_a pos.oa x;
-               ob = refine ctx.orbit_b pos.ob y;
-             })
-      replies
+        let xy = pair other_first pick reply in
+        Iso.extension_ok ctx.a ctx.b pos.pairs xy && recurse (child ctx pos xy))
+      (replies ctx pos other_first pick)
 
   let expand ctx ~recurse pos =
     List.for_all
@@ -135,15 +146,19 @@ end
 
 module Solver = Engine.Make (Game)
 
-(* Core solver: [Ok win] on a decided game, [Error reason] when the
-   budget ran out first. Stats are returned in both cases. *)
-let solve_result ~config ~budget ~start ~rounds a b =
+let no_stats = { positions = 0; memo_hits = 0; workers = 1 }
+
+let engine_config config =
+  { Engine.memo = config.memo; parallel = config.parallel; workers = config.workers }
+
+(* The game's context and root position, or [None] when [start] is not
+   a partial isomorphism. The orbit oracles share the budget, so
+   exhaustion can surface here. *)
+let setup ~config ~budget ~start ~rounds a b =
   if rounds < 0 then invalid_arg "Ef: negative round count";
-  if not (Iso.partial_iso a b start) then
-    (Ok false, { positions = 0; memo_hits = 0; workers = 1 })
+  if not (Iso.partial_iso a b start) then None
   else begin
     let colors_a, colors_b = Wl.colors_joint a b in
-    let span = max 1 (Structure.size b) in
     let orbit_a, orbit_b =
       if config.orbit then
         (Some (Orbit.make ~budget a), Some (Orbit.make ~budget b))
@@ -154,6 +169,7 @@ let solve_result ~config ~budget ~start ~rounds a b =
       | Some t -> Some (Orbit.refine t (Orbit.root t) (List.map side start))
       | None -> None
     in
+    let span = max 1 (Structure.size b) in
     let ctx =
       {
         Game.a;
@@ -176,38 +192,149 @@ let solve_result ~config ~budget ~start ~rounds a b =
         ob = root_of orbit_b snd;
       }
     in
-    Solver.solve_result
-      ~config:
-        {
-          Engine.memo = config.memo;
-          parallel = config.parallel;
-          workers = config.workers;
-        }
-      ~budget ~depth_hint:rounds ctx root
+    Some (ctx, root)
   end
-
-let solve ?(config = default_config) ?(budget = Budget.unlimited)
-    ?(start = []) ~rounds a b =
-  match solve_result ~config ~budget ~start ~rounds a b with
-  | Ok v, stats -> (v, stats)
-  | Error r, _ -> raise (Budget.Exhausted r)
 
 let solve_verdict ?(config = default_config) ?(budget = Budget.unlimited)
     ?(start = []) ~rounds a b =
-  match solve_result ~config ~budget ~start ~rounds a b with
-  | Ok true, stats -> (Equivalent, stats)
-  | Ok false, stats -> (Distinguished, stats)
-  | Error r, stats -> (Gave_up r, stats)
-  (* The orbit oracles are built before the search proper and share the
-     budget, so exhaustion can also surface here. *)
-  | exception Budget.Exhausted r ->
-      (Gave_up r, { positions = 0; memo_hits = 0; workers = 1 })
+  match setup ~config ~budget ~start ~rounds a b with
+  | exception Budget.Exhausted r -> (Gave_up r, no_stats)
+  | None -> (Distinguished, no_stats)
+  | Some (ctx, root) -> (
+      match
+        Solver.solve_result ~config:(engine_config config) ~budget
+          ~depth_hint:rounds ctx root
+      with
+      | Ok true, stats -> (Equivalent, stats)
+      | Ok false, stats -> (Distinguished, stats)
+      | Error r, stats -> (Gave_up r, stats))
 
-let duplicator_wins_from ?config ?budget ~rounds a b start =
-  fst (solve ?config ?budget ~start ~rounds a b)
+let solve ?config ?budget ?start ~rounds a b =
+  match solve_verdict ?config ?budget ?start ~rounds a b with
+  | Gave_up r, _ -> raise (Budget.Exhausted r)
+  | verdict, stats -> (verdict = Equivalent, stats)
 
 let duplicator_wins ?config ?budget ~rounds a b =
   fst (solve ?config ?budget ~rounds a b)
 
-let equiv ?config ?budget ~rank a b =
-  duplicator_wins ?config ?budget ~rounds:rank a b
+(* ---- Certificates: the spoiler's winning strategy, read off the memo ---- *)
+
+let certify ?(config = default_config) ?(budget = Budget.unlimited)
+    ?(start = []) ~rounds a b =
+  let sg = Iso.joint_signature a b in
+  (* Each side gets the relations it does not declare, empty. *)
+  let pad s =
+    List.fold_left
+      (fun s (r, k) ->
+        if Signature.mem_rel (Structure.signature s) r then s
+        else Structure.with_rel s r k Tuple.Set.empty)
+      s (Signature.rels sg)
+  in
+  let pa = pad a and pb = pad b in
+  let var i = Printf.sprintf "x%d" i in
+  let vars = List.mapi (fun i _ -> var (i + 1)) start in
+  let consts =
+    List.map
+      (fun c -> (Term.Const c, Structure.const a c, Structure.const b c))
+      (Signature.consts sg)
+  in
+  (* A rank-0 formula true of the [a] values of the (term, value in a,
+     value in b) triples and false of the [b] values: an atom with [pivot]
+     (if given), negated only when no positive atom separates. *)
+  let literal pebbles ~pivot =
+    let terms = pebbles @ consts in
+    let rec tuples k =
+      if k = 0 then [ [] ]
+      else List.concat_map (fun u -> List.map (List.cons u) (tuples (k - 1))) terms
+    in
+    let eq v = v.(0) = v.(1) in
+    let atoms =
+      List.concat_map
+        (fun (atom, k, in_a, in_b) ->
+          List.filter_map
+            (fun ts ->
+              let at side = Array.of_list (List.map side ts) in
+              if pivot <> None && not (List.exists (fun (t, _, _) -> Some t = pivot) ts)
+              then None
+              else
+                Some
+                  ( atom (List.map (fun (t, _, _) -> t) ts),
+                    in_a (at (fun (_, x, _) -> x)),
+                    in_b (at (fun (_, _, y) -> y)) ))
+            (tuples k))
+        (((fun ts -> Formula.Eq (List.hd ts, List.nth ts 1)), 2, eq, eq)
+        :: List.map
+             (fun (r, k) ->
+               ((fun ts -> Formula.Rel (r, ts)), k, Structure.probe pa r, Structure.probe pb r))
+             (Signature.rels sg))
+    in
+    let find x y =
+      List.find_map (fun (f, x', y') -> if (x', y') = (x, y) then Some f else None) atoms
+    in
+    match (find true false, find false true) with
+    | Some f, _ -> f
+    | None, Some f -> Formula.Not f
+    | None, None -> failwith "Ef.certify: no literal separates a refused position"
+  in
+  (* The strategy from a lost [pos] (pebbles in play order): the first
+     move in [expand]'s order that every reply loses gives [∃x ⋀ψ] (in a)
+     or [∀x ⋁ψ] (in b), one [ψ] per reply [expand] tries — a literal where
+     [Iso.extension_ok] refuses it, else the child's walk. [value] is the
+     solve's, so on a complete memo only stored positions are read. *)
+  let rec walk (ctx : Game.ctx) value pebbles (pos : Game.pos) =
+    let ok xy = Iso.extension_ok a b pos.pairs xy in
+    let wins other_first pick =
+      List.for_all
+        (fun reply ->
+          let xy = Game.pair other_first pick reply in
+          not (ok xy && value (Game.child ctx pos xy)))
+        (Game.replies ctx pos other_first pick)
+    in
+    let other_first, pick =
+      match List.find_opt (wins false) (Game.moves_of pos.oa ctx.dom_a) with
+      | Some x -> (false, x)
+      | None -> (true, List.find (wins true) (Game.moves_of pos.ob ctx.dom_b))
+    in
+    let x = var (List.length pebbles + 1) in
+    let sub reply =
+      let ((u, v) as xy) = Game.pair other_first pick reply in
+      let pebbles = pebbles @ [ (Term.Var x, u, v) ] in
+      if ok xy then walk ctx value pebbles (Game.child ctx pos xy)
+      else literal pebbles ~pivot:(Some (Term.Var x))
+    in
+    let subs =
+      List.sort_uniq Formula.compare
+        (List.map sub (Game.replies ctx pos other_first pick))
+    in
+    if other_first then Formula.forall x (Formula.disj subs)
+    else Formula.exists x (Formula.conj subs)
+  in
+  (* A bad walk is an internal error, never an answer. *)
+  let checked phi =
+    let phi = Transform.simplify phi in
+    let holds s side =
+      Compiled.run (Compiled.compile_with s ~vars phi)
+        (Array.of_list (List.map side start))
+    in
+    if Formula.quantifier_rank phi <= rounds && holds pa fst && not (holds pb snd)
+    then Some phi
+    else
+      failwith
+        (Printf.sprintf "Ef.certify: %s does not separate the structures at rank %d"
+           (Formula.to_string phi) rounds)
+  in
+  let pebbles = List.map2 (fun x (u, v) -> (Term.Var x, u, v)) vars start in
+  match setup ~config ~budget ~start ~rounds a b with
+  | exception Budget.Exhausted r -> (Gave_up r, None, no_stats)
+  | None -> (Distinguished, checked (literal pebbles ~pivot:None), no_stats)
+  | Some (ctx, root) -> (
+      let value, stats = Solver.sequential ~config:(engine_config config) ~budget ctx in
+      match value root with
+      | exception Budget.Exhausted r -> (Gave_up r, None, stats ())
+      | true -> (Equivalent, None, stats ())
+      | false -> (
+          let st = stats () in
+          (* Exhaustion during the walk leaves the verdict standing. *)
+          match walk ctx value pebbles root with
+          | phi -> (Distinguished, checked phi, st)
+          | exception Budget.Exhausted _ -> (Distinguished, None, st)))

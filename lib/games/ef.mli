@@ -14,7 +14,8 @@
     {!Fmtk_runtime.Budget.t} to bound the search: the solver polls it
     once per visited position (amortized — see the budget docs), so
     deadlines, fuel limits and cross-domain cancellation all take effect
-    within one poll interval. *)
+    within one poll interval. {!certify} also reads a separating sentence
+    off the solve's memo. *)
 
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget
@@ -101,6 +102,31 @@ val solve_verdict :
   Structure.t ->
   verdict * stats
 
+(** [certify ?config ?budget ?start ~rounds a b] is {!solve_verdict}
+    plus, when the spoiler wins, a formula [φ] of rank ≤ [rounds] with
+    [A ⊨ φ(ā)] and [B ⊭ φ(b̄)] (pebble pair [i] of [start] is the free
+    variable [x<i>]). One solve by the kernel's sequential value
+    function ({!Engine.Make.sequential}; [parallel] and [workers] do not
+    apply), then a walk of the spoiler's winning strategy over its memo:
+    the first spoiler move, in the solver's order, that every reply
+    loses gives [∃x ⋀ψ] (in [A]) or [∀x ⋁ψ] (in [B]), one [ψ] per
+    orbit-representative reply (automorphic replies falsify the same
+    formulas), a rank-0 literal where a reply breaks the partial
+    isomorphism, or where [start] already does. Every formula is checked
+    by {!Fmtk_eval.Compiled} — [A ⊨ φ(ā)], [B ⊭ φ(b̄)], rank ≤ [rounds]
+    — so a bad walk raises [Failure] instead of answering. The formula
+    is [None] unless [Distinguished], and then only if the budget ran
+    out in the walk; the stats are the solve's.
+    @raise Invalid_argument as {!Fmtk_structure.Iso.joint_signature}. *)
+val certify :
+  ?config:config ->
+  ?budget:Budget.t ->
+  ?start:(int * int) list ->
+  rounds:int ->
+  Structure.t ->
+  Structure.t ->
+  verdict * Fmtk_logic.Formula.t option * stats
+
 (** [duplicator_wins ?config ~rounds a b] decides whether the duplicator
     has a winning strategy in the [rounds]-round EF game on [(a, b)],
     starting from the empty position (constants act as pre-played pebbles).
@@ -109,27 +135,6 @@ val duplicator_wins :
   ?config:config ->
   ?budget:Budget.t ->
   rounds:int ->
-  Structure.t ->
-  Structure.t ->
-  bool
-
-(** Like {!duplicator_wins} but starting from a given position
-    [(a_i, b_i) …] of already-played pebble pairs. Returns [false] if the
-    starting position is not a partial isomorphism. *)
-val duplicator_wins_from :
-  ?config:config ->
-  ?budget:Budget.t ->
-  rounds:int ->
-  Structure.t ->
-  Structure.t ->
-  (int * int) list ->
-  bool
-
-(** [equiv ~rank a b] = [A ≡rank B]: duplicator wins the [rank]-round game. *)
-val equiv :
-  ?config:config ->
-  ?budget:Budget.t ->
-  rank:int ->
   Structure.t ->
   Structure.t ->
   bool

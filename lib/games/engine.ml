@@ -151,43 +151,43 @@ module Make (G : GAME) = struct
     run : recurse:(G.pos -> bool) -> bool;
   }
 
+  (* The sequential value function: one unlocked table, no atomics, no
+     claims. The table lives as long as the closure. *)
+  let sequential ~config ~budget ctx =
+    let memo = Tbl.create 1024 in
+    let poller = Budget.poller budget in
+    let explored = ref 0 and hits = ref 0 in
+    let rec solve pos =
+      Budget.check poller;
+      match G.terminal ctx pos with
+      | Some v -> v
+      | None -> (
+          let key = G.key ctx pos in
+          match if config.memo then Tbl.find_opt memo key else None with
+          | Some v ->
+              incr hits;
+              v
+          | None ->
+              incr explored;
+              let v = G.expand ctx ~recurse:solve pos in
+              (* Memory cap: past it, stop storing (sound — we only
+                 lose sharing) rather than grow the table further. *)
+              if config.memo && Budget.memo_ok budget ~entries:!explored
+              then Tbl.replace memo key v;
+              v)
+    in
+    let stats () = { positions = !explored; memo_hits = !hits; workers = 1 } in
+    (solve, stats)
+
   let solve_result ~config ~budget ~depth_hint ?(split_depth = 3) ctx root =
-    let finish verdict ~positions ~memo_hits ~workers =
-      (verdict, { positions; memo_hits; workers })
-    in
-    (* The sequential fast path: one unlocked table, no atomics, no
-       claims — byte-for-byte the single-domain engine. *)
-    let sequential () =
-      let memo = Tbl.create 1024 in
-      let poller = Budget.poller budget in
-      let explored = ref 0 and hits = ref 0 in
-      let rec solve pos =
-        Budget.check poller;
-        match G.terminal ctx pos with
-        | Some v -> v
-        | None -> (
-            let key = G.key ctx pos in
-            match if config.memo then Tbl.find_opt memo key else None with
-            | Some v ->
-                incr hits;
-                v
-            | None ->
-                incr explored;
-                let v = G.expand ctx ~recurse:solve pos in
-                (* Memory cap: past it, stop storing (sound — we only
-                   lose sharing) rather than grow the table further. *)
-                if config.memo && Budget.memo_ok budget ~entries:!explored
-                then Tbl.replace memo key v;
-                v)
-      in
-      match solve root with
-      | v -> finish (Ok v) ~positions:!explored ~memo_hits:!hits ~workers:1
-      | exception Budget.Exhausted r ->
-          finish (Error r) ~positions:!explored ~memo_hits:!hits ~workers:1
-    in
     let root_tasks = Array.of_list (G.tasks ctx root) in
     let w = worker_count config ~depth_hint ~moves:(Array.length root_tasks) in
-    if depth_hint = 0 || w <= 1 then sequential ()
+    if depth_hint = 0 || w <= 1 then begin
+      let value, stats = sequential ~config ~budget ctx in
+      match value root with
+      | v -> (Ok v, stats ())
+      | exception Budget.Exhausted r -> (Error r, stats ())
+    end
     else begin
       (* Parallel path. Work lives in per-worker Chase–Lev deques: a
          worker expanding a position above the split-depth cutoff
@@ -422,13 +422,10 @@ module Make (G : GAME) = struct
           parked
       with
       | Some e -> raise e
-      | None -> (
+      | None ->
+          let stats = { positions; memo_hits; workers = w } in
           match parked with
-          | Budget.Exhausted r :: _ ->
-              finish (Error r) ~positions ~memo_hits ~workers:w
-          | _ ->
-              finish
-                (Ok (Atomic.get root_frame.alive))
-                ~positions ~memo_hits ~workers:w)
+          | Budget.Exhausted r :: _ -> (Error r, stats)
+          | _ -> (Ok (Atomic.get root_frame.alive), stats)
     end
 end

@@ -120,6 +120,17 @@ end
 val worker_count : config -> depth_hint:int -> moves:int -> int
 
 module Make (G : GAME) : sig
+  (** [sequential ~config ~budget ctx] is the kernel's sequential value
+      function, over one memo table that lives as long as it (capped by
+      the budget), polling [budget] per call; and its counters.
+      [solve_result]'s sequential path applies it to the root;
+      {!Ef.certify} keeps calling it to walk the memo. *)
+  val sequential :
+    config:config ->
+    budget:Budget.t ->
+    G.ctx ->
+    (G.pos -> bool) * (unit -> stats)
+
   (** [solve_result ~config ~budget ~depth_hint ctx root] decides the
       game from [root]: [Ok win] on a decided game, [Error reason] when
       the budget ran out first. Stats are returned in both cases.

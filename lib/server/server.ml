@@ -204,6 +204,10 @@ let tuple_json tup = Json.List (List.map Json.of_int (Array.to_list tup))
 
 exception Reject of string * string (* code, message *)
 
+(* A game's [Invalid_argument] is a signature clash: bad input. *)
+let bad_request_on_invalid f =
+  try f () with Invalid_argument m -> raise (Reject ("bad-request", m))
+
 let run_request t (job : job) =
   (* The binding paired with its mutation sequence, so a plan built from
      it knows exactly which store state it materializes. *)
@@ -338,6 +342,7 @@ let run_request t (job : job) =
   | Protocol.Game { left; right; rounds; pebbles; counting } -> (
       let a = get left and b = get right in
       let verdict, (st : Fmtk_games.Engine.stats), game =
+        bad_request_on_invalid @@ fun () ->
         match (pebbles, counting) with
         | None, _ ->
             let v, st =
@@ -367,6 +372,7 @@ let run_request t (job : job) =
   | Protocol.Decide { left; right; rank } -> (
       let a = get left and b = get right in
       let outcome =
+        bad_request_on_invalid @@ fun () ->
         Decide.equiv ~config:seq_config ~budget:job.budget ~rank a b
       in
       let meth =

@@ -1,14 +1,36 @@
 module Signature = Fmtk_logic.Signature
 module Budget = Fmtk_runtime.Budget
 
-let shared_const_pairs a b =
-  let ca = Signature.consts (Structure.signature a) in
-  List.filter_map
-    (fun name ->
-      if Signature.mem_const (Structure.signature b) name then
-        Some (Structure.const a name, Structure.const b name)
-      else None)
-    ca
+(* Equal signatures (one value, or one relation list with equal constants,
+   as [Structure.expand_consts] leaves them) skip the clash checks. *)
+let joint_signature a b =
+  let sa = Structure.signature a and sb = Structure.signature b in
+  if
+    sa == sb
+    || Signature.rels sa == Signature.rels sb
+       && Signature.consts sa = Signature.consts sb
+  then sa
+  else begin
+    let clash fmt = Printf.ksprintf invalid_arg ("Iso: " ^^ fmt) in
+    List.iter
+      (fun c ->
+        if not (Signature.mem_const sa c && Signature.mem_const sb c) then
+          clash "constant %S is declared on one side only" c)
+      (Signature.consts sa @ Signature.consts sb);
+    List.iter
+      (fun (r, k) ->
+        match List.assoc_opt r (Signature.rels sb) with
+        | Some k' when k' <> k ->
+            clash "relation %S has arity %d on one side, %d on the other" r k k'
+        | _ -> ())
+      (Signature.rels sa);
+    Signature.union sa sb
+  end
+
+let const_pairs sg a b =
+  List.map
+    (fun c -> (Structure.const a c, Structure.const b c))
+    (Signature.consts sg)
 
 (* Builds the forward map, failing on non-functional or non-injective pair
    lists. *)
@@ -51,33 +73,32 @@ let tuples_over dom k ~pivot =
     go 0 false;
     !acc)
 
-let rels_agree a b fwd doms =
-  let sig_a = Structure.signature a and sig_b = Structure.signature b in
+(* Does [fwd] preserve and reflect every relation of [sg] (empty where
+   undeclared) on the tuples over [doms] containing [pivot], if given? *)
+let rels_agree sg a b fwd doms ~pivot =
+  let sa = Structure.signature a and sb = Structure.signature b in
   List.for_all
     (fun (name, k) ->
-      Signature.mem_rel sig_b name
-      && Signature.arity sig_b name = k
-      &&
-      let tuples = tuples_over doms k ~pivot:None in
+      let in_a = sa == sg || Signature.mem_rel sa name
+      and in_b = sb == sg || Signature.mem_rel sb name in
       List.for_all
         (fun t ->
-          Structure.probe a name t
-          = Structure.probe b name (Array.map (Hashtbl.find fwd) t))
-        tuples)
-    (Signature.rels sig_a)
+          (in_a && Structure.probe a name t)
+          = (in_b && Structure.probe b name (Array.map (Hashtbl.find fwd) t)))
+        (tuples_over doms k ~pivot))
+    (Signature.rels sg)
 
 let partial_iso a b pairs =
-  let all = shared_const_pairs a b @ pairs in
-  match build_map all with
+  let sg = joint_signature a b in
+  match build_map (const_pairs sg a b @ pairs) with
   | None -> false
   | Some fwd ->
       let doms = Hashtbl.fold (fun x _ acc -> x :: acc) fwd [] in
-      let doms = List.sort_uniq Int.compare doms in
-      rels_agree a b fwd doms
+      rels_agree sg a b fwd (List.sort_uniq Int.compare doms) ~pivot:None
 
 let extension_ok a b pairs (x, y) =
-  let all = shared_const_pairs a b @ pairs in
-  match build_map all with
+  let sg = joint_signature a b in
+  match build_map (const_pairs sg a b @ pairs) with
   | None -> false
   | Some fwd -> (
       match Hashtbl.find_opt fwd x with
@@ -91,16 +112,7 @@ let extension_ok a b pairs (x, y) =
               List.sort_uniq Int.compare
                 (x :: Hashtbl.fold (fun e _ acc -> e :: acc) fwd [])
             in
-            let sig_a = Structure.signature a in
-            List.for_all
-              (fun (name, k) ->
-                let tuples = tuples_over doms k ~pivot:(Some x) in
-                List.for_all
-                  (fun t ->
-                    Structure.probe a name t
-                    = Structure.probe b name (Array.map (Hashtbl.find fwd) t))
-                  tuples)
-              (Signature.rels sig_a)))
+            rels_agree sg a b fwd doms ~pivot:(Some x)))
 
 let invariant_key t =
   let self = Wl.canonical_colors t in
@@ -132,7 +144,7 @@ let find_iso ?(budget = Budget.unlimited) a b =
       (Signature.equal (Structure.signature a) (Structure.signature b))
   then None
   else
-    let const_pairs = shared_const_pairs a b in
+    let const_pairs = const_pairs (Structure.signature a) a b in
     if not (partial_iso a b []) then None
     else
       let ca, cb = Wl.colors_joint a b in

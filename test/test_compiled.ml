@@ -625,13 +625,13 @@ let test_ef_from_position_equivalence () =
   let a = Gen.linear_order 6 and b = Gen.linear_order 7 in
   List.iter
     (fun start ->
-      let reference = Ef.duplicator_wins_from ~rounds:2 a b start in
+      let reference = fst (Ef.solve ~start ~rounds:2 a b) in
       List.iter
         (fun (cname, config) ->
           checkb
             (Printf.sprintf "from %d pairs [%s]" (List.length start) cname)
             reference
-            (Ef.duplicator_wins_from ~config ~rounds:2 a b start))
+            (fst (Ef.solve ~config ~start ~rounds:2 a b)))
         ef_configs)
     [ []; [ (0, 0) ]; [ (0, 0); (5, 6) ]; [ (0, 6) ] ]
 

@@ -219,6 +219,7 @@ let test_classify_separators () =
   checki "two separated pairs" 2 (List.length seps);
   List.iter
     (fun (i, j, phi) ->
+      checkb "a sentence" true (Formula.free_vars phi = []);
       checkb "phi true on left" true (Eval.sat (List.nth ts i) phi);
       checkb "phi false on right" false (Eval.sat (List.nth ts j) phi);
       checkb "rank bound" true (Formula.quantifier_rank phi <= 2))

@@ -12,7 +12,10 @@
    separation witnesses. *)
 
 module Signature = Fmtk_logic.Signature
+module Formula = Fmtk_logic.Formula
+module Eval = Fmtk_eval.Eval
 module Structure = Fmtk_structure.Structure
+module Tuple = Fmtk_structure.Tuple
 module Gen = Fmtk_structure.Gen
 module Iso = Fmtk_structure.Iso
 module Wl = Fmtk_structure.Wl
@@ -27,7 +30,7 @@ let checkb msg = Alcotest.check Alcotest.bool msg
 
 (* ---------- Oracles: pre-refactor game semantics, naively ---------- *)
 
-let oracle_ef ~rounds a b =
+let oracle_ef ?(start = []) ~rounds a b =
   let dom_a = Structure.domain a and dom_b = Structure.domain b in
   let rec win n pairs =
     n = 0
@@ -47,7 +50,7 @@ let oracle_ef ~rounds a b =
                 dom_a)
             dom_b)
   in
-  Iso.partial_iso a b [] && win rounds []
+  Iso.partial_iso a b start && win rounds start
 
 let oracle_pebble ~pebbles ~rounds a b =
   let dom_a = Structure.domain a and dom_b = Structure.domain b in
@@ -170,6 +173,91 @@ let prop_pebble_matches_oracle =
               name got expected
           else true)
         pebble_configs)
+
+(* Games compare structures over the union of their signatures, an
+   undeclared relation being empty, so every game is symmetric — also
+   when [gen_pair] plays a bare set against a graph. *)
+let prop_games_symmetric =
+  QCheck2.Test.make ~count:200 ~name:"solve a b = solve b a (EF, pebble, counting)"
+    QCheck2.Gen.(pair gen_pair (pair (int_range 1 3) (int_range 0 3)))
+    (fun ((a, b), (pebbles, rounds)) ->
+      let ef x y = fst (Ef.solve ~rounds x y) in
+      let pebble x y = fst (Pebble.solve ~pebbles ~rounds x y) in
+      let counting x y =
+        Counting_game.duplicator_wins ~pebbles:(min pebbles 2) ~rounds x y
+      in
+      if ef a b <> ef b a then QCheck2.Test.fail_report "EF is asymmetric"
+      else if pebble a b <> pebble b a then
+        QCheck2.Test.fail_report "pebble game is asymmetric"
+      else if counting a b <> counting b a then
+        QCheck2.Test.fail_report "counting game is asymmetric"
+      else true)
+
+(* ---------- Certified EF solves ---------- *)
+
+(* [s] with the relations of [sg] it does not declare added empty, so a
+   certificate over both signatures evaluates on it. *)
+let pad sg s =
+  List.fold_left
+    (fun s (r, k) ->
+      if Signature.mem_rel (Structure.signature s) r then s
+      else Structure.with_rel s r k Tuple.Set.empty)
+    s (Signature.rels sg)
+
+(* A pair from [gen_pair], sometimes with a constant pinned on each side,
+   a random start position of up to two pebble pairs, and a rank. *)
+let gen_certify_case =
+  let open QCheck2.Gen in
+  let* a, b = gen_pair in
+  let elt s = int_range 0 (Structure.size s - 1) in
+  let* consts = bool in
+  let* ca = elt a in
+  let* cb = elt b in
+  let a, b =
+    if consts then
+      (Structure.expand_consts a [ ("c", ca) ], Structure.expand_consts b [ ("c", cb) ])
+    else (a, b)
+  in
+  let* start = list_size (int_range 0 2) (pair (elt a) (elt b)) in
+  let* rounds = int_range 0 3 in
+  return (a, b, start, rounds)
+
+let prop_certify_matches_oracle =
+  QCheck2.Test.make ~count:500
+    ~name:"certified EF: a sentence iff the spoiler wins, and it separates"
+    gen_certify_case
+    (fun (a, b, start, rounds) ->
+      let spoiler_wins = not (oracle_ef ~start ~rounds a b) in
+      let vars = List.mapi (fun i _ -> Printf.sprintf "x%d" (i + 1)) start in
+      let holds s side phi =
+        let env =
+          List.fold_left2
+            (fun e x p -> Eval.bind x (side p) e)
+            Eval.empty_env vars start
+        in
+        Eval.holds (pad (Iso.joint_signature a b) s) phi ~env
+      in
+      match Ef.certify ~start ~rounds a b with
+      | Ef.Gave_up _, _, _ -> QCheck2.Test.fail_report "unbudgeted solve gave up"
+      | verdict, None, _ ->
+          if spoiler_wins then QCheck2.Test.fail_report "spoiler wins, no sentence"
+          else verdict = Ef.Equivalent
+      | verdict, Some phi, _ ->
+          if not spoiler_wins then
+            QCheck2.Test.fail_report "a sentence for a duplicator win"
+          else if verdict <> Ef.Distinguished then
+            QCheck2.Test.fail_report "a sentence without Distinguished"
+          else if Formula.quantifier_rank phi > rounds then
+            QCheck2.Test.fail_reportf "rank of %s above %d" (Formula.to_string phi)
+              rounds
+          else if
+            not (List.for_all (fun x -> List.mem x vars) (Formula.free_vars phi))
+          then
+            QCheck2.Test.fail_reportf "%s has a free variable off the start"
+              (Formula.to_string phi)
+          else if not (holds a fst phi && not (holds b snd phi)) then
+            QCheck2.Test.fail_reportf "%s does not separate" (Formula.to_string phi)
+          else true)
 
 (* ---------- Counting game vs k-WL (sound implications only) ---------- *)
 
@@ -471,7 +559,13 @@ let () =
   Alcotest.run "fmtk_engine"
     [
       ( "differential",
-        qsuite [ prop_ef_matches_oracle; prop_pebble_matches_oracle ] );
+        qsuite
+          [
+            prop_ef_matches_oracle;
+            prop_pebble_matches_oracle;
+            prop_games_symmetric;
+            prop_certify_matches_oracle;
+          ] );
       ( "counting",
         qsuite [ prop_counting_vs_kwl ]
         @ [

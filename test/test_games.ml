@@ -8,7 +8,6 @@ module Structure = Fmtk_structure.Structure
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 module Strategy = Fmtk_games.Strategy
 module Pebble = Fmtk_games.Pebble
 
@@ -109,22 +108,37 @@ let test_linear_orders_theorem () =
 
 (* ---------- Distinguishing formulas ---------- *)
 
+(* The separating formula of a certified solve, if any. *)
+let certificate ?start ~rounds a b =
+  let _, phi, _ = Ef.certify ?start ~rounds a b in
+  phi
+
+(* [s] with the relations of [sg] it does not declare added empty. *)
+let pad sg s =
+  List.fold_left
+    (fun s (r, k) ->
+      if Signature.mem_rel (Structure.signature s) r then s
+      else Structure.with_rel s r k Fmtk_structure.Tuple.Set.empty)
+    s (Signature.rels sg)
+
 let check_distinguishes ~rounds a b =
-  match Distinguish.sentence ~rounds a b with
-  | None -> Alcotest.fail "expected a distinguishing sentence"
-  | Some phi ->
+  match Ef.certify ~rounds a b with
+  | Ef.Distinguished, Some phi, _ ->
+      let sg = Fmtk_structure.Iso.joint_signature a b in
       checkb
         (Printf.sprintf "qr of %s" (Formula.to_string phi))
         true
         (Formula.quantifier_rank phi <= rounds);
-      checkb "A satisfies it" true (Eval.sat a phi);
-      checkb "B falsifies it" false (Eval.sat b phi)
+      checkb "a sentence" true (Formula.free_vars phi = []);
+      checkb "A satisfies it" true (Eval.sat (pad sg a) phi);
+      checkb "B falsifies it" false (Eval.sat (pad sg b) phi)
+  | _ -> Alcotest.fail "expected a distinguishing sentence"
 
 let test_distinguish_sets () =
   (* Sets of sizes 2 and 3 are distinguished at rank 3 but not rank 2. *)
   check_distinguishes ~rounds:3 (Gen.set 3) (Gen.set 2);
   checkb "rank 2 cannot" true
-    (Distinguish.sentence ~rounds:2 (Gen.set 3) (Gen.set 2) = None);
+    (certificate ~rounds:2 (Gen.set 3) (Gen.set 2) = None);
   (* The empty structure: ∃x.⊤ and ∀x.⊥ separate it at rank 1. *)
   check_distinguishes ~rounds:1 (Gen.set 1) (Gen.set 0);
   check_distinguishes ~rounds:1 (Gen.set 0) (Gen.set 1)
@@ -135,7 +149,11 @@ let test_distinguish_graphs () =
   (* C3 vs C4 (directed cycles). *)
   check_distinguishes ~rounds:3 (Gen.cycle 3) (Gen.cycle 4);
   (* Orders L2 vs L3 at rank 2 (see slide 46 discussion). *)
-  check_distinguishes ~rounds:2 (Gen.linear_order 3) (Gen.linear_order 2)
+  check_distinguishes ~rounds:2 (Gen.linear_order 3) (Gen.linear_order 2);
+  (* Different signatures: a bare set has no edges, so "no edge" holds
+     there and fails on the 3-cycle, in either order of play. *)
+  check_distinguishes ~rounds:2 (Gen.set 3) (Gen.cycle 3);
+  check_distinguishes ~rounds:2 (Gen.cycle 3) (Gen.set 3)
 
 let test_distinguish_agrees_with_solver () =
   let instances =
@@ -151,10 +169,23 @@ let test_distinguish_agrees_with_solver () =
   List.iter
     (fun (a, b, n) ->
       let dup_wins = Ef.duplicator_wins ~rounds:n a b in
-      let formula_exists = Distinguish.sentence ~rounds:n a b <> None in
+      let verdict, phi, (stats : Ef.stats) = Ef.certify ~rounds:n a b in
+      let _, (plain : Ef.stats) =
+        Ef.solve_verdict
+          ~config:{ Ef.default_config with workers = Some 1 }
+          ~rounds:n a b
+      in
       checkb
         (Printf.sprintf "solver vs extractor (n=%d)" n)
-        (not dup_wins) formula_exists)
+        (not dup_wins) (phi <> None);
+      checkb
+        (Printf.sprintf "certified verdict (n=%d)" n)
+        true
+        (verdict = if dup_wins then Ef.Equivalent else Ef.Distinguished);
+      checkb
+        (Printf.sprintf "same positions as the plain solve (n=%d)" n)
+        true
+        (stats.positions = plain.positions))
     instances
 
 let test_games_from_position () =
@@ -162,32 +193,41 @@ let test_games_from_position () =
   let a = Gen.linear_order 4 and b = Gen.linear_order 4 in
   (* Identity-compatible start: still a win. *)
   checkb "compatible start" true
-    (Ef.duplicator_wins_from ~rounds:2 a b [ (0, 0); (3, 3) ]);
+    (fst (Ef.solve ~start:[ (0, 0); (3, 3) ] ~rounds:2 a b));
   (* Order-violating start is an immediate loss. *)
   checkb "broken start" false
-    (Ef.duplicator_wins_from ~rounds:0 a b [ (0, 3); (3, 0) ]);
+    (fst (Ef.solve ~start:[ (0, 3); (3, 0) ] ~rounds:0 a b));
   (* Start pairing the minimum with a middle element: one round suffices
      for the spoiler (play something below the middle element). *)
   checkb "skewed start loses" false
-    (Ef.duplicator_wins_from ~rounds:1 a b [ (0, 2) ]);
+    (fst (Ef.solve ~start:[ (0, 2) ] ~rounds:1 a b));
   (* With zero rounds the same position survives (it is a partial iso). *)
   checkb "skewed start is still a partial iso" true
-    (Ef.duplicator_wins_from ~rounds:0 a b [ (0, 2) ])
+    (fst (Ef.solve ~start:[ (0, 2) ] ~rounds:0 a b))
 
 let test_distinguish_open_formula () =
   (* From the skewed start (0 ↦ 2) on L4 vs L4, extract an open formula
      phi(x1) that holds of 0 in A but fails of 2 in B. *)
   let a = Gen.linear_order 4 and b = Gen.linear_order 4 in
-  match Distinguish.formula ~rounds:1 a b [ (0, 2) ] with
+  let holds s phi env =
+    Eval.holds s phi
+      ~env:(List.fold_left (fun e (x, v) -> Eval.bind x v e) Eval.empty_env env)
+  in
+  (match certificate ~start:[ (0, 2) ] ~rounds:1 a b with
   | None -> Alcotest.fail "expected a distinguishing formula"
   | Some phi ->
       checkb "qr <= 1" true (Formula.quantifier_rank phi <= 1);
       Alcotest.(check (list string)) "free variable" [ "x1" ] (Formula.free_vars phi);
-      let holds_at s e =
-        Eval.holds s phi ~env:(Eval.bind "x1" e Eval.empty_env)
-      in
-      checkb "holds at 0 in A" true (holds_at a 0);
-      checkb "fails at 2 in B" false (holds_at b 2)
+      checkb "holds at 0 in A" true (holds a phi [ ("x1", 0) ]);
+      checkb "fails at 2 in B" false (holds b phi [ ("x1", 2) ]));
+  (* A start that is not a partial isomorphism: rank 0 already
+     separates, by a literal over the start pebbles. *)
+  match Ef.certify ~start:[ (0, 3); (3, 0) ] ~rounds:2 a b with
+  | Ef.Distinguished, Some phi, _ ->
+      checkb "a literal" true (Formula.quantifier_rank phi = 0);
+      checkb "holds at (0,3) in A" true (holds a phi [ ("x1", 0); ("x2", 3) ]);
+      checkb "fails at (3,0) in B" false (holds b phi [ ("x1", 3); ("x2", 0) ])
+  | _ -> Alcotest.fail "expected a literal for a broken start"
 
 (* ---------- Strategy library ---------- *)
 
@@ -338,10 +378,11 @@ let prop_distinguish_sound =
   QCheck2.Test.make ~count:30 ~name:"extracted sentence is sound"
     QCheck2.Gen.(pair gen_small_graph gen_small_graph)
     (fun (a, b) ->
-      match Distinguish.sentence ~rounds:2 a b with
+      match certificate ~rounds:2 a b with
       | None -> Ef.duplicator_wins ~rounds:2 a b
       | Some phi ->
           Formula.quantifier_rank phi <= 2
+          && Formula.free_vars phi = []
           && Eval.sat a phi
           && not (Eval.sat b phi))
 

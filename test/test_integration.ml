@@ -14,7 +14,6 @@ module Eval = Fmtk_eval.Eval
 module Compiled = Fmtk_eval.Compiled
 module Compile = Fmtk_db.Compile
 module Ef = Fmtk_games.Ef
-module Distinguish = Fmtk_games.Distinguish
 module Fo_circuit = Fmtk_circuits.Fo_circuit
 module Bounded_degree = Fmtk_locality.Bounded_degree
 module Programs = Fmtk_datalog.Programs
@@ -98,10 +97,12 @@ let prop_ef_vs_distinguish_vs_engines =
         | Ok v -> v
         | Error (`Msg m) -> QCheck2.Test.fail_report m
       in
-      match Distinguish.sentence ~rounds:2 a b with
-      | None -> Ef.duplicator_wins ~rounds:2 a b
-      | Some phi ->
-          (not (Ef.duplicator_wins ~rounds:2 a b))
+      match Ef.certify ~rounds:2 a b with
+      | _, None, _ -> Ef.duplicator_wins ~rounds:2 a b
+      | _, Some phi, _ ->
+          Formula.quantifier_rank phi <= 2
+          && Formula.free_vars phi = []
+          && (not (Ef.duplicator_wins ~rounds:2 a b))
           && Eval.sat a phi && ra_sat a phi
           && (not (Eval.sat b phi))
           && not (ra_sat b phi))

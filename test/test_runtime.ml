@@ -10,12 +10,12 @@ module Budget = Fmtk_runtime.Budget
 module Structure = Fmtk_structure.Structure
 module Gen = Fmtk_structure.Gen
 module Iso = Fmtk_structure.Iso
+module Formula = Fmtk_logic.Formula
 module Structure_io = Fmtk_structure.Structure_io
 module Parser = Fmtk_logic.Parser
 module Ef = Fmtk_games.Ef
 module Pebble = Fmtk_games.Pebble
 module Strategy = Fmtk_games.Strategy
-module Distinguish = Fmtk_games.Distinguish
 module Decide = Fmtk.Decide
 module Classify = Fmtk.Classify
 module Engine = Fmtk_datalog.Engine
@@ -250,6 +250,56 @@ let test_cancel_at_injection () =
     | _ -> Alcotest.failf "Cancel_at %d produced a verdict" k
   done
 
+(* Extraction under injected faults and small fuel: [Decide.equiv
+   ~extract:true] answers only [Gave_up], a ladder rung, or
+   [Distinguished] with no sentence or one that separates the pair at
+   the requested rank — never a wrong verdict or a bad sentence. *)
+let test_extract_under_injection () =
+  let check_outcome name (a, b, rank) baseline (o : Decide.outcome) =
+    match o.Decide.verdict with
+    | Decide.Gave_up _ ->
+        checkb (name ^ ": gave up without an answerer") true
+          (o.Decide.answered_by = None)
+    | Decide.Equivalent ->
+        checkb (name ^ ": Equivalent is true") true (baseline = Ef.Equivalent)
+    | Decide.Distinguishable ->
+        checkb (name ^ ": Distinguishable implies non-isomorphic") false
+          (Iso.isomorphic a b)
+    | Decide.Distinguished phi -> (
+        checkb (name ^ ": Distinguished is true") true
+          (baseline = Ef.Distinguished);
+        match phi with
+        | None -> ()
+        | Some phi ->
+            checkb (name ^ ": sentence separates") true
+              (Formula.quantifier_rank phi <= rank
+              && Formula.free_vars phi = []
+              && Eval.sat a phi
+              && not (Eval.sat b phi)))
+  in
+  List.iter
+    (fun (pname, a, b, rank) ->
+      let baseline, _ = Ef.solve_verdict ~rounds:rank a b in
+      let run name budget =
+        check_outcome
+          (Printf.sprintf "%s %s" pname name)
+          (a, b, rank) baseline
+          (Decide.equiv ~budget ~extract:true ~rank a b)
+      in
+      for k = 1 to 10 * inject_scale do
+        run
+          (Printf.sprintf "Exhaust_at %d" k)
+          (Budget.create ~inject:(Budget.Exhaust_at k) ());
+        run
+          (Printf.sprintf "Cancel_at %d" k)
+          (Budget.create ~inject:(Budget.Cancel_at k) ())
+      done;
+      List.iter
+        (fun fuel ->
+          run (Printf.sprintf "fuel %d" fuel) (Budget.create ~fuel ~poll_interval:1 ()))
+        fuels)
+    (game_pairs @ random_game_pairs)
+
 let test_compiled_fixpoint_budget () =
   (* The compiled fixpoint polls once per candidate tuple: an injected
      exhaustion or cancellation, or a small fuel pool, ends the run in
@@ -378,9 +428,12 @@ let test_engines_honour_budgets () =
       Strategy.verify ~budget:(tiny ()) ~rounds:2 (Gen.linear_order 5)
         (Gen.linear_order 6)
         (Strategy.linear_orders 5 6));
-  expect_exhausted "Distinguish.sentence" (fun () ->
-      Distinguish.sentence ~budget:(tiny ()) ~rounds:2 (Gen.linear_order 2)
-        (Gen.linear_order 3));
+  (match
+     Ef.certify ~budget:(tiny ()) ~rounds:2 (Gen.linear_order 2)
+       (Gen.linear_order 3)
+   with
+  | Ef.Gave_up _, None, _ -> ()
+  | _ -> Alcotest.fail "Ef.certify ignored a tiny budget");
   expect_exhausted "Iso.find_iso" (fun () ->
       Iso.find_iso ~budget:(tiny ()) (Gen.cycle 7) (Gen.cycle 7));
   expect_exhausted "Eval.sat (MSO)" (fun () ->
@@ -917,6 +970,8 @@ let () =
         [
           Alcotest.test_case "exhaust_at" `Quick test_exhaust_at_injection;
           Alcotest.test_case "cancel_at" `Quick test_cancel_at_injection;
+          Alcotest.test_case "decide extract" `Quick
+            test_extract_under_injection;
           Alcotest.test_case "compiled fixpoint" `Quick
             test_compiled_fixpoint_budget;
           Alcotest.test_case "datalog" `Quick test_datalog_budget;

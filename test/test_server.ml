@@ -1256,6 +1256,58 @@ let test_end_to_end () =
   checki "stats in-flight drained" 0 s.Server.in_flight;
   Client.close c
 
+(* Games between structures of different signatures compare them over
+   both signatures, so [decide] and [game] give one verdict in either
+   order; a relation at two arities is a bad request, not a crash. *)
+let test_mixed_signatures () =
+  with_server ~preload:[ ("s3", "set:3"); ("c3", "cycle:3") ] @@ fun _ port ->
+  let c = Client.connect port in
+  let result_field name resp =
+    match field "result" resp with
+    | Some (Json.Obj fields) -> List.assoc_opt name fields
+    | _ -> Alcotest.failf "response without result object: %S" resp
+  in
+  List.iter
+    (fun (left, right) ->
+      let tag = left ^ "/" ^ right in
+      let r =
+        Client.request c
+          (Printf.sprintf
+             {|{"op":"decide","id":1,"left":"%s","right":"%s","rank":2}|} left
+             right)
+      in
+      checks (tag ^ " decide status") "ok" (status r);
+      checkb (tag ^ " decide verdict") true
+        (result_field "verdict" r = Some (Json.Str "distinguished"));
+      List.iter
+        (fun extra ->
+          let r =
+            Client.request c
+              (Printf.sprintf
+                 {|{"op":"game","id":2,"left":"%s","right":"%s","rounds":2%s}|}
+                 left right extra)
+          in
+          checks (tag ^ extra ^ " game status") "ok" (status r);
+          checkb (tag ^ extra ^ " game verdict") true
+            (result_field "equivalent" r = Some (Json.Bool false)))
+        [ ""; {|,"pebbles":2|}; {|,"pebbles":2,"counting":true|} ])
+    [ ("s3", "c3"); ("c3", "s3") ];
+  checks "load ternary E" "ok"
+    (status
+       (Client.request c
+          {|{"op":"load","id":3,"name":"e3","text":"domain 3\nrel E/3 = (0,1,2)\n"}|}));
+  List.iter
+    (fun line ->
+      let r = Client.request c line in
+      checks "arity clash status" "error" (status r);
+      checks "arity clash code" "bad-request"
+        (match code r with Some cd -> cd | None -> "<none>"))
+    [
+      {|{"op":"decide","id":4,"left":"c3","right":"e3","rank":1}|};
+      {|{"op":"game","id":5,"left":"e3","right":"c3","rounds":1}|};
+    ];
+  Client.close c
+
 (* Single-tuple mutations through the wire: the RA engine's maintained
    plans must advance by delta propagation (a cache hit, not a rebuild)
    and keep agreeing with the compiled engine re-run from scratch. *)
@@ -2004,6 +2056,7 @@ let () =
         [
           Alcotest.test_case "end-to-end" `Quick test_end_to_end;
           Alcotest.test_case "update + ra eval" `Quick test_update_and_ra_eval;
+          Alcotest.test_case "mixed signatures" `Quick test_mixed_signatures;
           Alcotest.test_case "ra sample = compiled sample" `Quick
             test_ra_sample_matches_compiled;
           Alcotest.test_case "user relation named adom" `Quick
