@@ -84,6 +84,32 @@ let time_ns ~iters fn =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) *. 1e9 /. float_of_int iters
 
+(* The game rows of E24 and E26: one warm-up run, then [game_samples]
+   individually timed runs, reported as their median and min–max — one
+   sample of a game solve on a shared host can be off by 4x. *)
+type spread = { median : float; lo : float; hi : float }
+
+let game_samples = 5
+
+let sample_ns fn =
+  ignore (Sys.opaque_identity (fn ()));
+  let xs =
+    Array.init game_samples (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (fn ()));
+        (Unix.gettimeofday () -. t0) *. 1e9)
+  in
+  Array.sort Float.compare xs;
+  { median = xs.(game_samples / 2); lo = xs.(0); hi = xs.(game_samples - 1) }
+
+let range_str s = Printf.sprintf "%.0f-%.0f" s.lo s.hi
+let range_json s = Printf.sprintf "[%.1f, %.1f]" s.lo s.hi
+
+(* A forced worker count above the host's domains measures scheduling
+   overhead, not speedup, and its row says so. *)
+let row_kind requested =
+  if requested > Domain.recommended_domain_count () then "overhead" else "scaling"
+
 (* ---------- E1: combined complexity O(n^k) ---------- *)
 
 let nested_forall k =
@@ -1086,10 +1112,10 @@ let e23 () =
 
 type e24_entry = {
   game : string;
-  unpruned_seq_ns : float;
-  orbit_seq_ns : float;
-  unpruned_par_ns : float;
-  orbit_par_ns : float;
+  unpruned_seq : spread;
+  orbit_seq : spread;
+  unpruned_par : spread;
+  orbit_par : spread;
   unpruned_positions : int;
   orbit_positions : int;
 }
@@ -1107,9 +1133,13 @@ let e24 () =
     forced;
   pf "recommended domains: %d). Positions = memo misses, sequential runs.@."
     (Domain.recommended_domain_count ());
+  pf "Median ns of %d runs after a warm-up; min-max on the line below.@."
+    game_samples;
+  if row_kind forced = "overhead" then
+    pf "The -par columns force more workers than domains: overhead rows.@.";
   pf "  %-28s %11s %11s %11s %11s %7s %9s %9s@." "game" "plain ns" "orbit ns"
     "plain-par" "orbit-par" "orbitx" "plain pos" "orbit pos";
-  let workload ~iters name a b rounds =
+  let workload name a b rounds =
     let last = ref { Ef.positions = 0; memo_hits = 0; workers = 1 } in
     let run ~orbit ~parallel () =
       let v, s =
@@ -1126,36 +1156,35 @@ let e24 () =
       last := s;
       v
     in
-    let unpruned_seq_ns = time_ns ~iters (run ~orbit:false ~parallel:false) in
+    let unpruned_seq = sample_ns (run ~orbit:false ~parallel:false) in
     let unpruned_positions = !last.Ef.positions in
-    let orbit_seq_ns = time_ns ~iters (run ~orbit:true ~parallel:false) in
+    let orbit_seq = sample_ns (run ~orbit:true ~parallel:false) in
     let orbit_positions = !last.Ef.positions in
-    let unpruned_par_ns = time_ns ~iters (run ~orbit:false ~parallel:true) in
-    let orbit_par_ns = time_ns ~iters (run ~orbit:true ~parallel:true) in
+    let unpruned_par = sample_ns (run ~orbit:false ~parallel:true) in
+    let orbit_par = sample_ns (run ~orbit:true ~parallel:true) in
     pf "  %-28s %11.0f %11.0f %11.0f %11.0f %6.1fx %9d %9d@." name
-      unpruned_seq_ns orbit_seq_ns unpruned_par_ns orbit_par_ns
-      (unpruned_seq_ns /. orbit_seq_ns)
+      unpruned_seq.median orbit_seq.median unpruned_par.median orbit_par.median
+      (unpruned_seq.median /. orbit_seq.median)
       unpruned_positions orbit_positions;
+    pf "  %-28s min-max %s | %s | %s | %s@." "" (range_str unpruned_seq)
+      (range_str orbit_seq) (range_str unpruned_par) (range_str orbit_par);
     entries :=
       {
         game = name;
-        unpruned_seq_ns;
-        orbit_seq_ns;
-        unpruned_par_ns;
-        orbit_par_ns;
+        unpruned_seq;
+        orbit_seq;
+        unpruned_par;
+        orbit_par;
         unpruned_positions;
         orbit_positions;
       }
       :: !entries
   in
-  workload ~iters:3 "cycles C12 vs C13, 3 rounds" (Gen.cycle 12) (Gen.cycle 13)
-    3;
-  workload ~iters:1 "cycles C16 vs C16, 3 rounds" (Gen.cycle 16) (Gen.cycle 16)
-    3;
-  workload ~iters:1 "cycles C20 vs C21, 3 rounds" (Gen.cycle 20) (Gen.cycle 21)
-    3;
-  workload ~iters:3 "sets S10 vs S11, 4 rounds" (Gen.set 10) (Gen.set 11) 4;
-  workload ~iters:1 "orders L15 vs L16, 4 rounds" (Gen.linear_order 15)
+  workload "cycles C12 vs C13, 3 rounds" (Gen.cycle 12) (Gen.cycle 13) 3;
+  workload "cycles C16 vs C16, 3 rounds" (Gen.cycle 16) (Gen.cycle 16) 3;
+  workload "cycles C20 vs C21, 3 rounds" (Gen.cycle 20) (Gen.cycle 21) 3;
+  workload "sets S10 vs S11, 4 rounds" (Gen.set 10) (Gen.set 11) 4;
+  workload "orders L15 vs L16, 4 rounds" (Gen.linear_order 15)
     (Gen.linear_order 16) 4;
   pf "Shape: orbit >= 5x on cycle workloads (C_n roots collapse 2n -> 2);@.";
   pf "rigid orders take the rigidity fast path (overhead < 5%%).@.";
@@ -1165,44 +1194,46 @@ let e24 () =
      workers=1 run — the sequential fast path — and the effective
      worker count is reported next to the requested one, so a
      single-core container shows up as requested=8/effective=8 with
-     speedup < 1 (honest overhead) and auto=1 with speedup 1.0, never
-     as a fabricated scaling curve. *)
+     speedup < 1 on a row labelled overhead, and auto=1 with speedup
+     1.0, never as a fabricated scaling curve. *)
   let scale_rows = ref [] in
   let grid = scaling_grid () in
-  pf "Worker scaling (orbit on; speedup vs forced workers=1):@.";
-  let scale_workload ~iters name a b rounds =
+  pf "Worker scaling (orbit on; speedup vs forced workers=1; a row forcing@.";
+  pf "more workers than the host's %d domain(s) is an overhead row):@."
+    (Domain.recommended_domain_count ());
+  let scale_workload name a b rounds =
     let run workers () =
       Ef.solve
         ~config:{ Ef.memo = true; parallel = true; workers; orbit = true }
         ~rounds a b
     in
     let seq_v, _ = run (Some 1) () in
-    let seq_ns = time_ns ~iters (fun () -> fst (run (Some 1) ())) in
+    let seq = sample_ns (fun () -> fst (run (Some 1) ())) in
     let verdicts_match = ref true in
     let per_worker =
       List.map
         (fun w ->
           let v, (s : Ef.stats) = run (Some w) () in
           if v <> seq_v then verdicts_match := false;
-          let ns = time_ns ~iters (fun () -> fst (run (Some w) ())) in
-          pf "  %-28s workers=%d (effective %d): %11.0f ns, speedup %.2f@."
-            name w s.Ef.workers ns (seq_ns /. ns);
-          (w, s.Ef.workers, ns))
+          let t = sample_ns (fun () -> fst (run (Some w) ())) in
+          pf "  %-28s workers=%d (effective %d): %11.0f ns [%s], %s %.2f@."
+            name w s.Ef.workers t.median (range_str t) (row_kind w)
+            (seq.median /. t.median);
+          (w, s.Ef.workers, t))
         grid
     in
     let auto_v, (auto_s : Ef.stats) = run None () in
     if auto_v <> seq_v then verdicts_match := false;
-    let auto_ns = time_ns ~iters (fun () -> fst (run None ())) in
-    pf "  %-28s auto (effective %d): %17.0f ns, speedup %.2f@." name
-      auto_s.Ef.workers auto_ns (seq_ns /. auto_ns);
+    let auto = sample_ns (fun () -> fst (run None ())) in
+    pf "  %-28s auto (effective %d): %17.0f ns [%s], speedup %.2f@." name
+      auto_s.Ef.workers auto.median (range_str auto)
+      (seq.median /. auto.median);
     scale_rows :=
-      (name, seq_ns, per_worker, auto_s.Ef.workers, auto_ns, !verdicts_match)
+      (name, seq, per_worker, auto_s.Ef.workers, auto, !verdicts_match)
       :: !scale_rows
   in
-  scale_workload ~iters:3 "cycles C12 vs C13, 3 rounds" (Gen.cycle 12)
-    (Gen.cycle 13) 3;
-  scale_workload ~iters:3 "sets S10 vs S11, 4 rounds" (Gen.set 10)
-    (Gen.set 11) 4;
+  scale_workload "cycles C12 vs C13, 3 rounds" (Gen.cycle 12) (Gen.cycle 13) 3;
+  scale_workload "sets S10 vs S11, 4 rounds" (Gen.set 10) (Gen.set 11) 4;
   pf "Shape: auto never fans out past the hardware (speedup 1.0 on one@.";
   pf "core); forced curves expose per-domain overhead on small cores.@.";
   match !json_path with
@@ -1211,7 +1242,10 @@ let e24 () =
       let oc = open_out path in
       let out = Printf.fprintf in
       json_open oc ~experiment:"E24" ~unit_:"ns/run";
-      out oc "  \"forced_workers\": %d,\n  \"workloads\": [\n" forced;
+      out oc
+        "  \"samples\": %d,\n  \"forced_workers\": %d, \"par_rows\": %S,\n\
+        \  \"workloads\": [\n"
+        game_samples forced (row_kind forced);
       let rows = List.rev !entries in
       List.iteri
         (fun i e ->
@@ -1219,14 +1253,18 @@ let e24 () =
             "    {\"name\": %S,\n\
             \     \"unpruned_seq_ns\": %.1f, \"orbit_seq_ns\": %.1f,\n\
             \     \"unpruned_par_ns\": %.1f, \"orbit_par_ns\": %.1f,\n\
+            \     \"unpruned_seq_range_ns\": %s, \"orbit_seq_range_ns\": %s,\n\
+            \     \"unpruned_par_range_ns\": %s, \"orbit_par_range_ns\": %s,\n\
             \     \"orbit_speedup\": %.2f, \"parallel_speedup\": %.2f, \
              \"combined_speedup\": %.2f,\n\
             \     \"unpruned_positions\": %d, \"orbit_positions\": %d}%s\n"
-            e.game e.unpruned_seq_ns e.orbit_seq_ns e.unpruned_par_ns
-            e.orbit_par_ns
-            (e.unpruned_seq_ns /. e.orbit_seq_ns)
-            (e.orbit_seq_ns /. e.orbit_par_ns)
-            (e.unpruned_seq_ns /. e.orbit_par_ns)
+            e.game e.unpruned_seq.median e.orbit_seq.median e.unpruned_par.median
+            e.orbit_par.median (range_json e.unpruned_seq)
+            (range_json e.orbit_seq) (range_json e.unpruned_par)
+            (range_json e.orbit_par)
+            (e.unpruned_seq.median /. e.orbit_seq.median)
+            (e.orbit_seq.median /. e.orbit_par.median)
+            (e.unpruned_seq.median /. e.orbit_par.median)
             e.unpruned_positions e.orbit_positions
             (if i = List.length rows - 1 then "" else ",")
         )
@@ -1234,23 +1272,27 @@ let e24 () =
       out oc "  ],\n  \"worker_scaling\": [\n";
       let rows = List.rev !scale_rows in
       List.iteri
-        (fun i (name, seq_ns, per_worker, auto_workers, auto_ns, ok) ->
-          out oc "    {\"name\": %S, \"seq_ns\": %.1f, \"verdicts_match\": %b,\n"
-            name seq_ns ok;
+        (fun i (name, seq, per_worker, auto_workers, auto, ok) ->
+          out oc
+            "    {\"name\": %S, \"seq_ns\": %.1f, \"seq_range_ns\": %s, \
+             \"verdicts_match\": %b,\n"
+            name seq.median (range_json seq) ok;
           out oc "     \"curve\": [";
           List.iteri
-            (fun j (req, eff, ns) ->
+            (fun j (req, eff, t) ->
               out oc
-                "%s{\"requested\": %d, \"effective\": %d, \"ns\": %.1f, \
-                 \"parallel_speedup\": %.2f}"
+                "%s{\"requested\": %d, \"effective\": %d, \"row\": %S, \
+                 \"ns\": %.1f, \"range_ns\": %s, \"parallel_speedup\": %.2f}"
                 (if j = 0 then "" else ", ")
-                req eff ns (seq_ns /. ns))
+                req eff (row_kind req) t.median (range_json t)
+                (seq.median /. t.median))
             per_worker;
           out oc "],\n";
           out oc
             "     \"auto\": {\"effective\": %d, \"ns\": %.1f, \
-             \"parallel_speedup\": %.2f}}%s\n"
-            auto_workers auto_ns (seq_ns /. auto_ns)
+             \"range_ns\": %s, \"parallel_speedup\": %.2f}}%s\n"
+            auto_workers auto.median (range_json auto)
+            (seq.median /. auto.median)
             (if i = List.length rows - 1 then "" else ","))
         rows;
       out oc "  ]\n}\n";
@@ -1377,41 +1419,42 @@ let e26 () =
   let seq_config =
     { Ef.memo = true; parallel = false; workers = None; orbit = true }
   in
-  let time_row ~iters name fn =
+  let time_row name fn =
     let positions = ref 0 in
-    let ns =
-      time_ns ~iters (fun () ->
+    let t =
+      sample_ns (fun () ->
           let v, (s : Ef.stats) = fn () in
           positions := s.positions;
           v)
     in
-    timing_rows := (name, ns, !positions) :: !timing_rows;
-    pf "  %-36s %12.0f ns %9d pos@." name ns !positions
+    timing_rows := (name, t, !positions) :: !timing_rows;
+    pf "  %-36s %12.0f ns [%s] %9d pos@." name t.median (range_str t) !positions
   in
   pf "Engine-ported solvers on the reference workloads (sequential,@.";
-  pf "orbit pruning on; compare E24 rows against BENCH_games.json):@.";
-  time_row ~iters:3 "E24: cycles C12 vs C13, 3 rounds" (fun () ->
+  pf "orbit pruning on; compare E24 rows against BENCH_games.json;@.";
+  pf "median ns of %d runs after a warm-up, [min-max]):@." game_samples;
+  time_row "E24: cycles C12 vs C13, 3 rounds" (fun () ->
       Ef.solve ~config:seq_config ~rounds:3 (Gen.cycle 12) (Gen.cycle 13));
-  time_row ~iters:3 "E24: sets S10 vs S11, 4 rounds" (fun () ->
+  time_row "E24: sets S10 vs S11, 4 rounds" (fun () ->
       Ef.solve ~config:seq_config ~rounds:4 (Gen.set 10) (Gen.set 11));
-  time_row ~iters:1 "E24: orders L15 vs L16, 4 rounds" (fun () ->
+  time_row "E24: orders L15 vs L16, 4 rounds" (fun () ->
       Ef.solve ~config:seq_config ~rounds:4 (Gen.linear_order 15)
         (Gen.linear_order 16));
-  time_row ~iters:3 "E5: orders L7 vs L9, 3 rounds" (fun () ->
+  time_row "E5: orders L7 vs L9, 3 rounds" (fun () ->
       Ef.solve ~config:seq_config ~rounds:3 (Gen.linear_order 7)
         (Gen.linear_order 9));
-  time_row ~iters:3 "pebble k=3: C6 vs C3+C3, 6 rounds" (fun () ->
+  time_row "pebble k=3: C6 vs C3+C3, 6 rounds" (fun () ->
       Pebble.solve ~pebbles:3 ~rounds:6 (Gen.cycle 6)
         (Gen.union_of [ Gen.cycle 3; Gen.cycle 3 ]));
   let cfi3_u, cfi3_t = Gen.cfi_pair 3 in
-  time_row ~iters:3 "counting k=3: CFI(3) pair, 8 rounds" (fun () ->
+  time_row "counting k=3: CFI(3) pair, 8 rounds" (fun () ->
       Counting_game.solve ~pebbles:3 ~rounds:8 cfi3_u cfi3_t);
   (* The E5 closed-form cross-check, re-run on the ported solver: the
      characterization must still hold mismatch-free. *)
   let e5_mismatches = ref 0 in
-  let e5_sweep_ns =
-    time_ns ~iters:1 (fun () ->
-        (* time_ns also runs a warm-up: count one sweep only. *)
+  let e5_sweep =
+    sample_ns (fun () ->
+        (* Every run sweeps: count the last one only. *)
         e5_mismatches := 0;
         for n = 0 to 3 do
           let bound = min 9 ((1 lsl n) + 2) in
@@ -1426,16 +1469,16 @@ let e26 () =
           done
         done)
   in
-  pf "  %-36s %12.0f ns %9d mismatches@." "E5: closed-form sweep (n <= 3)"
-    e5_sweep_ns !e5_mismatches;
+  pf "  %-36s %12.0f ns [%s] %9d mismatches@." "E5: closed-form sweep (n <= 3)"
+    e5_sweep.median (range_str e5_sweep) !e5_mismatches;
   check
     (Printf.sprintf "%d E5 sweep mismatches" !e5_mismatches)
     (!e5_mismatches = 0);
   (* Worker-scaling curve through the kernel's parallel path (deques,
      pooled domains, L1 memo tiers) on the E5 reference workload;
      speedups against the forced workers=1 sequential fast path, with
-     the effective count reported so single-core results read as
-     overhead, not scaling. *)
+     the effective count reported and rows forcing more workers than
+     the host has domains labelled overhead, not scaling. *)
   let scale_name = "E5: orders L7 vs L9, 3 rounds" in
   let scale_run workers () =
     Ef.solve
@@ -1443,17 +1486,18 @@ let e26 () =
       ~rounds:3 (Gen.linear_order 7) (Gen.linear_order 9)
   in
   let scale_seq_v, _ = scale_run (Some 1) () in
-  let scale_seq_ns = time_ns ~iters:3 (fun () -> fst (scale_run (Some 1) ())) in
+  let scale_seq = sample_ns (fun () -> fst (scale_run (Some 1) ())) in
   let scale_match = ref true in
   let scale_curve =
     List.map
       (fun w ->
         let v, (s : Ef.stats) = scale_run (Some w) () in
         if v <> scale_seq_v then scale_match := false;
-        let ns = time_ns ~iters:3 (fun () -> fst (scale_run (Some w) ())) in
-        pf "  %-36s workers=%d (eff %d): %.0f ns, speedup %.2f@." scale_name w
-          s.Ef.workers ns (scale_seq_ns /. ns);
-        (w, s.Ef.workers, ns))
+        let t = sample_ns (fun () -> fst (scale_run (Some w) ())) in
+        pf "  %-36s workers=%d (eff %d): %.0f ns [%s], %s %.2f@." scale_name w
+          s.Ef.workers t.median (range_str t) (row_kind w)
+          (scale_seq.median /. t.median);
+        (w, s.Ef.workers, t))
       (scaling_grid ())
   in
   check "a worker count changed the verdict" !scale_match;
@@ -1536,27 +1580,32 @@ let e26 () =
       let oc = open_out path in
       let out = Printf.fprintf in
       json_open oc ~experiment:"E26" ~unit_:"ns/run";
-      out oc "  \"engine_timings\": [\n";
+      out oc "  \"samples\": %d,\n  \"engine_timings\": [\n" game_samples;
       let rows = List.rev !timing_rows in
       List.iteri
-        (fun i (name, ns, positions) ->
-          out oc "    {\"name\": %S, \"engine_ns\": %.1f, \"positions\": %d}%s\n"
-            name ns positions
+        (fun i (name, t, positions) ->
+          out oc
+            "    {\"name\": %S, \"engine_ns\": %.1f, \"range_ns\": %s, \
+             \"positions\": %d}%s\n"
+            name t.median (range_json t) positions
             (if i = List.length rows - 1 then "" else ","))
         rows;
-      out oc "  ],\n  \"e5_sweep\": {\"ns\": %.1f, \"mismatches\": %d},\n"
-        e5_sweep_ns !e5_mismatches;
+      out oc
+        "  ],\n  \"e5_sweep\": {\"ns\": %.1f, \"range_ns\": %s, \
+         \"mismatches\": %d},\n"
+        e5_sweep.median (range_json e5_sweep) !e5_mismatches;
       out oc
         "  \"worker_scaling\": {\"name\": %S, \"seq_ns\": %.1f, \
-         \"verdicts_match\": %b, \"curve\": ["
-        scale_name scale_seq_ns !scale_match;
+         \"seq_range_ns\": %s, \"verdicts_match\": %b, \"curve\": ["
+        scale_name scale_seq.median (range_json scale_seq) !scale_match;
       List.iteri
-        (fun j (req, eff, ns) ->
+        (fun j (req, eff, t) ->
           out oc
-            "%s{\"requested\": %d, \"effective\": %d, \"ns\": %.1f, \
-             \"parallel_speedup\": %.2f}"
+            "%s{\"requested\": %d, \"effective\": %d, \"row\": %S, \
+             \"ns\": %.1f, \"range_ns\": %s, \"parallel_speedup\": %.2f}"
             (if j = 0 then "" else ", ")
-            req eff ns (scale_seq_ns /. ns))
+            req eff (row_kind req) t.median (range_json t)
+            (scale_seq.median /. t.median))
         scale_curve;
       out oc "]},\n";
       out oc "  \"agreement_grid\": [\n";

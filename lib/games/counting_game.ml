@@ -75,12 +75,11 @@ let perfect_matching rows n =
 
 module Game = struct
   type ctx = {
-    a : Structure.t;
-    b : Structure.t;
     n : int; (* common domain size *)
     dom_b : int list;
     span : int;
     pebbles : int;
+    extension_ok : (int * int) list -> int * int -> bool;
   }
 
   (* Same packed-position representation as the pebble game: a sorted
@@ -112,7 +111,7 @@ module Game = struct
           let row =
             List.filter
               (fun y ->
-                Iso.extension_ok ctx.a ctx.b base_pairs (x, y)
+                ctx.extension_ok base_pairs (x, y)
                 && recurse
                      {
                        rounds = rounds - 1;
@@ -135,10 +134,6 @@ module Game = struct
      single task and the solve stays sequential — the kernel's fan-out
      simply never engages. *)
   let tasks ctx pos = [ (fun ~recurse -> expand ctx ~recurse pos) ]
-
-  let prepare_shared ctx =
-    Structure.ensure_indexes ctx.a;
-    Structure.ensure_indexes ctx.b
 end
 
 module Solver = Engine.Make (Game)
@@ -157,12 +152,11 @@ let solve_result ~config ~budget ~pebbles ~rounds a b =
   else
     let ctx =
       {
-        Game.a;
-        b;
-        n = Structure.size a;
+        Game.n = Structure.size a;
         dom_b = Structure.domain b;
         span = max 1 (Structure.size b);
         pebbles;
+        extension_ok = Iso.extension_ok a b;
       }
     in
     Solver.solve_result ~config ~budget ~depth_hint:rounds ctx

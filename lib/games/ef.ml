@@ -41,8 +41,6 @@ type verdict = Engine.verdict =
 
 module Game = struct
   type ctx = {
-    a : Structure.t;
-    b : Structure.t;
     dom_a : int list;
     dom_b : int list;
     colors_a : int array;
@@ -50,10 +48,13 @@ module Game = struct
     span : int;
     orbit_a : Orbit.t option;
     orbit_b : Orbit.t option;
+    (* [Iso.extension_ok a b], resolved in [setup]: it holds built
+       indexes, so workers share it read-only. *)
+    extension_ok : (int * int) list -> int * int -> bool;
   }
 
   (* A position carries the remaining rounds, the played pairs (for the
-     incremental [Iso.extension_ok] checks), the packed key material and
+     incremental extension checks), the packed key material and
      the per-side stabilizer orbits of the pebbled elements. *)
   type pos = {
     rounds : int;
@@ -118,7 +119,7 @@ module Game = struct
     List.exists
       (fun reply ->
         let xy = pair other_first pick reply in
-        Iso.extension_ok ctx.a ctx.b pos.pairs xy && recurse (child ctx pos xy))
+        ctx.extension_ok pos.pairs xy && recurse (child ctx pos xy))
       (replies ctx pos other_first pick)
 
   let expand ctx ~recurse pos =
@@ -136,12 +137,6 @@ module Game = struct
     @ List.map
         (fun y ~recurse -> answer ctx ~recurse pos true y)
         (moves_of pos.ob ctx.dom_b)
-
-  (* Indexes are forced before domains spawn so the probes workers make
-     through [Iso.extension_ok] never write shared state. *)
-  let prepare_shared ctx =
-    Structure.ensure_indexes ctx.a;
-    Structure.ensure_indexes ctx.b
 end
 
 module Solver = Engine.Make (Game)
@@ -156,6 +151,13 @@ let engine_config config =
    exhaustion can surface here. *)
 let setup ~config ~budget ~start ~rounds a b =
   if rounds < 0 then invalid_arg "Ef: negative round count";
+  let check side s e =
+    if e < 0 || e >= Structure.size s then
+      invalid_arg
+        (Printf.sprintf "Ef: start element %d outside the %s domain [0,%d)" e
+           side (Structure.size s))
+  in
+  List.iter (fun (x, y) -> check "left" a x; check "right" b y) start;
   if not (Iso.partial_iso a b start) then None
   else begin
     let colors_a, colors_b = Wl.colors_joint a b in
@@ -172,15 +174,14 @@ let setup ~config ~budget ~start ~rounds a b =
     let span = max 1 (Structure.size b) in
     let ctx =
       {
-        Game.a;
-        b;
-        dom_a = Structure.domain a;
+        Game.dom_a = Structure.domain a;
         dom_b = Structure.domain b;
         colors_a;
         colors_b;
         span;
         orbit_a;
         orbit_b;
+        extension_ok = Iso.extension_ok a b;
       }
     in
     let root =
@@ -279,10 +280,10 @@ let certify ?(config = default_config) ?(budget = Budget.unlimited)
   (* The strategy from a lost [pos] (pebbles in play order): the first
      move in [expand]'s order that every reply loses gives [∃x ⋀ψ] (in a)
      or [∀x ⋁ψ] (in b), one [ψ] per reply [expand] tries — a literal where
-     [Iso.extension_ok] refuses it, else the child's walk. [value] is the
+     the extension check refuses it, else the child's walk. [value] is the
      solve's, so on a complete memo only stored positions are read. *)
   let rec walk (ctx : Game.ctx) value pebbles (pos : Game.pos) =
-    let ok xy = Iso.extension_ok a b pos.pairs xy in
+    let ok xy = ctx.extension_ok pos.pairs xy in
     let wins other_first pick =
       List.for_all
         (fun reply ->

@@ -75,6 +75,8 @@ type verdict = Engine.verdict =
     [rounds]-round game starting from the (default empty) position
     [start] and returns the verdict together with the solve's {!stats}.
     Returns [false] if [start] is not a partial isomorphism.
+    @raise Invalid_argument naming a [start] element outside its
+    structure's domain, or as {!Fmtk_structure.Iso.joint_signature}.
 
     @raise Budget.Exhausted when the (default unlimited) budget runs out
     before the game is decided. The parallel path joins every spawned
@@ -90,9 +92,10 @@ val solve :
   Structure.t ->
   bool * stats
 
-(** Exception-free variant of {!solve}: budget exhaustion becomes
+(** Variant of {!solve} free of budget exceptions: exhaustion becomes
     [Gave_up] and the stats record still reports the positions explored
-    before the search stopped. *)
+    before the search stopped. [Invalid_argument] is raised as by
+    {!solve}. *)
 val solve_verdict :
   ?config:config ->
   ?budget:Budget.t ->
@@ -117,7 +120,7 @@ val solve_verdict :
     — so a bad walk raises [Failure] instead of answering. The formula
     is [None] unless [Distinguished], and then only if the budget ran
     out in the walk; the stats are the solve's.
-    @raise Invalid_argument as {!Fmtk_structure.Iso.joint_signature}. *)
+    @raise Invalid_argument as {!solve}. *)
 val certify :
   ?config:config ->
   ?budget:Budget.t ->

@@ -32,7 +32,6 @@ module type GAME = sig
   val terminal : ctx -> pos -> bool option
   val expand : ctx -> recurse:(pos -> bool) -> pos -> bool
   val tasks : ctx -> pos -> (recurse:(pos -> bool) -> bool) list
-  val prepare_shared : ctx -> unit
 end
 
 (* Shared memo of one parallel solve: key-hash -> shard, mutex-guarded
@@ -207,7 +206,6 @@ module Make (G : GAME) = struct
          domain is leaked, a real fault is preferred over a secondary
          budget exhaustion when both were parked, and counters are
          flushed on the way out so stats survive a [Gave_up]. *)
-      G.prepare_shared ctx;
       let shared = Shared_memo.create () in
       let deques = Array.init w (fun _ -> Deque.create ~capacity:1024 ()) in
       let root_frame =

@@ -66,9 +66,11 @@ type verdict = Equivalent | Distinguished | Gave_up of Budget.reason
 
 (** The move semantics a game plugs into the kernel. *)
 module type GAME = sig
-  (** Everything fixed across one solve: the two structures, their
-      colour/orbit oracles, packing parameters. Shared read-only (or
-      internally synchronized) across workers. *)
+  (** Everything fixed across one solve: the move check, the
+      colour/orbit oracles, packing parameters. Built in full before the
+      solve — lazily filled caches, such as membership indexes, forced —
+      and shared read-only (or internally synchronized) across
+      workers. *)
   type ctx
 
   (** One game position. Must carry everything [expand] needs; the
@@ -99,11 +101,6 @@ module type GAME = sig
       (the counting game's bijection move) return a singleton, which
       keeps the solve sequential. *)
   val tasks : ctx -> pos -> (recurse:(pos -> bool) -> bool) list
-
-  (** Called once before workers start: force lazily-built caches
-      (membership indexes) that workers would otherwise race to
-      initialize. *)
-  val prepare_shared : ctx -> unit
 end
 
 (** Worker-count policy, exposed for tests. 1 (the sequential fast

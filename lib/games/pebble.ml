@@ -38,8 +38,6 @@ type verdict = Engine.verdict =
 
 module Game = struct
   type ctx = {
-    a : Structure.t;
-    b : Structure.t;
     dom_a : int list;
     dom_b : int list;
     colors_a : int array;
@@ -48,6 +46,7 @@ module Game = struct
     pebbles : int;
     orbit_a : Orbit.t option;
     orbit_b : Orbit.t option;
+    extension_ok : (int * int) list -> int * int -> bool;
   }
 
   (* Positions are sorted packed pair arrays (set semantics: re-pebbling
@@ -104,7 +103,7 @@ module Game = struct
     List.exists
       (fun r ->
         let x, y = if spoiler_in_a then (e, r) else (r, e) in
-        Iso.extension_ok ctx.a ctx.b base_pairs (x, y)
+        ctx.extension_ok base_pairs (x, y)
         && recurse
              {
                rounds = rounds - 1;
@@ -147,10 +146,6 @@ module Game = struct
                 ~pinned_a ~pinned_b false e)
             (moves_of ctx.orbit_b pinned_b ctx.dom_b))
       (bases ctx pos)
-
-  let prepare_shared ctx =
-    Structure.ensure_indexes ctx.a;
-    Structure.ensure_indexes ctx.b
 end
 
 module Solver = Engine.Make (Game)
@@ -169,9 +164,7 @@ let solve_result ~config ~budget ~pebbles ~rounds a b =
     in
     let ctx =
       {
-        Game.a;
-        b;
-        dom_a = Structure.domain a;
+        Game.dom_a = Structure.domain a;
         dom_b = Structure.domain b;
         colors_a;
         colors_b;
@@ -179,6 +172,7 @@ let solve_result ~config ~budget ~pebbles ~rounds a b =
         pebbles;
         orbit_a;
         orbit_b;
+        extension_ok = Iso.extension_ok a b;
       }
     in
     Solver.solve_result

@@ -11,6 +11,7 @@ let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
   let poller = Budget.poller budget in
   if not (Iso.partial_iso a b []) then Some []
   else
+    let extension_ok = Iso.extension_ok a b in
     let dom_a = Structure.domain a and dom_b = Structure.domain b in
     (* Symmetry pruning: spoiler moves in the same orbit of the pointwise
        stabilizer of the position lead to isomorphic positions, so only
@@ -32,7 +33,7 @@ let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
     (* Pairs are carried newest-first (O(1) extension instead of a
        quadratic [pairs @ [..]] append) and normalized back to play order
        at the consumers: the strategy contract promises the position in
-       play order, while [Iso.extension_ok] is order-insensitive. *)
+       play order, while the extension check is order-insensitive. *)
     let rec go r rev_pairs trace oa ob =
       if r = 0 then None
       else
@@ -51,7 +52,7 @@ let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
                 let x, y =
                   match side with Left -> (e, reply) | Right -> (reply, e)
                 in
-                if not (Iso.extension_ok a b rev_pairs (x, y)) then losing
+                if not (extension_ok rev_pairs (x, y)) then losing
                 else
                   go (r - 1) ((x, y) :: rev_pairs) ((side, e) :: trace)
                     (refine orbit_a oa x) (refine orbit_b ob y))
@@ -62,6 +63,7 @@ let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
 let verify_sampled ~rng ~lines ~rounds a b strategy =
   if not (Iso.partial_iso a b []) then Some []
   else
+    let extension_ok = Iso.extension_ok a b in
     let na = Structure.size a and nb = Structure.size b in
     let random_move () =
       let i = Random.State.int rng (na + nb) in
@@ -80,7 +82,7 @@ let verify_sampled ~rng ~lines ~rounds a b strategy =
               let x, y =
                 match side with Left -> (e, reply) | Right -> (reply, e)
               in
-              if not (Iso.extension_ok a b rev_pairs (x, y)) then losing
+              if not (extension_ok rev_pairs (x, y)) then losing
               else go (r - 1) ((x, y) :: rev_pairs) ((side, e) :: trace)
       in
       go rounds [] []

@@ -17,7 +17,9 @@ type side = Left | Right
 
 (** A duplicator strategy: given the rounds still to be played {e after}
     the current one, the position so far, and the spoiler's move (side +
-    element), produce the reply element in the other structure.
+    element), produce the reply element in the other structure. A reply
+    outside that structure's domain loses, like one that breaks the
+    partial isomorphism.
     @raise Failure if the strategy has no reply (it then loses). *)
 type t = rounds_left:int -> (int * int) list -> side -> int -> int
 

@@ -94,6 +94,12 @@ type t = {
   queue : job Queue.t;
   qmutex : Mutex.t;
   qcond : Condition.t;
+  (* Guarded by [qmutex]: set by [run] once every reader is joined, so
+     no job can be queued after it. Workers exit on it, not on [stop]:
+     a reader admitting a request just before [stop] may still queue
+     it, and an idle worker that left on [stop] would park (and expire)
+     long before the drain ends. *)
+  mutable closed : bool;
   stop : bool Atomic.t;
   root : Budget.t; (* carries the shared cancellation token *)
   in_flight : int Atomic.t;
@@ -449,7 +455,7 @@ let rec worker_loop t =
     Mutex.lock t.qmutex;
     let rec take () =
       if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-      else if Atomic.get t.stop then None
+      else if t.closed then None
       else begin
         Condition.wait t.qcond t.qmutex;
         take ()
@@ -784,6 +790,7 @@ let create ?(preload = []) cfg =
               queue = Queue.create ();
               qmutex = Mutex.create ();
               qcond = Condition.create ();
+              closed = false;
               stop = Atomic.make false;
               root = Budget.create ~cancel:(Budget.Cancel.create ()) ();
               in_flight = Atomic.make 0;
@@ -884,8 +891,9 @@ let run t =
       Thread.delay 0.01
     done
   end;
-  (* Wake idle workers so they observe [stop] and exit, then join. *)
+  (* Wake idle workers so they observe [closed] and exit, then join. *)
   Mutex.lock t.qmutex;
+  t.closed <- true;
   Condition.broadcast t.qcond;
   Mutex.unlock t.qmutex;
   Array.iter Fmtk_runtime.Pool.join workers;

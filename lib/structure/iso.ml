@@ -50,69 +50,123 @@ let build_map pairs =
   in
   if ok then Some fwd else None
 
-(* Enumerates arity-[k] tuples over the element list [dom]; when [pivot] is
-   given, only tuples containing it. *)
-let tuples_over dom k ~pivot =
-  let dom = Array.of_list dom in
-  let n = Array.length dom in
-  let acc = ref [] in
-  let tup = Array.make k 0 in
-  let rec go i has_pivot =
-    if i = k then (
-      match pivot with
-      | Some p when not has_pivot -> ignore p
-      | _ -> acc := Array.copy tup :: !acc)
-    else
-      for j = 0 to n - 1 do
-        tup.(i) <- dom.(j);
-        go (i + 1) (has_pivot || Some dom.(j) = pivot)
-      done
-  in
-  if k > 0 && n = 0 then []
-  else (
-    go 0 false;
-    !acc)
-
-(* Does [fwd] preserve and reflect every relation of [sg] (empty where
-   undeclared) on the tuples over [doms] containing [pivot], if given? *)
-let rels_agree sg a b fwd doms ~pivot =
-  let sa = Structure.signature a and sb = Structure.signature b in
-  List.for_all
-    (fun (name, k) ->
-      let in_a = sa == sg || Signature.mem_rel sa name
-      and in_b = sb == sg || Signature.mem_rel sb name in
-      List.for_all
-        (fun t ->
-          (in_a && Structure.probe a name t)
-          = (in_b && Structure.probe b name (Array.map (Hashtbl.find fwd) t)))
-        (tuples_over doms k ~pivot))
-    (Signature.rels sg)
-
+(* The definition: [fwd] (constants included) must preserve and reflect
+   every relation of the joint signature, empty where undeclared, on
+   every tuple over its domain. *)
 let partial_iso a b pairs =
   let sg = joint_signature a b in
+  let sa = Structure.signature a and sb = Structure.signature b in
+  List.for_all
+    (fun (x, y) ->
+      x >= 0 && x < Structure.size a && y >= 0 && y < Structure.size b)
+    pairs
+  &&
   match build_map (const_pairs sg a b @ pairs) with
   | None -> false
   | Some fwd ->
-      let doms = Hashtbl.fold (fun x _ acc -> x :: acc) fwd [] in
-      rels_agree sg a b fwd (List.sort_uniq Int.compare doms) ~pivot:None
+      let dom = Array.of_seq (Hashtbl.to_seq_keys fwd) in
+      List.for_all
+        (fun (name, k) ->
+          let in_a = Signature.mem_rel sa name
+          and in_b = Signature.mem_rel sb name in
+          Seq.for_all
+            (fun idx ->
+              let t = Array.map (fun i -> dom.(i)) idx in
+              (in_a && Structure.probe a name t)
+              = (in_b && Structure.probe b name (Array.map (Hashtbl.find fwd) t)))
+            (Tuple.all (Array.length dom) k))
+        (Signature.rels sg)
 
-let extension_ok a b pairs (x, y) =
+(* ---- The extension check ----
+
+   [extension_ok a b] resolves the joint signature once: per relation of
+   arity >= 1 its arity and both sides' membership indexes (an empty one
+   where a side does not declare it). The returned check then scans the
+   constant pairs and [pairs] for [x] or [y], and probes only the tuples
+   through [x] — every helper below takes its operands as arguments, so
+   unary and binary signatures allocate nothing per call. *)
+
+type resolved = { arity : int; ia : Index.t; ib : Index.t }
+
+(* How [x ↦ y] meets the pairs already played: as one of them, against
+   one that holds [x] or [y] with another partner, or not at all. *)
+type meeting = Repeated | Taken | Fresh
+
+let rec meet x y = function
+  | [] -> Fresh
+  | (u, v) :: rest ->
+      if u = x then if v = y then Repeated else Taken
+      else if v = y then Taken
+      else meet x y rest
+
+let rec unary_agree un x y i =
+  i < 0
+  || (let r = un.(i) in
+      Bool.equal (Index.mem1 r.ia x) (Index.mem1 r.ib y))
+     && unary_agree un x y (i - 1)
+
+(* [R(x,u)] and [R(u,x)] against [R(y,v)] and [R(v,y)] for every binary
+   relation; [u = x] covers the loop [R(x,x)]. *)
+let rec binary_agree bin x y u v i =
+  i < 0
+  || (let r = bin.(i) in
+      Bool.equal (Index.mem2 r.ia x u) (Index.mem2 r.ib y v)
+      && Bool.equal (Index.mem2 r.ia u x) (Index.mem2 r.ib v y))
+     && binary_agree bin x y u v (i - 1)
+
+let rec binary_pairs bin x y = function
+  | [] -> true
+  | (u, v) :: rest ->
+      binary_agree bin x y u v (Array.length bin - 1)
+      && binary_pairs bin x y rest
+
+(* Arity >= 3: every index tuple into [da]/[db] (the new pair at index
+   0, then the pebbled pairs) that uses index 0. *)
+let higher_agree r da db =
+  Seq.for_all
+    (fun idx ->
+      (not (Array.mem 0 idx))
+      || Bool.equal
+           (Index.mem r.ia (Array.map (fun i -> da.(i)) idx))
+           (Index.mem r.ib (Array.map (fun i -> db.(i)) idx)))
+    (Tuple.all (Array.length da) r.arity)
+
+let extension_ok a b =
   let sg = joint_signature a b in
-  match build_map (const_pairs sg a b @ pairs) with
-  | None -> false
-  | Some fwd -> (
-      match Hashtbl.find_opt fwd x with
-      | Some y' -> y = y' (* repeated pebble: nothing new to check *)
-      | None ->
-          let hit = Hashtbl.fold (fun _ y' acc -> acc || y = y') fwd false in
-          if hit then false
-          else (
-            Hashtbl.add fwd x y;
-            let doms =
-              List.sort_uniq Int.compare
-                (x :: Hashtbl.fold (fun e _ acc -> e :: acc) fwd [])
-            in
-            rels_agree sg a b fwd doms ~pivot:(Some x)))
+  let index s name k =
+    if Signature.mem_rel (Structure.signature s) name then Structure.index s name
+    else Index.build ~size:0 ~arity:k Tuple.Set.empty
+  in
+  let rels =
+    List.filter_map
+      (fun (name, k) ->
+        if k = 0 then None
+        else Some { arity = k; ia = index a name k; ib = index b name k })
+      (Signature.rels sg)
+  in
+  let of_arity p = Array.of_list (List.filter p rels) in
+  let un = of_arity (fun r -> r.arity = 1)
+  and bin = of_arity (fun r -> r.arity = 2)
+  and higher = of_arity (fun r -> r.arity >= 3) in
+  let consts = const_pairs sg a b in
+  let na = Structure.size a and nb = Structure.size b in
+  fun pairs (x, y) ->
+    x >= 0 && x < na && y >= 0 && y < nb
+    &&
+    match (match meet x y consts with Fresh -> meet x y pairs | m -> m) with
+    | Repeated -> true (* nothing new to check *)
+    | Taken -> false
+    | Fresh ->
+        unary_agree un x y (Array.length un - 1)
+        && binary_agree bin x y x y (Array.length bin - 1)
+        && binary_pairs bin x y consts
+        && binary_pairs bin x y pairs
+        && (Array.length higher = 0
+           ||
+           let pebbled = consts @ pairs in
+           let da = Array.of_list (x :: List.map fst pebbled)
+           and db = Array.of_list (y :: List.map snd pebbled) in
+           Array.for_all (fun r -> higher_agree r da db) higher)
 
 let invariant_key t =
   let self = Wl.canonical_colors t in
@@ -144,9 +198,10 @@ let find_iso ?(budget = Budget.unlimited) a b =
       (Signature.equal (Structure.signature a) (Structure.signature b))
   then None
   else
-    let const_pairs = const_pairs (Structure.signature a) a b in
     if not (partial_iso a b []) then None
     else
+      (* Scans the constant pairs itself, so the search starts empty. *)
+      let extension_ok = extension_ok a b in
       let ca, cb = Wl.colors_joint a b in
       let n = Structure.size a in
       (* Candidate b-elements per a-element, filtered by colour. *)
@@ -173,7 +228,7 @@ let find_iso ?(budget = Budget.unlimited) a b =
                 (fun y ->
                   Budget.check poller;
                   (not used.(y))
-                  && extension_ok a b pairs (x, y)
+                  && extension_ok pairs (x, y)
                   &&
                   (assignment.(x) <- y;
                    used.(y) <- true;
@@ -184,6 +239,6 @@ let find_iso ?(budget = Budget.unlimited) a b =
                      false)))
                 candidates.(x)
         in
-        if search const_pairs order then Some assignment else None
+        if search [] order then Some assignment else None
 
 let isomorphic a b = Option.is_some (find_iso a b)

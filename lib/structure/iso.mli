@@ -15,16 +15,33 @@ val joint_signature : Structure.t -> Structure.t -> Fmtk_logic.Signature.t
 
 (** [partial_iso a b pairs] checks that [fst p ↦ snd p] (together with the
     constant interpretations) is a partial isomorphism between [a] and
-    [b]: a well-defined injective map preserving and reflecting every
-    relation of {!joint_signature} on its domain.
+    [b]: a well-defined injective map between the domains, preserving and
+    reflecting every relation of {!joint_signature} on its domain. A pair
+    with an element outside its structure's domain makes it [false].
+    This is the brute-force definition (every tuple over the mapped
+    elements); games call it once at setup and the tests use it as the
+    oracle of {!extension_ok}.
     @raise Invalid_argument as {!joint_signature}. *)
 val partial_iso : Structure.t -> Structure.t -> (int * int) list -> bool
 
 (** [extension_ok a b pairs (x, y)] assumes [pairs] is already a partial
-    isomorphism and decides whether adding the pebble pair [(x, y)] keeps it
-    one. Only tuples involving [x] (resp. [y]) are re-checked, which is what
-    makes the game solver's inner loop cheap.
-    @raise Invalid_argument as {!joint_signature}. *)
+    isomorphism and decides whether adding the pebble pair [(x, y)] keeps
+    it one: [extension_ok a b pairs xy = partial_iso a b (xy :: pairs)].
+
+    Apply it to [a b] once per game or search and keep the closure: that
+    application resolves the joint signature — each relation's arity,
+    both sides' membership indexes (empty on a side that does not declare
+    the relation) and the constant pairs — and raises [Invalid_argument]
+    as {!joint_signature} there, before any pair is checked. Each call
+    then refuses [x] or [y] outside its domain, scans the constant pairs
+    and [pairs] once for a repeated pebble (accepted as is) or a taken
+    image (refused), and probes only the tuples through [x]: [R(x)], then
+    [R(x,x)], [R(x,u)] and [R(u,x)] for every constant or pebbled [u],
+    then an odometer over the pebbled elements for arity [>= 3]. That is
+    O(|pairs| · |rels|) probes for arity [<= 2], with no allocation beyond
+    the caller's pair; nullary relations are left to [partial_iso] at
+    setup. The closure holds only built, read-only indexes, so parallel
+    workers can share it. *)
 val extension_ok : Structure.t -> Structure.t -> (int * int) list -> int * int -> bool
 
 (** [find_iso a b] is a full isomorphism [f] (as an array indexed by

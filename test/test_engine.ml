@@ -4,9 +4,12 @@
    The EF and pebble solvers were ported from hand-rolled loops onto the
    kernel; the oracles below are deliberately naive re-implementations
    of the pre-refactor semantics (plain recursion, no memo, no orbits,
-   no parallelism), so any divergence introduced by the kernel — memo
-   keys, orbit pruning, the work-stealing fan-out — shows up as a
-   verdict flip on random structure pairs. The counting game is checked
+   no parallelism, bijections enumerated rather than matched), so any
+   divergence introduced by the kernel — memo keys, orbit pruning, the
+   work-stealing fan-out — shows up as a verdict flip on random
+   structure pairs. A move is legal in the oracles when [Iso.partial_iso]
+   holds of the extended pair list: the definition, not the solvers'
+   incremental [Iso.extension_ok]. The counting game is also checked
    against its closed-form companion (k-WL / C^{k+1}) through the sound
    one-directional implications, and against the Cai–Fürer–Immerman
    separation witnesses. *)
@@ -30,6 +33,9 @@ let checkb msg = Alcotest.check Alcotest.bool msg
 
 (* ---------- Oracles: pre-refactor game semantics, naively ---------- *)
 
+(* Does pebbling [(x, y)] on top of [pairs] keep a partial isomorphism? *)
+let legal a b pairs xy = Iso.partial_iso a b (xy :: pairs)
+
 let oracle_ef ?(start = []) ~rounds a b =
   let dom_a = Structure.domain a and dom_b = Structure.domain b in
   let rec win n pairs =
@@ -37,43 +43,42 @@ let oracle_ef ?(start = []) ~rounds a b =
     || (List.for_all
           (fun x ->
             List.exists
-              (fun y ->
-                Iso.extension_ok a b pairs (x, y) && win (n - 1) ((x, y) :: pairs))
+              (fun y -> legal a b pairs (x, y) && win (n - 1) ((x, y) :: pairs))
               dom_b)
           dom_a
        && List.for_all
             (fun y ->
               List.exists
-                (fun x ->
-                  Iso.extension_ok a b pairs (x, y)
-                  && win (n - 1) ((x, y) :: pairs))
+                (fun x -> legal a b pairs (x, y) && win (n - 1) ((x, y) :: pairs))
                 dom_a)
             dom_b)
   in
   Iso.partial_iso a b start && win rounds start
 
+(* Positions as sorted pair lists (set semantics): the bases a spoiler
+   move starts from keep every pebble (while one is free) or lift one. *)
+let rec lift = function
+  | [] -> []
+  | p :: rest -> rest :: List.map (fun l -> p :: l) (lift rest)
+
+let bases ~pebbles pairs =
+  let bases =
+    if List.length pairs < pebbles then pairs :: lift pairs else lift pairs
+  in
+  if bases = [] then [ [] ] else bases
+
 let oracle_pebble ~pebbles ~rounds a b =
   let dom_a = Structure.domain a and dom_b = Structure.domain b in
-  (* Positions as sorted pair lists (set semantics). *)
-  let rec lift = function
-    | [] -> []
-    | p :: rest -> rest :: List.map (fun l -> p :: l) (lift rest)
-  in
   let rec win n pairs =
     n = 0
     || begin
-         let bases =
-           if List.length pairs < pebbles then pairs :: lift pairs
-           else lift pairs
-         in
-         let bases = if bases = [] then [ [] ] else bases in
          List.for_all
            (fun base ->
              List.for_all
                (fun x ->
                  List.exists
                    (fun y ->
-                     Iso.extension_ok a b base (x, y)
+                     legal a b base (x, y)
                      && win (n - 1)
                           (List.sort_uniq compare ((x, y) :: base)))
                    dom_b)
@@ -82,15 +87,44 @@ let oracle_pebble ~pebbles ~rounds a b =
                   (fun y ->
                     List.exists
                       (fun x ->
-                        Iso.extension_ok a b base (x, y)
+                        legal a b base (x, y)
                         && win (n - 1)
                              (List.sort_uniq compare ((x, y) :: base)))
                       dom_a)
                   dom_b)
-           bases
+           (bases ~pebbles pairs)
        end
   in
   Iso.partial_iso a b [] && win rounds []
+
+(* The bijective game by enumeration: from each base, some bijection
+   [f : A -> B] must make every [(x, f x)] legal and winning. *)
+let oracle_counting ~pebbles ~rounds a b =
+  let n = Structure.size a in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun y -> List.map (List.cons y) (perms (List.filter (( <> ) y) l)))
+          l
+  in
+  let rec win r pairs =
+    r = 0
+    || List.for_all
+         (fun base ->
+           let good x y =
+             legal a b base (x, y)
+             && win (r - 1) (List.sort_uniq compare ((x, y) :: base))
+           in
+           let good = Array.init n (fun x -> Array.init n (good x)) in
+           List.exists
+             (fun f -> List.for_all Fun.id (List.mapi (fun x y -> good.(x).(y)) f))
+             (perms (Structure.domain b)))
+         (bases ~pebbles pairs)
+  in
+  Iso.partial_iso a b []
+  && (rounds = 0 || Structure.size b = n)
+  && win rounds []
 
 (* ---------- Random structure pairs ---------- *)
 
@@ -173,6 +207,30 @@ let prop_pebble_matches_oracle =
               name got expected
           else true)
         pebble_configs)
+
+let counting_configs =
+  [
+    ("default", Counting_game.default_config);
+    ("no-memo", { Counting_game.default_config with memo = false });
+    ("forced-parallel", { Counting_game.default_config with workers = Some 3 });
+  ]
+
+let prop_counting_matches_oracle =
+  QCheck2.Test.make ~count:150
+    ~name:"engine counting = oracle counting (all configs)"
+    QCheck2.Gen.(pair gen_pair (pair (int_range 1 3) (int_range 0 3)))
+    (fun ((a, b), (pebbles, rounds)) ->
+      let expected = oracle_counting ~pebbles ~rounds a b in
+      List.for_all
+        (fun (name, config) ->
+          let got, (_ : Counting_game.stats) =
+            Counting_game.solve ~config ~pebbles ~rounds a b
+          in
+          if got <> expected then
+            QCheck2.Test.fail_reportf "counting config %s: got %b, oracle %b"
+              name got expected
+          else true)
+        counting_configs)
 
 (* Games compare structures over the union of their signatures, an
    undeclared relation being empty, so every game is symmetric — also
@@ -563,6 +621,7 @@ let () =
           [
             prop_ef_matches_oracle;
             prop_pebble_matches_oracle;
+            prop_counting_matches_oracle;
             prop_games_symmetric;
             prop_certify_matches_oracle;
           ] );

@@ -297,6 +297,28 @@ let test_strategy_union_composition () =
   checkb "composed strategy survives 3 rounds" true
     (Strategy.verify ~rounds:3 a b s = None)
 
+let test_strategy_out_of_domain () =
+  (* A reply outside the other structure's domain loses: index probes
+     answer false there, so it must not pass as an isolated point. On
+     set 0 vs set 3 this bogus strategy would certify a false ≡1. *)
+  let bogus ~rounds_left:_ _ _ _ = 99 in
+  let a = Gen.set 0 and b = Gen.set 3 in
+  checkb "set 0 and set 3 differ at rank 1" false (Ef.duplicator_wins ~rounds:1 a b);
+  checkb "out-of-domain reply refuted" true
+    (Strategy.verify ~rounds:1 a b bogus <> None);
+  checkb "refuted under symmetry pruning" true
+    (Strategy.verify ~symmetry:true ~rounds:1 a b bogus <> None);
+  checkb "refuted on a sampled line" true
+    (Strategy.verify_sampled ~rng:(Random.State.make [| 7 |]) ~lines:4 ~rounds:1 a b
+       bogus
+    <> None);
+  (* An out-of-range start element is refused by name, not solved. *)
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  checkb "solve refuses an out-of-domain start" true
+    (raises (fun () -> Ef.solve ~start:[ (7, 99) ] ~rounds:1 (Gen.set 3) (Gen.set 5)));
+  checkb "certify refuses an out-of-domain start" true
+    (raises (fun () -> Ef.certify ~start:[ (0, 5) ] ~rounds:1 (Gen.set 3) (Gen.set 5)))
+
 (* ---------- Pebble games ---------- *)
 
 let test_pebble_games () =
@@ -421,6 +443,7 @@ let () =
           Alcotest.test_case "successor chains" `Quick test_strategy_successor_chains;
           Alcotest.test_case "directed cycles" `Slow test_strategy_directed_cycles;
           Alcotest.test_case "union composition" `Quick test_strategy_union_composition;
+          Alcotest.test_case "out-of-domain replies" `Quick test_strategy_out_of_domain;
         ] );
       ( "pebble",
         [

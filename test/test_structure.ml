@@ -93,7 +93,12 @@ let test_partial_iso () =
   checkb "order violated" false (Iso.partial_iso a b [ (0, 3); (2, 1) ]);
   checkb "non-injective" false (Iso.partial_iso a b [ (0, 1); (1, 1) ]);
   checkb "non-functional" false (Iso.partial_iso a b [ (0, 1); (0, 2) ]);
-  checkb "duplicate pair ok" true (Iso.partial_iso a b [ (0, 0); (0, 0) ])
+  checkb "duplicate pair ok" true (Iso.partial_iso a b [ (0, 0); (0, 0) ]);
+  (* Index probes answer false out of the domain, so an out-of-range
+     element would pass as an isolated point. *)
+  checkb "out-of-domain pair" false (Iso.partial_iso (Gen.set 3) (Gen.set 5) [ (7, 99) ]);
+  checkb "out-of-domain image" false (Iso.partial_iso (Gen.set 3) (Gen.set 5) [ (0, 5) ]);
+  checkb "negative element" false (Iso.partial_iso (Gen.set 3) (Gen.set 5) [ (-1, 0) ])
 
 let test_extension_ok () =
   let a = Gen.linear_order 4 and b = Gen.linear_order 5 in
@@ -101,7 +106,30 @@ let test_extension_ok () =
   checkb "extend above" true (Iso.extension_ok a b pairs (3, 4));
   checkb "extend below fails order" false (Iso.extension_ok a b pairs (0, 2));
   checkb "repeat ok" true (Iso.extension_ok a b pairs (1, 1));
-  checkb "repeat mismatch" false (Iso.extension_ok a b pairs (1, 2))
+  checkb "repeat mismatch" false (Iso.extension_ok a b pairs (1, 2));
+  checkb "taken image" false (Iso.extension_ok a b pairs (2, 1));
+  let c4 = Gen.cycle 4 in
+  checkb "out-of-domain image" false (Iso.extension_ok c4 c4 [] (0, 99));
+  checkb "out-of-domain pebble" false (Iso.extension_ok c4 c4 [] (4, 0));
+  checkb "negative pebble" false (Iso.extension_ok c4 c4 [] (-1, 0));
+  checkb "empty domain" false (Iso.extension_ok (Gen.set 0) (Gen.set 3) [] (0, 0));
+  (* The check is resolved once and reused across positions. *)
+  let check = Iso.extension_ok a b in
+  checkb "applied once, extend above" true (check pairs (3, 4));
+  checkb "applied once, below" false (check pairs (0, 2));
+  (* Constants act as pre-played pairs. *)
+  let pin s e = Structure.expand_consts s [ ("c", e) ] in
+  let check = Iso.extension_ok (pin a 1) (pin b 1) in
+  checkb "pebble on a constant" true (check [] (1, 1));
+  checkb "pebble off its constant" false (check [] (1, 2));
+  checkb "constant's image taken" false (check [] (2, 1));
+  checkb "order against a constant" false (check [] (0, 2));
+  (* A clash is raised when the check is resolved, before any pair. *)
+  let clash = Structure.make (Signature.make [ ("E", 3) ]) ~size:2 [] in
+  checkb "clash at resolution" true
+    (match ignore (Iso.extension_ok c4 clash : _ -> _ -> bool) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let test_iso_cycles () =
   checkb "C5 ~ C5 relabeled" true
@@ -394,9 +422,123 @@ let prop_io_roundtrip =
       | Ok g' -> Structure.equal g g'
       | Error _ -> false)
 
+(* [Iso.extension_ok] against its definition, [partial_iso] of the
+   extended list. Structure pairs mix arities 0-3, 0-2 constants, a
+   relation one side leaves undeclared, and set- or CSR-backed binary
+   relations; [b] is often a relabelled copy of [a] with at most one
+   tuple flipped, so long partial isomorphisms exist. [pairs] grows by
+   random extensions kept only while [partial_iso] holds, and the probed
+   pairs include repeats, taken images, pebbles on constants and
+   out-of-domain elements. *)
+let ext_case rng =
+  let int n = Random.State.int rng n and coin () = Random.State.bool rng in
+  let na = 1 + int 5 in
+  let copy = int 3 > 0 in
+  let nb = if copy || coin () then na else 1 + int 5 in
+  let pi = Array.init na Fun.id in
+  for i = na - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = pi.(i) in
+    pi.(i) <- pi.(j);
+    pi.(j) <- t
+  done;
+  let consts = List.filteri (fun i _ -> i < int 3) [ "c"; "d" ] in
+  let rels = [ ("Z", 0); ("P", 1); ("E", 2); ("F", 2); ("T", 3) ] in
+  (* A relation declared on one side only, or none. *)
+  let omit = Option.map (fun (r, _) -> (r, coin ())) (List.nth_opt rels (int 8)) in
+  let declared on_a =
+    List.filter (fun (r, _) -> omit <> Some (r, on_a)) rels
+  in
+  let tuples n k = List.init (int ((2 * n) + 2)) (fun _ -> Array.init k (fun _ -> int n)) in
+  let rels_a = List.map (fun (r, k) -> (r, tuples na k)) rels in
+  let rels_b =
+    if copy then
+      let flip = if coin () then Some (fst (List.nth rels (int 5))) else None in
+      List.map
+        (fun (r, k) ->
+          let moved = List.map (Array.map (fun e -> pi.(e))) (List.assoc r rels_a) in
+          if flip = Some r then
+            let t = Array.init k (fun _ -> int nb) in
+            if List.mem t moved then (r, List.filter (( <> ) t) moved)
+            else (r, t :: moved)
+          else (r, moved))
+        rels
+    else
+      (* Nullary relations agree more often than not. *)
+      List.map
+        (fun (r, k) ->
+          if k = 0 && int 4 > 0 then (r, List.assoc r rels_a) else (r, tuples nb k))
+        rels
+  in
+  let consts_a = List.map (fun c -> (c, int na)) consts in
+  let consts_b =
+    List.map (fun (c, e) -> (c, if copy && int 4 > 0 then pi.(e) else int nb)) consts_a
+  in
+  (* Half the time the side declaring the one-sided relation leaves it
+     empty, as the other side reads it. *)
+  let sparse = coin () in
+  let make on_a n rel_tuples cvals =
+    let sg = Signature.make ~consts (declared on_a) in
+    let s =
+      Structure.make sg ~size:n ~consts:cvals
+        (List.filter_map
+           (fun (r, ts) ->
+             if not (Signature.mem_rel sg r) then None
+             else if sparse && Option.map fst omit = Some r then Some (r, [])
+             else Some (r, ts))
+           rel_tuples)
+    in
+    if coin () then Structure.to_csr s else s
+  in
+  let a = make true na rels_a consts_a and b = make false nb rels_b consts_b in
+  let image x = if copy && int 4 > 0 then pi.(x) else int nb in
+  let pairs = ref [] in
+  for _ = 1 to int 8 do
+    let x = int na in
+    let xy = (x, image x) in
+    if Iso.partial_iso a b (xy :: !pairs) then pairs := xy :: !pairs
+  done;
+  let pairs = !pairs in
+  let probes =
+    List.init 4 (fun _ ->
+        let x = int na in
+        (x, image x))
+    @ pairs
+    @ List.map (fun (_, y) -> (int na, y)) pairs
+    @ List.concat_map
+        (fun ((_, ca), (_, cb)) -> [ (ca, cb); (ca, int nb); (int na, cb) ])
+        (List.combine consts_a consts_b)
+    @ [ (na, int nb); (int na, nb); (-1, 0); (0, -1); (na + 5, nb + 5) ]
+  in
+  (a, b, pairs, probes)
+
+let prop_extension_matches_definition =
+  (* About half the generated pairs fail [partial_iso a b []] (the
+     constants or a nullary relation disagree) and are discarded. *)
+  QCheck2.Test.make ~count:2000 ~max_gen:8000
+    ~name:"extension_ok a b pairs xy = partial_iso a b (xy :: pairs)"
+    ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let a, b, pairs, probes = ext_case (Random.State.make [| seed |]) in
+      QCheck2.assume (Iso.partial_iso a b pairs);
+      let check = Iso.extension_ok a b in
+      List.for_all
+        (fun xy ->
+          let want = Iso.partial_iso a b (xy :: pairs) in
+          if Iso.extension_ok a b pairs xy <> want then
+            QCheck2.Test.fail_reportf "(%d,%d): fully applied check differs"
+              (fst xy) (snd xy)
+          else if check pairs xy <> want then
+            QCheck2.Test.fail_reportf "(%d,%d): resolved check differs"
+              (fst xy) (snd xy)
+          else true)
+        probes)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_extension_matches_definition;
       prop_relabel_iso;
       prop_iso_implies_key;
       prop_tc_idempotent;
