@@ -1926,7 +1926,42 @@ type e28_entry = {
   detail : int; (* realized types / stable colours *)
 }
 
+(* Sorted type sizes of the radius-1 census of a simple graph of degree
+   at most 4, in closed form — the rule perfbench's lib_batch checks
+   its census jobs with. A radius-1 ball is the centre, its neighbours
+   and the edges among them, and a graph on at most 4 vertices is fixed
+   up to isomorphism by its degree sequence; so the ball's type is the
+   sorted list of how many of the centre's other neighbours each
+   neighbour is adjacent to. *)
+let e28_expected_census s =
+  let n = Structure.size s in
+  let adj = Array.make n [] in
+  Structure.iter_rel2 s "E" (fun u v ->
+      if u <> v && not (List.mem v adj.(u)) then adj.(u) <- v :: adj.(u));
+  let tbl = Hashtbl.create 16 in
+  for v = 0 to n - 1 do
+    let nb = Array.of_list adj.(v) in
+    if Array.length nb > 4 then invalid_arg "E28: degree above 4";
+    let deg =
+      Array.map
+        (fun a ->
+          Array.fold_left (fun k b -> if List.mem b adj.(a) then k + 1 else k) 0 nb)
+        nb
+    in
+    Array.sort compare deg;
+    let key = Array.to_list deg in
+    Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+  done;
+  List.sort compare (Hashtbl.fold (fun _ c acc -> c :: acc) tbl [])
+
 let e28 () =
+  (* A gate on its answers (the ns/node timing and scaling rows are only
+     reported): the section fails unless every census has its
+     closed-form type sizes — torus one type, regular4 the
+     neighbour-degree rule above, torus+c three (the constant, its four
+     neighbours, the rest) — and every refinement is one colour. *)
+  let check what ok = if not ok then failwith ("E28: " ^ what) in
+  let show sizes = String.concat "," (List.map string_of_int sizes) in
   let workers =
     match !workers_flag with
     | Some k -> k
@@ -1939,7 +1974,7 @@ let e28 () =
   pf "shape: ns/node should stay flat as n grows 100x.@.";
   pf "  %-10s %9s %-12s %10s %9s %7s@." "family" "n" "workload" "wall ms"
     "ns/node" "detail";
-  let run ?(refine = true) family n g =
+  let run ?(refine = true) family n g ~expected =
     (* One full-pipeline run per measurement: fresh registry, so the
        census pays serialization, hashing and type registration every
        time — the steady state a new input sees. *)
@@ -1953,27 +1988,38 @@ let e28 () =
         { family; n; workload; wall_ns; ns_per_node; detail = detail () }
         :: !entries
     in
-    let types = ref 0 in
-    measure "hanf_census" (fun () -> !types) (fun () ->
+    let census = ref [] in
+    measure "hanf_census" (fun () -> List.length !census) (fun () ->
         let reg = Neighborhood.create_registry () in
-        let census = Neighborhood.census ~workers reg g ~radius:1 in
-        types := List.length census);
+        census := Neighborhood.census ~workers reg g ~radius:1);
+    let got = List.sort compare (List.map snd !census) in
+    check
+      (Printf.sprintf "%s n=%d: census type sizes [%s], expected [%s]" family n
+         (show got) (show expected))
+      (got = expected);
     if refine then begin
       let colours = ref 0 in
       measure "wl_refine" (fun () -> !colours) (fun () ->
           let c = Wl.refine ~workers g in
           let seen = Hashtbl.create 64 in
           Array.iter (fun v -> Hashtbl.replace seen v ()) c;
-          colours := Hashtbl.length seen)
+          colours := Hashtbl.length seen);
+      check
+        (Printf.sprintf "%s n=%d: refinement has %d colours, expected 1" family
+           n !colours)
+        (!colours = 1)
     end
   in
   List.iter
     (fun n ->
       let side = int_of_float (sqrt (float_of_int n)) in
-      run "torus" (side * side) (Gen.torus side side))
+      let n = side * side in
+      run "torus" n (Gen.torus side side) ~expected:[ n ])
     sizes;
   List.iter
-    (fun n -> run "regular4" n (Gen.random_regular ~rng:(rng ()) n 4))
+    (fun n ->
+      let g = Gen.random_regular ~rng:(rng ()) n 4 in
+      run "regular4" n g ~expected:(e28_expected_census g))
     sizes;
   (* One pinned constant: no ball is serializable, so every element
      builds its neighborhood and resolves it exactly — still O(ball) per
@@ -1982,8 +2028,10 @@ let e28 () =
   List.iter
     (fun n ->
       let side = int_of_float (sqrt (float_of_int n)) in
-      run ~refine:false "torus+c" (side * side)
-        (Structure.expand_consts (Gen.torus side side) [ ("c", 0) ]))
+      let n = side * side in
+      run ~refine:false "torus+c" n
+        (Structure.expand_consts (Gen.torus side side) [ ("c", 0) ])
+        ~expected:[ 1; 4; n - 5 ])
     sizes;
   (* The acceptance shape: per family and workload, ns/node at the
      largest size within 3x of the smallest. *)
@@ -2006,8 +2054,9 @@ let e28 () =
           | _ -> ())
         [ "hanf_census"; "wl_refine" ])
     [ "torus"; "regular4"; "torus+c" ];
-  pf "Shape: every scaling row within 3x — the census and refinement@.";
-  pf "are O(n) in practice, not just asymptotically.@.";
+  pf "Shape: every census has its closed-form type sizes and every@.";
+  pf "refinement one colour (checked); every scaling row within 3x — the@.";
+  pf "census and refinement are O(n) in practice (reported, not gated).@.";
   match !json_path with
   | None -> ()
   | Some path ->

@@ -159,7 +159,9 @@ let solve_result ~config ~budget ~pebbles ~rounds a b =
         extension_ok = Iso.extension_ok a b;
       }
     in
-    Solver.solve_result ~config ~budget ~depth_hint:rounds ctx
+    Solver.solve_result ~config ~budget ~depth_hint:rounds
+      ~width:(Structure.size a + Structure.size b)
+      ctx
       { Game.rounds; packed = [||] }
 
 let solve ?(config = default_config) ?(budget = Budget.unlimited) ~pebbles

@@ -204,7 +204,9 @@ let solve_verdict ?(config = default_config) ?(budget = Budget.unlimited)
   | Some (ctx, root) -> (
       match
         Solver.solve_result ~config:(engine_config config) ~budget
-          ~depth_hint:rounds ctx root
+          ~depth_hint:rounds
+          ~width:(Structure.size a + Structure.size b)
+          ctx root
       with
       | Ok true, stats -> (Equivalent, stats)
       | Ok false, stats -> (Distinguished, stats)

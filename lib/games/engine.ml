@@ -111,6 +111,17 @@ module Shared_memo = struct
       buckets
 end
 
+(* The automatic policy's size floor, in move sequences; engine.mli
+   gives the fan-out cost it amortizes. *)
+let parallel_floor = 4096
+
+(* [width^depth_hint >= parallel_floor], without overflow. *)
+let big_enough ~depth_hint ~width =
+  let rec go acc d =
+    acc >= parallel_floor || (d > 0 && width > 1 && go (acc * width) (d - 1))
+  in
+  go 1 depth_hint
+
 (* How many domains a solve may use. [moves] is the number of root
    obligations the game exposes (already symmetry-pruned by the game's
    orbit oracles): at most one obligation means there is nothing to
@@ -119,15 +130,16 @@ end
    taken as given — splitting regenerates work below the root, so [k]
    no longer needs to be clamped to the root frontier width (tests use
    it to exercise the parallel path deterministically on any machine) —
-   and the automatic policy fans out only games deep enough to split,
-   never past what the hardware offers. *)
-let worker_count config ~depth_hint ~moves =
+   and the automatic policy fans out only games deep enough to split
+   and big enough to repay the fan-out, never past what the hardware
+   offers. *)
+let worker_count config ~depth_hint ~width ~moves =
   if (not config.parallel) || depth_hint < 1 || moves <= 1 then 1
   else
     match config.workers with
     | Some k -> max 1 k
     | None ->
-        if depth_hint < 2 then 1
+        if depth_hint < 2 || not (big_enough ~depth_hint ~width) then 1
         else min 8 (Domain.recommended_domain_count ())
 
 (* Raised inside a worker when [stop] is observed mid-search: unwinds
@@ -178,9 +190,12 @@ module Make (G : GAME) = struct
     let stats () = { positions = !explored; memo_hits = !hits; workers = 1 } in
     (solve, stats)
 
-  let solve_result ~config ~budget ~depth_hint ?(split_depth = 3) ctx root =
+  let solve_result ~config ~budget ~depth_hint ~width ?(split_depth = 3) ctx
+      root =
     let root_tasks = Array.of_list (G.tasks ctx root) in
-    let w = worker_count config ~depth_hint ~moves:(Array.length root_tasks) in
+    let w =
+      worker_count config ~depth_hint ~width ~moves:(Array.length root_tasks)
+    in
     if depth_hint = 0 || w <= 1 then begin
       let value, stats = sequential ~config ~budget ctx in
       match value root with

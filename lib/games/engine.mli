@@ -109,12 +109,19 @@ end
     ([moves <= 1] — nothing to distribute and splitting cannot start).
     Otherwise an explicit [workers = Some k] is used as given — deque
     splitting regenerates work below the root, so [k] is no longer
-    clamped to the root frontier width — and the automatic policy
-    takes [min 8 (Domain.recommended_domain_count ())] for games deep
-    enough to split ([depth_hint >= 2]), i.e. 1 on a single-core
-    machine: parallelism is never forced on hardware that cannot run
-    it. *)
-val worker_count : config -> depth_hint:int -> moves:int -> int
+    clamped to the root frontier width. The automatic policy takes
+    [min 8 (Domain.recommended_domain_count ())] — 1 on a single-core
+    machine — for games deep enough to split ([depth_hint >= 2]) whose
+    size estimate [width^depth_hint] reaches 4096 move sequences, where
+    [width] is the number of moves a position offers before symmetry
+    pruning ([|A| + |B|]); smaller games stay sequential. The floor
+    amortizes the fan-out: on a shared 2-core host (OCaml 5.1, release
+    build) handing a solve to 2 pooled domains cost about 0.8 ms of
+    spawn, hand-off and join, and about 2 ms once the parked domains
+    had expired, against 64 µs for the whole sequential solve of the
+    2-round 2-pebble game on C_3 vs a 3-element set (estimate
+    6^2 = 36). *)
+val worker_count : config -> depth_hint:int -> width:int -> moves:int -> int
 
 module Make (G : GAME) : sig
   (** [sequential ~config ~budget ctx] is the kernel's sequential value
@@ -128,11 +135,12 @@ module Make (G : GAME) : sig
     G.ctx ->
     (G.pos -> bool) * (unit -> stats)
 
-  (** [solve_result ~config ~budget ~depth_hint ctx root] decides the
-      game from [root]: [Ok win] on a decided game, [Error reason] when
-      the budget ran out first. Stats are returned in both cases.
-      [depth_hint] (the round count) gates the parallel fan-out — a
-      0-depth game is never fanned out. [split_depth] (default 3) is
+  (** [solve_result ~config ~budget ~depth_hint ~width ctx root] decides
+      the game from [root]: [Ok win] on a decided game, [Error reason]
+      when the budget ran out first. Stats are returned in both cases.
+      [depth_hint] (the round count) and [width] (the moves a position
+      offers before symmetry pruning) gate the parallel fan-out through
+      {!worker_count} — a 0-depth game is never fanned out. [split_depth] (default 3) is
       the cutoff below the root down to which expanded positions
       publish their obligations as stealable tasks; 0 restores
       root-only distribution. Exceptions other than budget exhaustion
@@ -141,6 +149,7 @@ module Make (G : GAME) : sig
     config:config ->
     budget:Budget.t ->
     depth_hint:int ->
+    width:int ->
     ?split_depth:int ->
     G.ctx ->
     G.pos ->

@@ -182,7 +182,9 @@ let solve_result ~config ~budget ~pebbles ~rounds a b =
           parallel = config.parallel;
           workers = config.workers;
         }
-      ~budget ~depth_hint:rounds ctx
+      ~budget ~depth_hint:rounds
+      ~width:(Structure.size a + Structure.size b)
+      ctx
       { Game.rounds; packed = [||] }
   end
 

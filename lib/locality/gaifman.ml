@@ -7,12 +7,15 @@ let adjacency_csr t = Structure.gaifman_csr t
 
 (* ---- The walker ----
 
-   One scratch-buffer BFS over the cached CSR Gaifman adjacency: two
-   size-n arrays reset only on the entries the previous ball touched, a
-   ball buffer doubling as the BFS queue, and per-relation views for
-   [build_neighborhood] and [serialize]. Every ball and neighborhood in
-   the locality modules comes from here, so a loop over elements pays
-   O(ball) per element after one O(n + m) setup. *)
+   One scratch-buffer BFS over the cached CSR Gaifman adjacency: one
+   size-n array of local ids, reset only on the entries the previous
+   ball touched; a ball buffer doubling as the BFS queue, with each
+   member's distance stored beside it by ball position; and
+   per-relation views for [build_neighborhood] and [serialize]. A newly
+   discovered vertex costs one scattered write (its local id). Every
+   ball and neighborhood in the locality modules comes from here, so a
+   loop over elements pays O(ball) per element after one O(n + m)
+   setup. *)
 
 (* How [build_neighborhood] reads one relation: nullary relations are a
    flag, unary ones a membership index, binary ones forward CSR rows,
@@ -33,14 +36,12 @@ type walker = {
   serializable : bool;
   unary : Index.t array;  (* arity-1 indexes, signature order *)
   binary : Csr.t array;  (* arity-2 rows, signature order *)
-  dist : int array;  (* -1 = outside the current ball *)
   local : int array;  (* BFS-order local id, -1 outside *)
-  mutable ball : int array;
+  mutable ball : int array;  (* members by local id *)
+  mutable bdist : int array;  (* distances by local id *)
   mutable len : int;
   mutable seeds : int list;
-  key : Csr.Vec.vec;
-  mutable tmp : int array;
-  mutable tmp_len : int;
+  mutable key : int array;  (* [serialize]'s output *)
 }
 
 let walker t =
@@ -89,14 +90,12 @@ let walker t =
       && Array.length unary <= 62;
     unary;
     binary;
-    dist = Array.make n (-1);
     local = Array.make n (-1);
     ball = Array.make 16 0;
+    bdist = Array.make 16 0;
     len = 0;
     seeds = [];
-    key = Csr.Vec.create ~cap:64 ();
-    tmp = Array.make 16 0;
-    tmp_len = 0;
+    key = Array.make 64 0;
   }
 
 let check_element w e =
@@ -104,13 +103,18 @@ let check_element w e =
     invalid_arg
       (Printf.sprintf "Gaifman: element %d outside the domain [0,%d)" e w.size)
 
-let push_ball w u =
+let grow arr len =
+  let grown = Array.make (2 * Array.length arr) 0 in
+  Array.blit arr 0 grown 0 len;
+  grown
+
+let push_ball w u d =
   if w.len = Array.length w.ball then begin
-    let grown = Array.make (2 * w.len) 0 in
-    Array.blit w.ball 0 grown 0 w.len;
-    w.ball <- grown
+    w.ball <- grow w.ball w.len;
+    w.bdist <- grow w.bdist w.len
   end;
   w.ball.(w.len) <- u;
+  w.bdist.(w.len) <- d;
   w.local.(u) <- w.len;
   w.len <- w.len + 1
 
@@ -121,18 +125,13 @@ let rec push_seeds w = function
   | [] -> ()
   | s :: rest ->
       check_element w s;
-      if w.dist.(s) < 0 then begin
-        w.dist.(s) <- 0;
-        push_ball w s
-      end;
+      if w.local.(s) < 0 then push_ball w s 0;
       push_seeds w rest
 
 let walk w r seeds =
   if r < 0 then invalid_arg (Printf.sprintf "Gaifman: negative radius %d" r);
   for i = 0 to w.len - 1 do
-    let u = w.ball.(i) in
-    w.dist.(u) <- -1;
-    w.local.(u) <- -1
+    w.local.(w.ball.(i)) <- -1
   done;
   w.len <- 0;
   push_seeds w seeds;
@@ -140,16 +139,12 @@ let walk w r seeds =
   let targets = Csr.targets w.g in
   let head = ref 0 in
   while !head < w.len do
-    let u = w.ball.(!head) in
+    let u = w.ball.(!head) and du = w.bdist.(!head) in
     incr head;
-    let du = w.dist.(u) in
     if du < r then
       for k = Csr.row_start w.g u to Csr.row_end w.g u - 1 do
         let v = targets.(k) in
-        if w.dist.(v) < 0 then begin
-          w.dist.(v) <- du + 1;
-          push_ball w v
-        end
+        if w.local.(v) < 0 then push_ball w v (du + 1)
       done
   done;
   w.len
@@ -209,25 +204,21 @@ let build_neighborhood w =
 
 let serializable w = w.serializable
 
-let push_tmp w v =
-  if w.tmp_len = Array.length w.tmp then begin
-    let grown = Array.make (2 * w.tmp_len) 0 in
-    Array.blit w.tmp 0 grown 0 w.tmp_len;
-    w.tmp <- grown
-  end;
-  w.tmp.(w.tmp_len) <- v;
-  w.tmp_len <- w.tmp_len + 1
+let push_key w len v =
+  if len = Array.length w.key then w.key <- grow w.key len;
+  w.key.(len) <- v
 
-(* Insertion sort: rows are ball-sized, a handful of elements. *)
-let sort_tmp w =
-  for i = 1 to w.tmp_len - 1 do
-    let x = w.tmp.(i) in
+(* Insertion sort of [w.key.(lo) .. w.key.(hi - 1)] in place: rows are
+   ball-sized, a handful of elements. *)
+let sort_key w lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = w.key.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && w.tmp.(!j) > x do
-      w.tmp.(!j + 1) <- w.tmp.(!j);
+    while !j >= lo && w.key.(!j) > x do
+      w.key.(!j + 1) <- w.key.(!j);
       decr j
     done;
-    w.tmp.(!j + 1) <- x
+    w.key.(!j + 1) <- x
   done
 
 (* Size, then per member (in BFS order) its unary mask followed by, per
@@ -237,38 +228,43 @@ let sort_tmp w =
    pinning the seed (local id 0): unary memberships and every
    relation's exact directed edge set (self-loops included; in-edges
    appear in the source member's section) coincide. One CSR row read
-   per member per relation — no per-pair probes. *)
+   per member per relation — no per-pair probes. Written into [w.key],
+   so a cache probe reads the ball's key where it was built. *)
 let serialize w =
   if not w.serializable then
     invalid_arg "Gaifman.serialize: signature not serializable";
   (match w.seeds with
   | [ _ ] -> ()
   | _ -> invalid_arg "Gaifman.serialize: ball not walked from one element");
-  Csr.Vec.clear w.key;
-  Csr.Vec.push w.key w.len;
+  push_key w 0 w.len;
+  let len = ref 1 in
   for i = 0 to w.len - 1 do
     let u = w.ball.(i) in
     let umask = ref 0 in
     for j = 0 to Array.length w.unary - 1 do
       if Index.mem1 w.unary.(j) u then umask := !umask lor (1 lsl j)
     done;
-    Csr.Vec.push w.key !umask;
+    push_key w !len !umask;
+    incr len;
     for b = 0 to Array.length w.binary - 1 do
       let csr = w.binary.(b) in
       let targets = Csr.targets csr in
-      w.tmp_len <- 0;
+      let row = !len in
       for k = Csr.row_start csr u to Csr.row_end csr u - 1 do
         let lv = w.local.(targets.(k)) in
-        if lv >= 0 then push_tmp w lv
+        if lv >= 0 then begin
+          push_key w !len lv;
+          incr len
+        end
       done;
-      sort_tmp w;
-      for j = 0 to w.tmp_len - 1 do
-        Csr.Vec.push w.key w.tmp.(j)
-      done;
-      Csr.Vec.push w.key (-1)
+      sort_key w row !len;
+      push_key w !len (-1);
+      incr len
     done
   done;
-  Csr.Vec.to_array w.key
+  !len
+
+let serialized w = w.key
 
 (* ---- One-shot views ---- *)
 
@@ -286,7 +282,8 @@ let distance t u v =
   let w = walker t in
   check_element w v;
   ignore (walk w max_int [ u ]);
-  if w.dist.(v) < 0 then max_int else w.dist.(v)
+  let lv = w.local.(v) in
+  if lv < 0 then max_int else w.bdist.(lv)
 
 let diameter t =
   let w = walker t in
@@ -294,7 +291,7 @@ let diameter t =
   for u = 0 to w.size - 1 do
     let len = walk w max_int [ u ] in
     (* BFS order: the last member is a farthest one. *)
-    best := max !best w.dist.(w.ball.(len - 1))
+    best := max !best w.bdist.(len - 1)
   done;
   !best
 

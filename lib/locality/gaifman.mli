@@ -22,9 +22,12 @@ val adjacency_csr : Structure.t -> Fmtk_structure.Csr.t
 
 (** {1 The ball walker} *)
 
-(** Reusable BFS scratch over one structure: O(n) arrays plus per-relation
-    views (membership indexes, forward CSR rows, and the tuples of wider
-    relations keyed by their first element), built once. A walker holds
+(** Reusable BFS scratch over one structure: one vertex-indexed array of
+    local ids (−1 outside the current ball), ball-sized buffers (members
+    and their distances by local id, the serialization key) and
+    per-relation views (membership indexes, forward CSR rows, and the
+    tuples of wider relations keyed by their first element), built once.
+    A walk allocates nothing per ball member. A walker holds
     the {e current ball}, replaced by each {!walk}. It is mutable and must
     not be shared across domains: make one per domain. *)
 type walker
@@ -61,14 +64,21 @@ val build_neighborhood : walker -> Structure.t
     every relation unary or binary, at most 62 unary relations. *)
 val serializable : walker -> bool
 
-(** [serialize w] — a flat int description of the current ball, in BFS
-    order, for a ball walked from one element. Sound, not complete: two
-    such balls with equal serializations (over structures of one
+(** [serialize w] writes a flat int description of the current ball, in
+    BFS order, for a ball walked from one element, into the walker's key
+    buffer ({!serialized}) and returns its length. Sound, not complete:
+    two such balls with equal serializations (over structures of one
     signature) have isomorphic neighborhoods; isomorphic ones may
-    serialize differently. The census keys its cache on it. O(ball).
+    serialize differently. The census probes its cache with the buffer's
+    slice, so a ball costs O(ball) time and no allocation.
     @raise Invalid_argument unless {!serializable} and the walk had one
     seed. *)
-val serialize : walker -> int array
+val serialize : walker -> int
+
+(** [serialized w] — the key buffer: its first [serialize w] entries
+    are the last serialization. {b Read-only}, and overwritten (possibly
+    replaced by a larger array) by the next {!serialize}. *)
+val serialized : walker -> int array
 
 (** {1 One-shot views}
 

@@ -1,29 +1,11 @@
 module Structure = Fmtk_structure.Structure
 module Signature = Fmtk_logic.Signature
 module Iso = Fmtk_structure.Iso
+module Slice_tbl = Fmtk_structure.Slice_tbl
 module Budget = Fmtk_runtime.Budget
 module Shard = Fmtk_runtime.Shard
 
 (* ---- Type registry ---- *)
-
-(* Serialization keys of radius-r balls ({!Gaifman.serialize}) are flat
-   int arrays; like [Wl]'s colour keys they need a full-content hash. *)
-module KeyTbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x01000193
-    done;
-    !h land max_int
-end)
 
 (* Cap on serialization-cache entries (registry-global and per census
    worker). Balls of genuinely diverse shape stop being cached past the
@@ -45,8 +27,10 @@ type registry = {
   (* Streaming-census serialization cache: ball serialization -> type
      id. Sound (equal serializations are isomorphic) but not complete —
      misses fall back to exact [type_id]. Keys are only comparable
-     between structures of equal signature; [serial_sig] guards. *)
-  serial : int KeyTbl.t;
+     between structures of equal signature; [serial_sig] guards. Probed
+     with the walker's key buffer ({!Gaifman.serialized}), so a hit
+     allocates nothing. *)
+  serial : Slice_tbl.t;
   mutable serial_sig : Signature.t option;
   mutable serial_hits : int;
 }
@@ -58,7 +42,7 @@ let create_registry ?(bucketing = true) () =
     reps = [||];
     count = 0;
     iso_tests = 0;
-    serial = KeyTbl.create 256;
+    serial = Slice_tbl.create ();
     serial_sig = None;
     serial_hits = 0;
   }
@@ -137,17 +121,20 @@ let serial_usable reg sg =
       true
   | Some sg' -> Signature.equal sg' sg
 
-(* The per-element body. [cache]: serialize the ball, try [probe], and
+(* The per-element body. [cache]: serialize the ball into the walker's
+   key buffer, try [probe] on that slice (an id, or -1 on a miss), and
    remember misses in [reg]'s cache. *)
 let element_type ~radius ~cache ~probe w reg v =
   ignore (Gaifman.walk w radius [ v ]);
-  let key = if cache then Gaifman.serialize w else [||] in
-  match if cache then probe key else None with
-  | Some id -> id
-  | None ->
+  if not cache then type_id reg (Gaifman.build_neighborhood w)
+  else
+    let len = Gaifman.serialize w in
+    let hit = probe (Gaifman.serialized w) len in
+    if hit <> -1 then hit
+    else
       let id = type_id reg (Gaifman.build_neighborhood w) in
-      if cache && KeyTbl.length reg.serial < serial_cap then
-        KeyTbl.replace reg.serial key id;
+      if Slice_tbl.length reg.serial < serial_cap then
+        Slice_tbl.replace reg.serial (Gaifman.serialized w) 0 len id;
       id
 
 let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
@@ -162,12 +149,10 @@ let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
   if w <= 1 then begin
     (* Sequential: resolve against the registry and its cache directly. *)
     let poller = Budget.poller budget in
-    let probe key =
-      match KeyTbl.find_opt reg.serial key with
-      | Some _ as hit ->
-          reg.serial_hits <- reg.serial_hits + 1;
-          hit
-      | None -> None
+    let probe key len =
+      let hit = Slice_tbl.find reg.serial key 0 len in
+      if hit >= 0 then reg.serial_hits <- reg.serial_hits + 1;
+      hit
     in
     for v = 0 to n - 1 do
       Budget.check poller;
@@ -185,12 +170,9 @@ let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
     Shard.ranges ~workers:w ~budget ~n (fun poller ~stop ~idx ~lo ~hi ->
         let lreg = locals.(idx) in
         let wk = Gaifman.walker t in
-        let probe key =
-          match
-            if use_cache then KeyTbl.find_opt reg.serial key else None
-          with
-          | Some gid -> Some (-gid - 2)
-          | None -> KeyTbl.find_opt lreg.serial key
+        let probe key len =
+          let gid = if use_cache then Slice_tbl.find reg.serial key 0 len else -1 in
+          if gid >= 0 then -gid - 2 else Slice_tbl.find lreg.serial key 0 len
         in
         let v = ref lo in
         while !v < hi && not (stop ()) do
@@ -215,14 +197,12 @@ let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
           end
         done;
         if use_cache then
-          KeyTbl.iter
-            (fun key lid ->
+          Slice_tbl.iter lreg.serial (fun key off len lid ->
               if
                 map.(lid) >= 0
-                && KeyTbl.length reg.serial < serial_cap
-                && not (KeyTbl.mem reg.serial key)
-              then KeyTbl.replace reg.serial key map.(lid))
-            lreg.serial
+                && Slice_tbl.length reg.serial < serial_cap
+                && Slice_tbl.find reg.serial key off len < 0
+              then Slice_tbl.replace reg.serial key off len map.(lid))
       end
     done;
     types
@@ -230,10 +210,10 @@ let element_types ?(workers = 1) ?(budget = Budget.unlimited) reg t ~radius =
 
 let census ?workers ?budget reg t ~radius =
   let types = element_types ?workers ?budget reg t ~radius in
-  let counts = Hashtbl.create 16 in
-  Array.iter
-    (fun id ->
-      Hashtbl.replace counts id
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)))
-    types;
-  List.sort compare (Hashtbl.fold (fun id c acc -> (id, c) :: acc) counts [])
+  let counts = Array.make reg.count 0 in
+  Array.iter (fun id -> counts.(id) <- counts.(id) + 1) types;
+  let realized = ref [] in
+  for id = reg.count - 1 downto 0 do
+    if counts.(id) > 0 then realized := (id, counts.(id)) :: !realized
+  done;
+  !realized

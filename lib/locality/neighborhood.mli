@@ -10,7 +10,9 @@
     element, never O(structure)); where the ball's serialization
     describes it ({!Gaifman.serializable}: no constants, unary and binary
     relations only) a serialization cache resolves it before any exact
-    isomorphism test; otherwise, and on a cache miss, its neighborhood is
+    isomorphism test — the ball is serialized into the walker's key
+    buffer and the cache is probed with that slice, so a hit allocates
+    O(1) words; otherwise, and on a cache miss, its neighborhood is
     built ({!Gaifman.build_neighborhood}) and resolved exactly by
     {!type_id}. Type ids and censuses are identical with or without the
     cache, and for every [workers] value (sharded censuses give each

@@ -13,12 +13,14 @@
    the hierarchy is strict.
 
    The 1-dimensional refinement runs over the structure's cached CSR
-   Gaifman adjacency with interned int-array colour keys — per round,
-   one flat pass building each element's (own colour, sorted neighbour
-   colours) key, then one sequential interning pass. Key building
-   shards across domains by contiguous vertex range ({!Shard.ranges});
-   interning stays sequential, so colour ids are assigned in element
-   order and the result is byte-identical for every worker count. *)
+   Gaifman adjacency with no allocation per element: each round builds
+   every element's (own colour, sorted neighbour colours) key as a slice
+   of a flat int buffer and interns the slices in element order
+   ({!Slice_tbl}). Key building shards across domains by contiguous
+   vertex range ({!Shard.ranges}), into one buffer laid out like the
+   CSR rows; interning stays sequential, so colour ids are assigned in
+   element order and the result is byte-identical for every worker
+   count. *)
 
 module Signature = Fmtk_logic.Signature
 module Budget = Fmtk_runtime.Budget
@@ -26,27 +28,8 @@ module Shard = Fmtk_runtime.Shard
 
 (* ---- interning ---- *)
 
-(* Colour keys are flat int arrays. The interning table hashes the whole
-   key with FNV-1a: the polymorphic [Hashtbl.hash] inspects only a
-   bounded number of words, which would collapse every high-degree
-   neighbourhood multiset into a handful of buckets. *)
-module KeyTbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x01000193
-    done;
-    !h land max_int
-end)
-
+(* First-occurrence interner for names (shared across the two structures
+   of a joint run) and for k-WL's string colours. *)
 let make_interner () =
   let table = Hashtbl.create 64 in
   let next = ref 0 in
@@ -59,129 +42,171 @@ let make_interner () =
         Hashtbl.add table s c;
         c
 
-(* Sequential first-occurrence interning of key arrays: returns the
-   colour array and the number of distinct colours. *)
-let intern_keys keys =
-  let tbl = KeyTbl.create (2 * Array.length keys) in
-  let next = ref 0 in
-  let colors =
-    Array.map
-      (fun k ->
-        match KeyTbl.find_opt tbl k with
-        | Some c -> c
-        | None ->
-            let c = !next in
-            incr next;
-            KeyTbl.add tbl k c;
-            c)
-      keys
-  in
-  (colors, !next)
+(* Sort [a.(lo) .. a.(hi - 1)] ascending in place, allocating nothing:
+   insertion sort on short slices (a vertex's row of colours), heapsort
+   on long ones, so a row of degree d costs O(d log d). *)
+let insertion_sort a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
-(* Sort [arr.(lo..)] ascending (via a copy — once per element per
-   round, never nested). *)
-let sort_from arr lo =
-  let len = Array.length arr - lo in
-  if len > 1 then begin
-    let tmp = Array.sub arr lo len in
-    Array.sort Int.compare tmp;
-    Array.blit tmp 0 arr lo len
+(* Sift entry [i] down the max-heap [a.(lo) .. a.(lo + len - 1)]. *)
+let sift_down a lo len i =
+  let i = ref i and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l
+    in
+    if c < len && a.(lo + c) > a.(lo + !i) then begin
+      let x = a.(lo + c) in
+      a.(lo + c) <- a.(lo + !i);
+      a.(lo + !i) <- x;
+      i := c
+    end
+    else sifting := false
+  done
+
+let sort_slice a lo hi =
+  let len = hi - lo in
+  if len <= 16 then insertion_sort a lo hi
+  else begin
+    for i = (len / 2) - 1 downto 0 do
+      sift_down a lo len i
+    done;
+    for last = len - 1 downto 1 do
+      let x = a.(lo) in
+      a.(lo) <- a.(lo + last);
+      a.(lo + last) <- x;
+      sift_down a lo last 0
+    done
   end
 
 (* ---- 1-WL: colour refinement over the Gaifman graph ---- *)
 
-(* Initial colour key of an element: for every relation (in signature
-   order) an interned name id followed by the element's per-position
-   occurrence counts, then a [-2]-tagged interned mark per constant
-   naming the element. [name_id] is shared across the two structures of
-   a joint run so their keys stay comparable. *)
-let initial_keys name_id t =
+(* Initial colours of [t]'s elements, interned in element order into
+   [tbl] and written to [colors.(at + e)]. An element's key: for every
+   relation (in signature order) an interned name id, the element's
+   per-position occurrence counts — for a nullary relation, whether it
+   holds — and [-1]; then a [-2]-tagged interned mark per constant
+   naming the element, in signature order. The counts live in one flat
+   array per relation, and each key is assembled in one scratch buffer.
+   [name_id] is shared across the two structures of a joint run so
+   their keys stay comparable. *)
+let initial_colors tbl name_id t colors ~at =
   let n = Structure.size t in
   let sg = Structure.signature t in
-  let rels = Signature.rels sg in
-  let base_len = List.fold_left (fun acc (_, k) -> acc + k + 2) 0 rels in
-  let extra = Array.make (max n 1) 0 in
-  let consts =
-    List.map
-      (fun c ->
-        let e = Structure.const t c in
-        extra.(e) <- extra.(e) + 2;
-        (c, e))
-      (Signature.consts sg)
+  let rels = Array.of_list (Signature.rels sg) in
+  let nids = Array.map (fun (name, _) -> name_id name) rels in
+  let slots = Array.map (fun (_, k) -> max k 1) rels in
+  let counts =
+    Array.map
+      (fun (name, k) ->
+        let c = Array.make (n * max k 1) 0 in
+        (match k with
+        | 0 -> if Structure.rel_count t name > 0 then Array.fill c 0 n 1
+        | 2 ->
+            Structure.iter_rel2 t name (fun u v ->
+                c.(2 * u) <- c.(2 * u) + 1;
+                c.((2 * v) + 1) <- c.((2 * v) + 1) + 1)
+        | _ ->
+            Structure.iter_rel t name
+              (Array.iteri (fun i e -> c.((e * k) + i) <- c.((e * k) + i) + 1)));
+        c)
+      rels
   in
-  let keys = Array.init n (fun e -> Array.make (base_len + extra.(e)) 0) in
-  let pos = Array.make (max n 1) 0 in
-  let push e x =
-    keys.(e).(pos.(e)) <- x;
-    pos.(e) <- pos.(e) + 1
+  let consts = Signature.consts sg in
+  let const_elt = Array.of_list (List.map (Structure.const t) consts) in
+  let const_id = Array.of_list (List.map (fun c -> name_id ("@" ^ c)) consts) in
+  let key =
+    Array.make
+      (Array.fold_left (fun acc k -> acc + k + 2) 0 slots
+      + (2 * Array.length const_elt))
+      0
   in
-  List.iter
-    (fun (name, k) ->
-      let nid = name_id name in
-      let counts = Array.make (n * max k 1) 0 in
-      if k = 2 then
-        Structure.iter_rel2 t name (fun u v ->
-            counts.(u * 2) <- counts.(u * 2) + 1;
-            counts.((v * 2) + 1) <- counts.((v * 2) + 1) + 1)
-      else
-        Structure.iter_rel t name (fun tup ->
-            Array.iteri
-              (fun i e -> counts.((e * k) + i) <- counts.((e * k) + i) + 1)
-              tup);
-      for e = 0 to n - 1 do
-        push e nid;
-        for i = 0 to k - 1 do
-          push e counts.((e * k) + i)
-        done;
-        push e (-1)
-      done)
-    rels;
-  List.iter
-    (fun (c, e) ->
-      push e (-2);
-      push e (name_id ("@" ^ c)))
-    consts;
-  keys
+  for e = 0 to n - 1 do
+    let len = ref 0 in
+    for r = 0 to Array.length rels - 1 do
+      let k = slots.(r) in
+      key.(!len) <- nids.(r);
+      Array.blit counts.(r) (e * k) key (!len + 1) k;
+      key.(!len + k + 1) <- -1;
+      len := !len + k + 2
+    done;
+    for j = 0 to Array.length const_elt - 1 do
+      if const_elt.(j) = e then begin
+        key.(!len) <- -2;
+        key.(!len + 1) <- const_id.(j);
+        len := !len + 2
+      end
+    done;
+    colors.(at + e) <- Slice_tbl.intern tbl key 0 !len
+  done
 
-(* Refinement over CSR adjacency [g] from initial keys: iterate until
-   the number of colour classes stops growing. Per round, the key of
-   [u] is its colour followed by the sorted colours of its Gaifman
-   neighbours; key building shards by vertex range, interning is
-   sequential. *)
-let refine_csr ~workers ~budget g init =
+(* Refinement over CSR adjacency [g] from [colors], whose [count]
+   distinct colours are interned in [tbl]: iterate until the number of
+   colour classes stops growing. Per round, the key of [u] is its colour
+   followed by the sorted colours of its Gaifman neighbours; [tbl] is
+   cleared, the keys are interned in element order, and the two colour
+   arrays swap. A sequential round builds each key in one row-sized
+   scratch buffer and interns it at once. A sharded round builds every
+   key in one buffer laid out like [g]'s rows ([u]'s key starts at
+   [row_start u + u]), by contiguous vertex range, then interns them
+   sequentially. *)
+let refine_csr ~workers ~budget g tbl colors count =
   let n = Csr.nodes g in
-  let colors, count0 = intern_keys init in
-  let colors = ref colors in
-  let keys = Array.make n [||] in
   let tg = Csr.targets g in
+  let sharded = fst (Shard.plan ~workers ~n) > 1 in
+  let keys =
+    Array.make (if sharded then Csr.edge_count g + n else Csr.max_degree g + 1) 0
+  in
+  (* Write [u]'s key under colouring [c] at [keys.(at)]; its length. *)
+  let write c u at =
+    let s = Csr.row_start g u and t = Csr.row_end g u in
+    keys.(at) <- c.(u);
+    for i = s to t - 1 do
+      keys.(at + 1 + i - s) <- c.(tg.(i))
+    done;
+    sort_slice keys (at + 1) (at + 1 + t - s);
+    t - s + 1
+  in
+  let cur = ref colors and next = ref (Array.make n 0) in
   let rec loop count =
-    let cur = !colors in
-    Shard.ranges ~workers ~budget ~n
-      (fun poller ~stop ~idx:_ ~lo ~hi ->
+    let c = !cur and nx = !next in
+    Slice_tbl.clear tbl;
+    Shard.ranges ~workers ~budget ~n (fun poller ~stop ~idx:_ ~lo ~hi ->
         let u = ref lo in
         while !u < hi && not (stop ()) do
           Budget.check poller;
           let e = !u in
-          let s = Csr.row_start g e and t = Csr.row_end g e in
-          let key = Array.make (t - s + 1) cur.(e) in
-          for i = s to t - 1 do
-            key.(i - s + 1) <- cur.(tg.(i))
-          done;
-          sort_from key 1;
-          keys.(e) <- key;
+          if sharded then ignore (write c e (Csr.row_start g e + e))
+          else nx.(e) <- Slice_tbl.intern tbl keys 0 (write c e 0);
           incr u
         done);
-    let next, count' = intern_keys keys in
-    colors := next;
+    if sharded then
+      for e = 0 to n - 1 do
+        let s = Csr.row_start g e in
+        nx.(e) <- Slice_tbl.intern tbl keys (s + e) (Csr.row_end g e - s + 1)
+      done;
+    cur := nx;
+    next := c;
+    let count' = Slice_tbl.length tbl in
     if count' > count then loop count'
   in
-  loop count0;
-  !colors
+  loop count;
+  !cur
 
 let refine ?(workers = 1) ?(budget = Budget.unlimited) t =
-  refine_csr ~workers ~budget
-    (Structure.gaifman_csr t)
-    (initial_keys (make_interner ()) t)
+  let g = Structure.gaifman_csr t and tbl = Slice_tbl.create () in
+  let colors = Array.make (Structure.size t) 0 in
+  initial_colors tbl (make_interner ()) t colors ~at:0;
+  refine_csr ~workers ~budget g tbl colors (Slice_tbl.length tbl)
 
 let colors1 t = refine t
 
@@ -189,9 +214,11 @@ let colors_joint ?(workers = 1) ?(budget = Budget.unlimited) a b =
   let na = Structure.size a and nb = Structure.size b in
   (* Combined node space: a-nodes first, then b-nodes. *)
   let g = Csr.append (Structure.gaifman_csr a) (Structure.gaifman_csr b) in
-  let name_id = make_interner () in
-  let init = Array.append (initial_keys name_id a) (initial_keys name_id b) in
-  let final = refine_csr ~workers ~budget g init in
+  let name_id = make_interner () and tbl = Slice_tbl.create () in
+  let colors = Array.make (na + nb) 0 in
+  initial_colors tbl name_id a colors ~at:0;
+  initial_colors tbl name_id b colors ~at:na;
+  let final = refine_csr ~workers ~budget g tbl colors (Slice_tbl.length tbl) in
   (Array.sub final 0 na, Array.sub final na nb)
 
 let census_pair (ca, cb) =

@@ -13,10 +13,18 @@
     the levels.
 
     The 1-dimensional refinement runs over the structure's cached CSR
-    Gaifman adjacency ({!Structure.gaifman_csr}) with interned
-    int-array colour keys; per-round key building can shard across
-    domains while interning stays sequential, so the returned colours
-    are byte-identical for every [workers] value. *)
+    Gaifman adjacency ({!Structure.gaifman_csr}) and allocates nothing
+    per element. Each round builds every vertex's key — its own colour,
+    then its row's colours sorted in place — as a slice of a flat int
+    buffer, interns the slices in element order in a {!Slice_tbl}, and
+    swaps two colour arrays. A sequential round needs one row-sized
+    buffer; a sharded one writes all keys into one buffer laid out like
+    the CSR rows before interning them. Interning stays sequential, so
+    the returned colours (numbered by first occurrence) are
+    byte-identical for every [workers] value. An element's initial colour counts, per
+    relation and argument position, the tuples it occurs in, records
+    whether each nullary relation holds, and marks the constants naming
+    it. *)
 
 (** [refine t] — colour refinement of a single structure to
     stabilization. The interned colour ids are only comparable within

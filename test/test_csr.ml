@@ -252,6 +252,158 @@ let prop_wl_agrees =
         (fun workers -> Wl.refine ~workers c = base && Wl.refine ~workers s = base)
         [ 1; 2; 4 ])
 
+(* ---------- 1-WL against an independent oracle ---------- *)
+
+(* Colour refinement from the definition, sharing no code with [Wl]:
+   neighbours are Gaifman lists (distinct co-occurring elements, no
+   self-loops); initial classes come from per-relation, per-position
+   counts, nullary truth values and constant marks; refinement runs
+   until the class count stops growing; classes are numbered by first
+   occurrence in element order. The structures are refined jointly, in
+   list order, so colours are comparable across them. *)
+let oracle_wl structures =
+  let number values =
+    let seen = ref [] in
+    List.map
+      (fun v ->
+        match List.assoc_opt v !seen with
+        | Some c -> c
+        | None ->
+            let c = List.length !seen in
+            seen := (v, c) :: !seen;
+            c)
+      values
+  in
+  let elems =
+    List.concat
+      (List.mapi
+         (fun i t -> List.init (Structure.size t) (fun e -> (i, t, e)))
+         structures)
+  in
+  let neighbours t e =
+    let acc = ref [] in
+    List.iter
+      (fun (name, _) ->
+        Structure.iter_rel t name (fun tup ->
+            if Array.mem e tup then
+              Array.iter (fun v -> if v <> e then acc := v :: !acc) tup))
+      (Signature.rels (Structure.signature t));
+    List.sort_uniq compare !acc
+  in
+  let initial (_, t, e) =
+    let sg = Structure.signature t in
+    ( List.map
+        (fun (name, k) ->
+          if k = 0 then (name, [ (if Structure.rel_count t name > 0 then 1 else 0) ])
+          else
+            ( name,
+              List.init k (fun i ->
+                  let c = ref 0 in
+                  Structure.iter_rel t name (fun tup -> if tup.(i) = e then incr c);
+                  !c) ))
+        (Signature.rels sg),
+      List.filter (fun c -> Structure.const t c = e) (Signature.consts sg) )
+  in
+  let adj = List.map (fun (i, t, e) -> (i, neighbours t e)) elems in
+  let count cs = List.length (List.sort_uniq compare cs) in
+  let rec refine cs =
+    let colour = Array.of_list cs in
+    let index = Array.of_list (List.map (fun (i, _, e) -> (i, e)) elems) in
+    let find i v =
+      let rec go j = if index.(j) = (i, v) then colour.(j) else go (j + 1) in
+      go 0
+    in
+    let next =
+      number
+        (List.map2
+           (fun c (i, ns) -> (c, List.sort compare (List.map (find i) ns)))
+           cs adj)
+    in
+    if count next > count cs then refine next else next
+  in
+  let final = Array.of_list (refine (number (List.map initial elems))) in
+  let base = ref 0 in
+  List.map
+    (fun t ->
+      let n = Structure.size t in
+      let out = Array.sub final !base n in
+      base := !base + n;
+      out)
+    structures
+
+(* Random structures with arities 0–3 and constants; with [hub], one
+   element co-occurs with every other, so rows past 16 entries take the
+   long-row sort. *)
+let gen_wl : Structure.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* n = int_range 1 26 in
+  let elt = int_range 0 (n - 1) in
+  let* keep = list_repeat 4 bool in
+  let rels =
+    List.filteri (fun i _ -> List.nth keep i) [ ("Z", 0); ("P", 1); ("E", 2); ("R", 3) ]
+  in
+  let* tuples =
+    flatten_l
+      (List.map
+         (fun (name, k) ->
+           map (fun ts -> (name, ts)) (list_size (int_range 0 (2 * n)) (array_repeat k elt)))
+         rels)
+  in
+  let* hub = bool in
+  let hub_rel, hub_sig =
+    if hub then ([ ("H", List.init (n - 1) (fun v -> [| 0; v + 1 |])) ], [ ("H", 2) ])
+    else ([], [])
+  in
+  let* pinned = list_size (int_range 0 2) elt in
+  let consts = List.mapi (fun i e -> (Printf.sprintf "c%d" i, e)) pinned in
+  return
+    (Structure.make
+       (Signature.make ~consts:(List.map fst consts) (rels @ hub_sig))
+       ~size:n ~consts (tuples @ hub_rel))
+
+let print_wl = Format.asprintf "%a" Structure.pp
+
+let prop_wl_oracle =
+  QCheck2.Test.make ~count:150 ~print:print_wl
+    ~name:"wl refine = oracle, csr and set, workers 1/2/4" gen_wl (fun t ->
+      let want = List.hd (oracle_wl [ t ]) in
+      List.for_all
+        (fun s ->
+          List.for_all (fun workers -> Wl.refine ~workers s = want) [ 1; 2; 4 ])
+        [ t; Structure.to_csr t; Structure.to_sets t ])
+
+let prop_wl_joint_oracle =
+  QCheck2.Test.make ~count:150
+    ~print:(fun (a, b) -> print_wl a ^ "\n" ^ print_wl b)
+    ~name:"wl colors_joint = oracle, workers 1/2"
+    QCheck2.Gen.(pair gen_wl gen_wl)
+    (fun (a, b) ->
+      let want = match oracle_wl [ a; b ] with [ x; y ] -> (x, y) | _ -> assert false in
+      List.for_all (fun workers -> Wl.colors_joint ~workers a b = want) [ 1; 2 ])
+
+(* Minor-heap words one call allocates: arrays past the minor-heap size
+   limit go straight to the major heap and do not count, so this
+   measures per-element allocation. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_allocation_bounds () =
+  let t = Gen.torus 100 100 in
+  let n = float_of_int (Structure.size t) in
+  ignore (Wl.refine t);
+  let words = minor_words (fun () -> Wl.refine t) in
+  checkb (Printf.sprintf "wl refine: %.0f minor words < n" words) true (words < n);
+  let reg = Neighborhood.create_registry () in
+  let cold = Neighborhood.census reg t ~radius:1 in
+  let words = minor_words (fun () -> Neighborhood.census reg t ~radius:1) in
+  checkb
+    (Printf.sprintf "warm census: %.0f minor words < 8n" words)
+    true (words < 8. *. n);
+  checkb "warm census answers as the cold one" true
+    (Neighborhood.census reg t ~radius:1 = cold)
+
 let prop_census_agrees =
   QCheck2.Test.make ~count:100
     ~name:"neighborhood census: csr = set = generic, workers 1/2/4" gen_graph
@@ -474,6 +626,8 @@ let qcheck_cases =
       prop_eval_agrees;
       prop_structure_equal;
       prop_wl_agrees;
+      prop_wl_oracle;
+      prop_wl_joint_oracle;
       prop_census_agrees;
       prop_element_types_agree;
       prop_hanf_agrees;
@@ -501,6 +655,7 @@ let () =
           Alcotest.test_case "edit sharing and errors" `Quick
             test_edit_sharing_and_errors;
           Alcotest.test_case "budget faults" `Quick test_census_budget_faults;
+          Alcotest.test_case "allocation bounds" `Quick test_allocation_bounds;
         ] );
       ( "generators",
         [ Alcotest.test_case "regular families" `Quick test_generators_regular ] );

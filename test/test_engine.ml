@@ -345,6 +345,42 @@ let prop_counting_vs_kwl =
           "%d-WL equivalent but C^%d game distinguishes" (k - 1) k
       else true)
 
+(* The same implications on pairs that also carry a nullary relation
+   [Z], true or false on each side independently: [Z] is itself a
+   C^2 sentence, so 1-WL must see a disagreement on it. *)
+let with_nullary holds s =
+  Structure.with_rel s "Z" 0
+    (if holds then Fmtk_structure.Tuple.Set.singleton [||]
+     else Fmtk_structure.Tuple.Set.empty)
+
+let prop_counting_vs_kwl_nullary =
+  QCheck2.Test.make ~count:80 ~name:"counting game vs k-WL, nullary relation"
+    QCheck2.Gen.(pair (pair gen_pair (pair bool bool)) (int_range 2 3))
+    (fun (((a, b), (za, zb)), k) ->
+      let a = with_nullary za a and b = with_nullary zb b in
+      let wl_equiv = Wl.equiv ~k:(k - 1) a b in
+      if za <> zb && wl_equiv then
+        QCheck2.Test.fail_reportf "%d-WL blind to a nullary disagreement" (k - 1)
+      else if
+        wl_equiv
+        && not (List.for_all (fun r -> Counting_game.duplicator_wins ~pebbles:k ~rounds:r a b) [ 1; 2; 3 ])
+      then
+        QCheck2.Test.fail_reportf
+          "%d-WL equivalent but C^%d game distinguishes" (k - 1) k
+      else true)
+
+(* The smallest such pair: one edge both ways, [P] true on one side
+   only. *)
+let test_wl_nullary () =
+  let sg = Signature.make [ ("E", 2); ("P", 0) ] in
+  let edge = ("E", [ [| 0; 1 |]; [| 1; 0 |] ]) in
+  let a = Structure.make sg ~size:2 [ edge; ("P", [ [||] ]) ]
+  and b = Structure.make sg ~size:2 [ edge; ("P", []) ] in
+  checkb "1-WL sees P" false (Wl.equiv ~k:1 a b);
+  checkb "2-WL sees P" false (Wl.equiv ~k:2 a b);
+  checkb "census_equal1 sees P" false (Wl.census_equal1 a b);
+  checkb "equal P stays 1-WL equivalent" true (Wl.equiv ~k:1 a a)
+
 (* The bijective 1-pebble game just compares colour-census-free
    cardinalities each round; sanity-check it against bare sets. *)
 let test_counting_sets () =
@@ -466,7 +502,7 @@ let test_api_parity () =
   checkb "worker_count honours override" true
     (Engine.worker_count
        { Engine.default_config with workers = Some 5 }
-       ~depth_hint:1 ~moves:10
+       ~depth_hint:1 ~width:20 ~moves:10
     = 5)
 
 (* ---------- Parallel vs sequential: the differential suite ---------- *)
@@ -595,21 +631,43 @@ let test_worker_count_policy () =
   (* Forcing is no longer clamped by the root frontier: splitting
      regenerates work below the root. *)
   checkb "forced 8 on 2 root moves" true
-    (Engine.worker_count (cfg (Some 8)) ~depth_hint:3 ~moves:2 = 8);
+    (Engine.worker_count (cfg (Some 8)) ~depth_hint:3 ~width:20 ~moves:2 = 8);
   (* ...but one obligation means nothing to hand out, ever. *)
   checkb "single obligation stays sequential" true
-    (Engine.worker_count (cfg (Some 8)) ~depth_hint:3 ~moves:1 = 1);
+    (Engine.worker_count (cfg (Some 8)) ~depth_hint:3 ~width:20 ~moves:1 = 1);
   checkb "depth 0 stays sequential" true
-    (Engine.worker_count (cfg (Some 8)) ~depth_hint:0 ~moves:10 = 1);
+    (Engine.worker_count (cfg (Some 8)) ~depth_hint:0 ~width:20 ~moves:10 = 1);
   checkb "parallel off wins over forcing" true
     (Engine.worker_count
        { (cfg (Some 8)) with parallel = false }
-       ~depth_hint:3 ~moves:10
+       ~depth_hint:3 ~width:20 ~moves:10
     = 1);
   (* The automatic policy never exceeds the hardware. *)
   checkb "auto caps at the machine" true
-    (Engine.worker_count (cfg None) ~depth_hint:3 ~moves:10
-    <= min 8 (Domain.recommended_domain_count ()))
+    (Engine.worker_count (cfg None) ~depth_hint:3 ~width:20 ~moves:10
+    <= min 8 (Domain.recommended_domain_count ()));
+  (* A tiny game stays sequential whatever the hardware: the 2-round
+     2-pebble game on C_3 vs a 3-element set (6^2 = 36 move sequences,
+     2 orbit-pruned root obligations). Forcing still fans it out. *)
+  checkb "tiny game stays sequential" true
+    (Engine.worker_count (cfg None) ~depth_hint:2 ~width:6 ~moves:2 = 1);
+  checkb "tiny game forced" true
+    (Engine.worker_count (cfg (Some 2)) ~depth_hint:2 ~width:6 ~moves:2 = 2);
+  let _, stats =
+    Pebble.solve ~pebbles:2 ~rounds:2 (Gen.cycle 3) (Gen.set 3)
+  in
+  checkb "tiny pebble solve ran on one worker" true (stats.Pebble.workers = 1);
+  (* Games at the floor keep the machine's count: E24's automatic rows
+     (C12 vs C13 at 3 rounds, 25^3; S10 vs S11 at 4 rounds, 21^4). *)
+  let machine = min 8 (Domain.recommended_domain_count ()) in
+  checkb "C12/C13 keeps the machine's count" true
+    (Engine.worker_count (cfg None) ~depth_hint:3 ~width:25 ~moves:2 = machine);
+  checkb "S10/S11 keeps the machine's count" true
+    (Engine.worker_count (cfg None) ~depth_hint:4 ~width:21 ~moves:2 = machine);
+  checkb "the floor itself fans out" true
+    (Engine.worker_count (cfg None) ~depth_hint:2 ~width:64 ~moves:2 = machine);
+  checkb "just below the floor stays sequential" true
+    (Engine.worker_count (cfg None) ~depth_hint:2 ~width:63 ~moves:2 = 1)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -626,8 +684,9 @@ let () =
             prop_certify_matches_oracle;
           ] );
       ( "counting",
-        qsuite [ prop_counting_vs_kwl ]
+        qsuite [ prop_counting_vs_kwl; prop_counting_vs_kwl_nullary ]
         @ [
+            Alcotest.test_case "nullary 1-WL" `Quick test_wl_nullary;
             Alcotest.test_case "sets" `Quick test_counting_sets;
             Alcotest.test_case "cycles" `Quick test_counting_cycles;
           ] );
