@@ -405,6 +405,10 @@ let e9 () =
 (* ---------- E10: Gaifman locality ---------- *)
 
 let e10 () =
+  (* A gate: the section raises unless TC violates Gaifman locality on
+     chains at radius 1 and 2 and both FO controls are local at their
+     qr-derived radius. *)
+  let check what ok = if not ok then failwith ("E10: " ^ what) in
   pf "TC on a long chain (the slide-58 argument):@.";
   (match
      Gaifman_local.violation ~arity:2 ~radius:1 Queries.transitive_closure
@@ -413,7 +417,7 @@ let e10 () =
   | Some (a, b) ->
       let show l = String.concat "," (List.map string_of_int l) in
       pf "  violating pair at radius 1: (%s) vs (%s)@." (show a) (show b)
-  | None -> pf "  UNEXPECTED: no violation@.");
+  | None -> check "no TC violation at radius 1 on the 12-chain" false);
   List.iter
     (fun r ->
       let v =
@@ -422,15 +426,17 @@ let e10 () =
       in
       pf "  radius %d on a %d-chain: violation %s@." r
         (6 * (r + 1))
-        (match v with Some _ -> "found" | None -> "none"))
+        (match v with Some _ -> "found" | None -> "none");
+      check (Printf.sprintf "no TC violation at radius %d" r) (v <> None))
     [ 1; 2 ];
   pf "FO controls are Gaifman-local at their qr-derived radius:@.";
   let family = [ Gen.path 10; Gen.cycle 9; Gen.binary_tree 3 ] in
   List.iter
     (fun (name, rank, q) ->
       let radius = Gaifman_local.fo_radius ~rank in
-      pf "  %-22s (qr %d, radius %d): local = %b@." name rank radius
-        (Gaifman_local.holds_on ~arity:2 ~radius q family))
+      let local = Gaifman_local.holds_on ~arity:2 ~radius q family in
+      pf "  %-22s (qr %d, radius %d): local = %b@." name rank radius local;
+      check (name ^ " is not Gaifman-local") local)
     [
       ("path2", 1, Queries.path2);
       ("symmetric-pair", 0, Queries.symmetric_pair);
@@ -439,6 +445,10 @@ let e10 () =
 (* ---------- E11: Hanf locality ---------- *)
 
 let e11 () =
+  (* A gate: ⇆2 must hold exactly when m > 2r + 1 = 5, CONN must differ
+     on every row, and the tree example must be ⇆1 with tree-ness
+     differing. *)
+  let check what ok = if not ok then failwith ("E11: " ^ what) in
   pf "2 cycles of m vs 1 cycle of 2m (slide-60 figure), radius 2:@.";
   pf "  %4s %8s %14s %14s@." "m" "⇆2" "CONN differs" "violation";
   List.iter
@@ -447,26 +457,35 @@ let e11 () =
       let g2 = Gen.cycle (2 * m) in
       let equiv = Hanf.equiv ~radius:2 g1 g2 in
       let differs = Graph.connected g2 && not (Graph.connected g1) in
-      pf "  %4d %8b %14b %14b@." m equiv differs (equiv && differs))
+      pf "  %4d %8b %14b %14b@." m equiv differs (equiv && differs);
+      check (Printf.sprintf "m=%d: ⇆2 is %b" m equiv) (equiv = (m > 5));
+      check (Printf.sprintf "m=%d: CONN does not differ" m) differs)
     [ 4; 5; 6; 7; 10; 15 ];
   pf "Shape: ⇆2 holds exactly when m > 2r+1 = 5; CONN always differs.@.";
   pf "Tree example: chain 2m vs chain m ⊎ cycle m (m = 8, radius 1):@.";
   let m = 8 in
   let g1 = Gen.path (2 * m) and g2 = Gen.union_of [ Gen.path m; Gen.cycle m ] in
-  pf "  ⇆1: %b, tree-ness differs: %b@." (Hanf.equiv ~radius:1 g1 g2)
-    (Graph.is_tree g1 && not (Graph.is_tree g2))
+  let equiv = Hanf.equiv ~radius:1 g1 g2 in
+  let differs = Graph.is_tree g1 && not (Graph.is_tree g2) in
+  pf "  ⇆1: %b, tree-ness differs: %b@." equiv differs;
+  check "tree example is not ⇆1" equiv;
+  check "tree-ness does not differ" differs
 
 (* ---------- E12: hierarchy Hanf ⊆ Gaifman ⊆ BNDP ---------- *)
 
 let e12 () =
+  (* A gate: every row of the table must read its expected ✓/✗, and
+     every Gaifman-passing query must pass BNDP (Theorem 3.9). *)
+  let check what ok = if not ok then failwith ("E12: " ^ what) in
+  let mark ok = if ok then "✓" else "✗" in
   pf "Query zoo × locality tools (witness families; ✓ = passes):@.";
   let bool_queries =
     [
-      ("CONN", Queries.connected);
-      ("ACYCL", Queries.acyclic);
-      ("TREE", Queries.is_tree);
-      ("dominator (FO)", Queries.dominator);
-      ("symmetric (FO)", Queries.symmetric);
+      ("CONN", Queries.connected, false);
+      ("ACYCL", Queries.acyclic, false);
+      ("TREE", Queries.is_tree, false);
+      ("dominator (FO)", Queries.dominator, true);
+      ("symmetric (FO)", Queries.symmetric, true);
     ]
   in
   let hanf_pairs =
@@ -477,37 +496,43 @@ let e12 () =
   in
   pf "  Boolean queries, Hanf at radius 2:@.";
   List.iter
-    (fun (name, q) ->
-      let violated = Hanf.hanf_local_violation ~radius:2 q hanf_pairs <> None in
-      pf "    %-16s %s@." name (if violated then "✗ violated" else "✓ passes"))
+    (fun (name, q, expected) ->
+      let passes = Hanf.hanf_local_violation ~radius:2 q hanf_pairs = None in
+      pf "    %-16s %s@." name (if passes then "✓ passes" else "✗ violated");
+      check (Printf.sprintf "%s: Hanf %s" name (mark passes)) (passes = expected))
     bool_queries;
   pf "  Binary queries, Gaifman at radius 1 + BNDP on chains:@.";
   let bin_queries =
     [
-      ("TC", Queries.transitive_closure);
-      ("same-gen", Queries.same_generation);
-      ("path2 (FO)", Queries.path2);
-      ("sym-pair (FO)", Queries.symmetric_pair);
+      ("TC", Queries.transitive_closure, false);
+      ("same-gen", Queries.same_generation, true);
+      ("path2 (FO)", Queries.path2, true);
+      ("sym-pair (FO)", Queries.symmetric_pair, true);
     ]
   in
   let chains = List.map Gen.successor [ 4; 8; 16 ] in
   List.iter
-    (fun (name, q) ->
+    (fun (name, q, expected) ->
       let gaifman =
         Gaifman_local.violation ~arity:2 ~radius:1 q (Gen.path 12) = None
       in
       let bndp = Bndp.bounded q chains in
-      pf "    %-16s Gaifman %s   BNDP %s@." name
-        (if gaifman then "✓" else "✗")
-        (if bndp then "✓" else "✗");
+      pf "    %-16s Gaifman %s   BNDP %s@." name (mark gaifman) (mark bndp);
+      check
+        (Printf.sprintf "%s: Gaifman %s, BNDP %s" name (mark gaifman) (mark bndp))
+        (gaifman = expected && bndp = expected);
       (* Theorem 3.9: BNDP failure must come with Gaifman failure here. *)
-      assert (bndp || not gaifman))
+      check (name ^ " passes Gaifman but fails BNDP") (bndp || not gaifman))
     bin_queries;
   pf "  Hierarchy (Thm 3.9) respected: every Gaifman-passing query passes BNDP.@."
 
 (* ---------- E13: linear-time bounded-degree evaluation ---------- *)
 
 let e13 () =
+  (* A gate on its answers: the cached evaluator must agree with naive
+     evaluation on the family, resolving 3 of its 4 censuses from the
+     cache. The timing rows are reported, not gated. *)
+  let check what ok = if not ok then failwith ("E13: " ^ what) in
   let phi = f "forall x. exists y. E(x,y)" in
   pf "sentence: forall x. exists y. E(x,y); family: directed cycles@.";
   let ev = Bounded_degree.make phi ~degree_bound:2 in
@@ -522,8 +547,12 @@ let e13 () =
         agree := false)
     [ 40; 80; 160 ];
   pf "  agreement with naive on the family: %b@." !agree;
+  check "disagrees with naive evaluation" !agree;
   let hits, misses = Bounded_degree.cache_stats ev in
   pf "  cache: %d hits / %d misses@." hits misses;
+  check
+    (Printf.sprintf "cache read %d hits / %d misses, expected 3 / 1" hits misses)
+    (hits = 3 && misses = 1);
   pf "@.Wall-clock, cached (census) vs naive O(n^2) (Bechamel):@.";
   let cached_tests =
     List.map
@@ -545,12 +574,16 @@ let e13 () =
     (Bechamel.Test.make_grouped ~name:"E13" (cached_tests @ naive_tests));
   pf
     "Shape: cached grows linearly (≈4x per 4x n); naive grows \
-     quadratically (≈16x per 4x n); the crossover falls between n = 1024 \
-     and n = 4096.@."
+     quadratically (≈16x per 4x n); cached is faster at every n of the \
+     sweep (timings reported, not gated).@."
 
 (* ---------- E14: Gaifman normal form / basic local sentences ---------- *)
 
 let e14 () =
+  (* A gate: the basic local sentence must agree with its FO expansion
+     on every random graph, and three scattered vertices with successors
+     exist on an n-chain exactly when n >= 8. *)
+  let check what ok = if not ok then failwith ("E14: " ^ what) in
   pf "Basic local sentences vs plain FO on random graphs:@.";
   (* 'There are >= 2 loops at distance > 2' as a basic local sentence;
      FO equivalent uses an explicit non-adjacency expansion valid at
@@ -570,12 +603,16 @@ let e14 () =
     if Local_sentence.eval_basic g basic = Eval.sat g fo then incr agreements
   done;
   pf "  agreement on %d/%d random graphs@." !agreements total;
+  check
+    (Printf.sprintf "agreement on %d/%d random graphs" !agreements total)
+    (!agreements = total);
   pf "Scattered-sequence evaluation on chains:@.";
   let b = { Local_sentence.count = 3; radius = 1; formula = f "exists y. E(x,y)" } in
   List.iter
     (fun n ->
-      pf "  chain %2d: 3 scattered vertices with successors: %b@." n
-        (Local_sentence.eval_basic (Gen.path n) b))
+      let holds = Local_sentence.eval_basic (Gen.path n) b in
+      pf "  chain %2d: 3 scattered vertices with successors: %b@." n holds;
+      check (Printf.sprintf "chain %d reads %b" n holds) (holds = (n >= 8)))
     [ 5; 7; 9; 11; 13 ]
 
 (* ---------- E15: 0-1 law, Monte-Carlo ---------- *)
@@ -1647,16 +1684,6 @@ let ablation () =
       in
       pf "  memo=%-5b positions explored: %d (memo hits: %d)@." memo
         stats.Ef.positions stats.Ef.memo_hits)
-    [ true; false ];
-  pf "Census invariant-key bucketing (random degree-3 graph, n=120, r=2):@.";
-  let many_types = Gen.bounded_degree_graph ~rng:(rng ()) 120 3 in
-  List.iter
-    (fun bucketing ->
-      let reg = Neighborhood.create_registry ~bucketing () in
-      let census = Neighborhood.census reg many_types ~radius:2 in
-      pf "  bucketing=%-5b types: %d, exact iso tests: %d@." bucketing
-        (List.length census)
-        (Neighborhood.iso_tests reg))
     [ true; false ];
   pf "Direct recursive eval vs RA-compiled join plan (conjunctive query):@.";
   let phi = f "exists x y z. E(x,y) & E(y,z) & E(z,x)" in

@@ -1,30 +1,27 @@
 module Structure = Fmtk_structure.Structure
-module Iso = Fmtk_structure.Iso
+module Wl = Fmtk_structure.Wl
 module Formula = Fmtk_logic.Formula
 module Budget = Fmtk_runtime.Budget
 module Ef = Fmtk_games.Ef
 
-let by_rank ?config ?budget ~rank ts =
+(* Class ids in first-representative order: [equal] is an equivalence
+   relation, so one representative per class suffices. *)
+let first_reps equal ts =
   let ts = Array.of_list ts in
-  let n = Array.length ts in
-  let classes = Array.make n (-1) in
+  let classes = Array.make (Array.length ts) (-1) in
   let reps = ref [] in
-  (* ≡rank is an equivalence relation, so comparing against one
-     representative per class suffices. *)
   Array.iteri
     (fun i t ->
-      let found =
-        List.find_opt
-          (fun (_, rep) -> Ef.duplicator_wins ?config ?budget ~rounds:rank t ts.(rep))
-          (List.mapi (fun c rep -> (c, rep)) (List.rev !reps))
-      in
-      match found with
+      match List.find_opt (fun (_, rep) -> equal t ts.(rep)) (List.rev !reps) with
       | Some (c, _) -> classes.(i) <- c
       | None ->
           classes.(i) <- List.length !reps;
-          reps := i :: !reps)
+          reps := (List.length !reps, i) :: !reps)
     ts;
   classes
+
+let by_rank ?config ?budget ~rank ts =
+  first_reps (fun a b -> Ef.duplicator_wins ?config ?budget ~rounds:rank a b) ts
 
 type partition = {
   classes : int array;
@@ -32,30 +29,14 @@ type partition = {
   gave_up : Budget.reason option;
 }
 
-let by_invariant ts =
-  let ts = Array.of_list ts in
-  let keys = Array.map Iso.invariant_key ts in
-  let seen = Hashtbl.create 16 in
-  let next = ref 0 in
-  Array.map
-    (fun k ->
-      match Hashtbl.find_opt seen k with
-      | Some c -> c
-      | None ->
-          let c = !next in
-          incr next;
-          Hashtbl.add seen k c;
-          c)
-    keys
-
 let by_rank_budgeted ?config ?(budget = Budget.unlimited) ~rank ts =
   match by_rank ?config ~budget ~rank ts with
   | classes -> { classes; exact = true; gave_up = None }
   | exception Budget.Exhausted r ->
-      (* Degrade to the 1-WL invariant-key partition: distinct keys
-         soundly certify non-isomorphism (hence distinguishability at
-         some rank); equal keys are only heuristic evidence. *)
-      { classes = by_invariant ts; exact = false; gave_up = Some r }
+      (* Degrade to the 1-WL census partition, polynomial whatever the
+         budget: distinct censuses soundly certify distinguishability
+         at some rank; equal ones are only heuristic evidence. *)
+      { classes = first_reps Wl.census_equal1 ts; exact = false; gave_up = Some r }
 
 let separators ?budget ~rank ts =
   let arr = Array.of_list ts in

@@ -22,18 +22,18 @@ val by_rank :
 
 (** Result of a budgeted classification. [exact = true]: [classes] is
     the genuine ≡rank partition. [exact = false] (budget ran out, reason
-    in [gave_up]): [classes] is the fallback partition by the 1-WL
-    isomorphism invariant {!Fmtk_structure.Iso.invariant_key} — distinct
-    ids soundly certify non-isomorphic structures (distinguishable at
-    {e some} rank), while equal ids are only heuristic evidence of
-    equivalence. *)
+    in [gave_up]): [classes] partitions by joint 1-WL colour censuses
+    ({!Fmtk_structure.Wl.census_equal1}) as {!by_rank} assigns ids, in
+    polynomial time — distinct ids soundly certify structures
+    distinguishable at {e some} rank, while equal ids are only heuristic
+    evidence of equivalence. *)
 type partition = {
   classes : int array;
   exact : bool;
   gave_up : Fmtk_runtime.Budget.reason option;
 }
 
-(** Budgeted {!by_rank} that degrades to the invariant-key partition
+(** Budgeted {!by_rank} that degrades to the 1-WL census partition
     instead of raising. Never raises [Budget.Exhausted]. *)
 val by_rank_budgeted :
   ?config:Fmtk_games.Ef.config ->

@@ -208,19 +208,6 @@ let push_key w len v =
   if len = Array.length w.key then w.key <- grow w.key len;
   w.key.(len) <- v
 
-(* Insertion sort of [w.key.(lo) .. w.key.(hi - 1)] in place: rows are
-   ball-sized, a handful of elements. *)
-let sort_key w lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = w.key.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && w.key.(!j) > x do
-      w.key.(!j + 1) <- w.key.(!j);
-      decr j
-    done;
-    w.key.(!j + 1) <- x
-  done
-
 (* Size, then per member (in BFS order) its unary mask followed by, per
    binary relation, the member's in-ball out-targets as sorted local
    ids, [-1]-terminated. Equal serializations of two single-seed balls
@@ -257,7 +244,7 @@ let serialize w =
           incr len
         end
       done;
-      sort_key w row !len;
+      Csr.sort_slice w.key row !len;
       push_key w !len (-1);
       incr len
     done

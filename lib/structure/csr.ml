@@ -38,14 +38,42 @@ let max_degree t =
   done;
   !best
 
-(* Sort the slice [lo, hi) of [arr] in place (via a copy — construction
-   only, never on a probe path). *)
-let sort_slice arr lo hi =
+(* [sort_slice]: insertion sort up to 16 entries, heapsort above. *)
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Sift entry [i] down the max-heap [a.(lo) .. a.(lo + len - 1)]. *)
+let rec sift_down (a : int array) lo len i =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
+  if c < len && a.(lo + c) > a.(lo + i) then begin
+    let x = a.(lo + c) in
+    a.(lo + c) <- a.(lo + i);
+    a.(lo + i) <- x;
+    sift_down a lo len c
+  end
+
+let sort_slice a lo hi =
   let len = hi - lo in
-  if len > 1 then begin
-    let tmp = Array.sub arr lo len in
-    Array.sort Int.compare tmp;
-    Array.blit tmp 0 arr lo len
+  if len <= 16 then insertion_sort a lo hi
+  else begin
+    for i = (len / 2) - 1 downto 0 do
+      sift_down a lo len i
+    done;
+    for last = len - 1 downto 1 do
+      let x = a.(lo) in
+      a.(lo) <- a.(lo + last);
+      a.(lo + last) <- x;
+      sift_down a lo last 0
+    done
   end
 
 (* Shared tail of every constructor: [raw] holds each row contiguously

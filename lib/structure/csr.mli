@@ -37,6 +37,10 @@ module Vec : sig
   val to_array : vec -> int array
 end
 
+(** [sort_slice a lo hi] sorts [a.(lo) .. a.(hi - 1)] ascending in
+    place, allocating nothing, in O(d log d) for d entries. *)
+val sort_slice : int array -> int -> int -> unit
+
 (** [of_edges ~n (src, dst)] builds the relation [{(src.(i), dst.(i))}].
     The two arrays must have equal length; rows come out sorted and
     deduplicated (counting sort by source, O(n + m log d)).

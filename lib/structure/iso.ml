@@ -168,28 +168,6 @@ let extension_ok a b =
            and db = Array.of_list (y :: List.map snd pebbled) in
            Array.for_all (fun r -> higher_agree r da db) higher)
 
-let invariant_key t =
-  let self = Wl.canonical_colors t in
-  let sorted = Array.to_list self |> List.sort String.compare in
-  let sg = Structure.signature t in
-  let rel_counts =
-    List.map
-      (fun (name, _) ->
-        Printf.sprintf "%s=%d" name (Structure.rel_count t name))
-      (Signature.rels sg)
-  in
-  let const_colors =
-    List.map
-      (fun c ->
-        Printf.sprintf "%s@%s" c
-          (Digest.to_hex self.(Structure.const t c)))
-      (List.sort String.compare (Signature.consts sg))
-  in
-  Printf.sprintf "n%d|%s|%s|%s" (Structure.size t)
-    (String.concat "," (List.map Digest.to_hex sorted))
-    (String.concat ";" rel_counts)
-    (String.concat ";" const_colors)
-
 let find_iso ?(budget = Budget.unlimited) a b =
   let poller = Budget.poller budget in
   if Structure.size a <> Structure.size b then None
@@ -242,3 +220,146 @@ let find_iso ?(budget = Budget.unlimited) a b =
         if search [] order then Some assignment else None
 
 let isomorphic a b = Option.is_some (find_iso a b)
+
+(* ---- Canonical form ----
+
+   A colour is the first position of its cell, so colourings depend on
+   content alone. Per tuple of the r-th relation and positions p, q an
+   arc labelled (r, p, q) runs from the element at p to the one at q;
+   per constant a loop. A round keys each element by its colour and the
+   sorted [label * n + colour of the target] of its arcs and recolours
+   it by its key's rank. The loops (p = q, constants) only split cells
+   in the first round. A leaf equal to the first leaf gives an
+   automorphism that maps the subtree where its path left the first one
+   onto an explored subtree, so the search resumes there. *)
+
+let canonical ?(budget = Budget.unlimited) t =
+  let poller = Budget.poller budget in
+  let n = Structure.size t and sg = Structure.signature t in
+  let rels =
+    List.map
+      (fun (name, k) ->
+        if k > 0 && float_of_int n ** float_of_int k >= 0x1p62 then
+          invalid_arg (Printf.sprintf "Iso.canonical: %S: %d^%d overflows an int" name n k);
+        (name, k, Tuple.Set.elements (Structure.rel t name)))
+      (List.sort compare (Signature.rels sg))
+  and consts =
+    List.map (fun c -> (c, Structure.const t c)) (List.sort compare (Signature.consts sg))
+  in
+  (* An arc is [label * n + target]. *)
+  let kmax = List.fold_left (fun acc (_, k, _) -> max acc k) 1 rels in
+  let loops = Array.make n [] and moves = Array.make n [] in
+  let loop u label = loops.(u) <- ((label * n) + u) :: loops.(u) in
+  List.iteri
+    (fun r (_, _, tuples) ->
+      List.iter
+        (fun tup ->
+          Array.iteri (fun p u ->
+              Array.iteri (fun q v ->
+                  let label = (((r * kmax) + p) * kmax) + q in
+                  if p = q then loop u label else moves.(u) <- ((label * n) + v) :: moves.(u))
+                tup)
+            tup)
+        tuples)
+    rels;
+  List.iteri (fun j (_, e) -> loop e ((List.length rels * kmax * kmax) + j)) consts;
+  let loops = Array.map Array.of_list loops and moves = Array.map Array.of_list moves in
+  let key = Array.make n [||] and order = Array.init n Fun.id in
+  (* Recolour [col] in place by the keys over [arcs]; the number of cells. *)
+  let round arcs col =
+    for u = 0 to n - 1 do
+      let a = arcs.(u) in
+      let k = Array.make (Array.length a + 1) col.(u) in
+      Array.iteri (fun i x -> k.(i + 1) <- x - (x mod n) + col.(x mod n)) a;
+      Csr.sort_slice k 1 (Array.length k);
+      key.(u) <- k
+    done;
+    Array.stable_sort (fun u v -> compare key.(u) key.(v)) order;
+    let cells = ref 0 in
+    Array.iteri
+      (fun i u ->
+        let same = i > 0 && key.(order.(i - 1)) = key.(u) in
+        col.(u) <- (if same then col.(order.(i - 1)) else i);
+        if not same then incr cells)
+      order;
+    !cells
+  in
+  let rec refine col cells =
+    let cells' = if cells = n then n else round moves col in
+    if cells' > cells then refine col cells' else cells
+  in
+  let certificate lab =
+    let name s = String.length s :: List.init (String.length s) (fun i -> Char.code s.[i]) in
+    let relabelled tuples =
+      let codes =
+        Array.of_list (List.map (Array.fold_left (fun acc e -> (acc * n) + lab.(e)) 0) tuples)
+      in
+      Csr.sort_slice codes 0 (Array.length codes);
+      Array.length codes :: Array.to_list codes
+    in
+    Array.of_list
+      ((n :: List.concat_map (fun (r, k, tuples) -> name r @ (k :: relabelled tuples)) rels)
+      @ List.concat_map (fun (c, e) -> name c @ [ lab.(e) ]) consts)
+  in
+  (* The first leaf (certificate, inverse labelling, path), the best
+     leaf, and the automorphisms found so far. *)
+  let first = ref None and best = ref ([||], [||]) and auts = ref [] in
+  let path = Array.make n 0 in
+  (* Returns the depth the search resumes at: where the path left the
+     first path, or [max_int]. *)
+  let leaf depth lab =
+    let cert = certificate lab and inv = Array.make n 0 in
+    Array.iteri (fun u l -> inv.(l) <- u) lab;
+    let aut inv' = auts := Array.map (fun l -> inv'.(l)) lab :: !auts in
+    match !first with
+    | None ->
+        first := Some (cert, inv, Array.sub path 0 depth);
+        best := (cert, inv);
+        max_int
+    | Some (cert1, inv1, path1) when cert = cert1 ->
+        aut inv1;
+        let rec diverge d = if path.(d) = path1.(d) then diverge (d + 1) else d in
+        diverge 0
+    | Some _ ->
+        let cert', inv' = !best in
+        let c = compare cert cert' in
+        if c < 0 then best := (cert, inv) else if c = 0 then aut inv';
+        max_int
+  in
+  let rec node depth col cells =
+    Budget.check poller;
+    if cells = n then leaf depth col
+    else begin
+      let size = Array.make n 0 and s = ref (-1) in
+      Array.iter (fun c -> size.(c) <- size.(c) + 1) col;
+      Array.iteri (fun c k -> if k > 1 && (!s < 0 || k < size.(!s)) then s := c) size;
+      let s = !s in
+      (* Whether [v]'s orbit under the automorphisms fixing the path
+         meets [explored]. *)
+      let pruned explored v =
+        let rec fixes g i = i = depth || (g.(path.(i)) = path.(i) && fixes g (i + 1)) in
+        let gens = List.filter (fun g -> fixes g 0) !auts and seen = Array.make n false in
+        let rec visit x =
+          if not seen.(x) then (seen.(x) <- true; List.iter (fun g -> visit g.(x)) gens)
+        in
+        visit v;
+        List.exists (fun u -> seen.(u)) explored
+      in
+      let rec children v explored =
+        if v = n then max_int
+        else if col.(v) <> s || (explored <> [] && pruned explored v) then
+          children (v + 1) explored
+        else begin
+          path.(depth) <- v;
+          let col' = Array.map (fun x -> if x = s then s + 1 else x) col in
+          col'.(v) <- s;
+          let j = node (depth + 1) col' (refine col' (cells + 1)) in
+          if j < depth then j else children (v + 1) (v :: explored)
+        end
+      in
+      children 0 []
+    end
+  in
+  let col = Array.make n 0 in
+  ignore (node 0 col (refine col (round loops col)));
+  fst !best

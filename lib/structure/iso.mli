@@ -55,7 +55,20 @@ val find_iso :
 
 val isomorphic : Structure.t -> Structure.t -> bool
 
-(** [invariant_key t] is an isomorphism-invariant fingerprint of [t]: equal
-    keys are necessary (not sufficient) for isomorphism. Used to bucket
-    neighborhood types before exact checks. *)
-val invariant_key : Structure.t -> string
+(** [canonical t] — a certificate of [t]'s isomorphism type, constants
+    pinned: [canonical a = canonical b] exactly when [isomorphic a b].
+    Individualization–refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014), since refinement alone cannot separate
+    every pair (Cai–Fürer–Immerman): refine to an equitable colouring
+    with cells ordered by their keys and constants as singletons,
+    individualize each element of the first smallest non-singleton cell
+    in turn, and keep the least leaf certificate — the size, then per
+    relation (by name) its name, arity, tuple count and sorted
+    relabelled tuples, then per constant (by name) its name and label.
+    Automorphisms found at leaves equal to the first or best leaf prune
+    the siblings they map onto explored ones. The budget is polled once
+    per search node.
+    @raise Invalid_argument when [size t] to some arity reaches [2^62].
+    @raise Fmtk_runtime.Budget.Exhausted when the (default unlimited)
+    [budget] runs out. *)
+val canonical : ?budget:Fmtk_runtime.Budget.t -> Structure.t -> int array

@@ -57,7 +57,7 @@ let compute ~budget structure ~pinned =
     if pinned = [] then structure
     else Structure.expand_consts structure (pin_consts pinned)
   in
-  let colors = Wl.colors1 pinned_s in
+  let colors = Wl.refine pinned_s in
   let distinct = Hashtbl.create (max 16 n) in
   Array.iter (fun c -> Hashtbl.replace distinct c ()) colors;
   if Hashtbl.length distinct = n then

@@ -42,52 +42,6 @@ let make_interner () =
         Hashtbl.add table s c;
         c
 
-(* Sort [a.(lo) .. a.(hi - 1)] ascending in place, allocating nothing:
-   insertion sort on short slices (a vertex's row of colours), heapsort
-   on long ones, so a row of degree d costs O(d log d). *)
-let insertion_sort a lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
-
-(* Sift entry [i] down the max-heap [a.(lo) .. a.(lo + len - 1)]. *)
-let sift_down a lo len i =
-  let i = ref i and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    let c =
-      if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l
-    in
-    if c < len && a.(lo + c) > a.(lo + !i) then begin
-      let x = a.(lo + c) in
-      a.(lo + c) <- a.(lo + !i);
-      a.(lo + !i) <- x;
-      i := c
-    end
-    else sifting := false
-  done
-
-let sort_slice a lo hi =
-  let len = hi - lo in
-  if len <= 16 then insertion_sort a lo hi
-  else begin
-    for i = (len / 2) - 1 downto 0 do
-      sift_down a lo len i
-    done;
-    for last = len - 1 downto 1 do
-      let x = a.(lo) in
-      a.(lo) <- a.(lo + last);
-      a.(lo + last) <- x;
-      sift_down a lo last 0
-    done
-  end
-
 (* ---- 1-WL: colour refinement over the Gaifman graph ---- *)
 
 (* Initial colours of [t]'s elements, interned in element order into
@@ -173,7 +127,7 @@ let refine_csr ~workers ~budget g tbl colors count =
     for i = s to t - 1 do
       keys.(at + 1 + i - s) <- c.(tg.(i))
     done;
-    sort_slice keys (at + 1) (at + 1 + t - s);
+    Csr.sort_slice keys (at + 1) (at + 1 + t - s);
     t - s + 1
   in
   let cur = ref colors and next = ref (Array.make n 0) in
@@ -208,8 +162,6 @@ let refine ?(workers = 1) ?(budget = Budget.unlimited) t =
   initial_colors tbl (make_interner ()) t colors ~at:0;
   refine_csr ~workers ~budget g tbl colors (Slice_tbl.length tbl)
 
-let colors1 t = refine t
-
 let colors_joint ?(workers = 1) ?(budget = Budget.unlimited) a b =
   let na = Structure.size a and nb = Structure.size b in
   (* Combined node space: a-nodes first, then b-nodes. *)
@@ -226,54 +178,6 @@ let census_pair (ca, cb) =
   sorted ca = sorted cb
 
 let census_equal1 a b = census_pair (colors_joint a b)
-
-(* Initial colour of an element as a string — the digestible form
-   [canonical_colors] starts from. *)
-let initial_color_strings t =
-  let n = Structure.size t in
-  let sg = Structure.signature t in
-  let buf = Array.init n (fun _ -> Buffer.create 32) in
-  List.iter
-    (fun (name, k) ->
-      let counts = Array.make_matrix n k 0 in
-      Structure.iter_rel t name (fun tup ->
-          Array.iteri (fun i e -> counts.(e).(i) <- counts.(e).(i) + 1) tup);
-      for e = 0 to n - 1 do
-        Buffer.add_string buf.(e) name;
-        Array.iter
-          (fun c -> Buffer.add_string buf.(e) (Printf.sprintf ":%d" c))
-          counts.(e);
-        Buffer.add_char buf.(e) ';'
-      done)
-    (Signature.rels sg);
-  List.iter
-    (fun cname ->
-      let e = Structure.const t cname in
-      Buffer.add_string buf.(e) ("@" ^ cname))
-    (Signature.consts sg);
-  Array.map Buffer.contents buf
-
-(* Content-canonical colour labels: unlike the interned ids of
-   [colors_joint] (whose numbering depends on element order and is only
-   comparable within one joint run), these digests depend solely on the
-   refinement content, so isomorphic structures of equal size get
-   identical label multisets. Refinement runs [size] rounds — an upper
-   bound for stabilization — so equal-size structures are always
-   compared at the same round. *)
-let canonical_colors t =
-  let n = Structure.size t in
-  let g = Structure.gaifman_csr t in
-  let labels = ref (Array.map Digest.string (initial_color_strings t)) in
-  for _ = 1 to n do
-    let cur = !labels in
-    labels :=
-      Array.init n (fun i ->
-          let neigh = ref [] in
-          Csr.iter_row g i (fun j -> neigh := cur.(j) :: !neigh);
-          let neigh = List.sort String.compare !neigh in
-          Digest.string (String.concat "|" (cur.(i) :: neigh)))
-  done;
-  !labels
 
 (* ---- k-WL: refinement on k-tuples ---- *)
 

@@ -24,7 +24,8 @@
     byte-identical for every [workers] value. An element's initial colour counts, per
     relation and argument position, the tuples it occurs in, records
     whether each nullary relation holds, and marks the constants naming
-    it. *)
+    it. Refinement alone is no isomorphism key (Cai–Fürer–Immerman):
+    {!Iso.canonical} individualizes too. *)
 
 (** [refine t] — colour refinement of a single structure to
     stabilization. The interned colour ids are only comparable within
@@ -32,16 +33,13 @@
     result does not depend on [workers]. [workers] (default 1) shards
     per-round key building by contiguous vertex range over the shared
     domain pool; the budget is polled once per element per round.
+    Constants individualize their elements, so a structure whose
+    refinement is discrete (all colours distinct) is rigid — the fast
+    path of {!Orbit}.
     @raise Fmtk_runtime.Budget.Exhausted when the (default unlimited)
     budget runs out before stabilization. *)
 val refine :
   ?workers:int -> ?budget:Fmtk_runtime.Budget.t -> Structure.t -> int array
-
-(** [colors1 t] = [refine t] (sequential, unlimited) — the historical
-    name. Constants individualize their elements, so a structure whose
-    refinement is discrete (all colours distinct) is rigid — the fast
-    path of {!Orbit}. *)
-val colors1 : Structure.t -> int array
 
 (** Colour refinement of two structures computed jointly, so colours are
     comparable across them. [workers]/[budget] as in {!refine}. *)
@@ -57,14 +55,6 @@ val colors_joint :
     finite structures — counting colour-class sizes is FO-expressible —
     which is how [Fmtk.Decide]'s degradation ladder uses it. *)
 val census_equal1 : Structure.t -> Structure.t -> bool
-
-(** Content-canonical colour labels: unlike the interned ids of
-    {!colors_joint}, these digests depend solely on refinement content,
-    so isomorphic structures of equal size get identical label
-    multisets. Used by {!Iso.invariant_key}. Runs [size] refinement
-    rounds — meant for the small structures of the iso/registry layer,
-    not the million-element pipeline. *)
-val canonical_colors : Structure.t -> Digest.t array
 
 (** [colors_k ~k a b] — joint k-dimensional WL. For [k = 1] this is
     {!colors_joint}; for [k >= 2] the returned arrays colour the [n^k]

@@ -402,7 +402,20 @@ let test_allocation_bounds () =
     (Printf.sprintf "warm census: %.0f minor words < 8n" words)
     true (words < 8. *. n);
   checkb "warm census answers as the cold one" true
-    (Neighborhood.census reg t ~radius:1 = cold)
+    (Neighborhood.census reg t ~radius:1 = cold);
+  (* Row sorting is in place: building rows allocates no word per edge. *)
+  let t = Gen.torus 316 316 in
+  let n = Structure.size t in
+  let src = Csr.Vec.create () and dst = Csr.Vec.create () in
+  Structure.iter_rel2 t "E" (fun u v ->
+      Csr.Vec.push src u;
+      Csr.Vec.push dst v);
+  let edges = (Csr.Vec.to_array src, Csr.Vec.to_array dst) in
+  let words = minor_words (fun () -> Csr.of_edges ~n edges) in
+  checkb
+    (Printf.sprintf "of_edges: %.0f minor words < n" words)
+    true
+    (words < float_of_int n)
 
 let prop_census_agrees =
   QCheck2.Test.make ~count:100

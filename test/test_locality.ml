@@ -19,6 +19,7 @@ module Gaifman_local = Fmtk_locality.Gaifman_local
 module Bndp = Fmtk_locality.Bndp
 module Bounded_degree = Fmtk_locality.Bounded_degree
 module Local_sentence = Fmtk_locality.Local_sentence
+module Budget = Fmtk_runtime.Budget
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let checki msg = Alcotest.check Alcotest.int msg
@@ -126,14 +127,49 @@ let test_census_shared_registry () =
   let c2 = Neighborhood.census reg (Gen.cycle 14) ~radius:2 in
   checkb "identical censuses" true (c1 = c2)
 
-let test_registry_ablation () =
-  (* Bucketing off must give the same classification. *)
-  let census_with bucketing =
-    let reg = Neighborhood.create_registry ~bucketing () in
-    Neighborhood.census reg (Gen.path 8) ~radius:1
-  in
-  checkb "same census" true
-    (List.map snd (census_with true) = List.map snd (census_with false))
+let test_census_counters () =
+  (* Every worker count counts the same work: a second census on one
+     registry resolves every ball in the serialization cache, and a
+     ball with a constant always costs one canonical form. *)
+  let t = Gen.torus 30 30 in
+  let n = Structure.size t in
+  let tc = Structure.expand_consts t [ ("c", 0) ] in
+  List.iter
+    (fun workers ->
+      let reg = Neighborhood.create_registry () in
+      ignore (Neighborhood.census ~workers reg t ~radius:1);
+      let hits = Neighborhood.serial_hits reg in
+      ignore (Neighborhood.census ~workers reg t ~radius:1);
+      checki
+        (Printf.sprintf "workers %d: second census hits" workers)
+        n
+        (Neighborhood.serial_hits reg - hits);
+      let reg = Neighborhood.create_registry () in
+      ignore (Neighborhood.census ~workers reg tc ~radius:1);
+      checkb
+        (Printf.sprintf "workers %d: a canonical form per element" workers)
+        true
+        (Neighborhood.iso_tests reg >= n))
+    [ 1; 2; 4 ]
+
+let test_census_budget () =
+  (* A census cut by its budget leaves the registry usable. *)
+  let t = Structure.expand_consts (Gen.torus 20 20) [ ("c", 0) ] in
+  let n = Structure.size t in
+  List.iter
+    (fun workers ->
+      let reg = Neighborhood.create_registry () in
+      let tiny = Budget.create ~fuel:3 ~poll_interval:1 () in
+      (match Neighborhood.census ~workers ~budget:tiny reg t ~radius:1 with
+      | _ -> Alcotest.failf "workers %d: census ignored a tiny budget" workers
+      | exception Budget.Exhausted _ -> ());
+      let census = Neighborhood.census ~workers reg t ~radius:1 in
+      let sizes = List.sort compare (List.map snd census) in
+      checkb
+        (Printf.sprintf "workers %d: sizes 1, 4, n - 5 afterwards" workers)
+        true
+        (sizes = [ 1; 4; n - 5 ]))
+    [ 1; 2 ]
 
 (* ---------- Hanf locality (Theorem 3.8, slide 60) ---------- *)
 
@@ -538,6 +574,21 @@ let prop_neighborhood_oracle =
     ~print:print_pointed gen_pointed (fun (t, r, tuple) ->
       Iso.isomorphic (Gaifman.neighborhood t r tuple) (ref_neighborhood t r tuple))
 
+(* Two tuples of one length in one structure: their neighborhoods are
+   often isomorphic. *)
+let prop_pointed_canonical =
+  QCheck2.Test.make ~count:300
+    ~name:"pointed neighborhoods: canonical forms equal iff isomorphic"
+    ~print:(fun (pointed, b) ->
+      print_pointed pointed ^ " vs [" ^ String.concat "; " (List.map string_of_int b) ^ "]")
+    QCheck2.Gen.(
+      let* (t, r, a) = gen_pointed in
+      let* b = list_repeat (List.length a) (int_range 0 (Structure.size t - 1)) in
+      return ((t, r, a), b))
+    (fun ((t, r, a), b) ->
+      let na = Gaifman.neighborhood t r a and nb = Gaifman.neighborhood t r b in
+      (Iso.canonical na = Iso.canonical nb) = Iso.isomorphic na nb)
+
 let prop_census_oracle =
   QCheck2.Test.make ~count:150 ~name:"element types = reference ids, workers 1/2/4"
     ~print:print_mixed gen_mixed (fun t ->
@@ -571,12 +622,14 @@ let () =
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest
           [ prop_ball_oracle; prop_neighborhood_oracle; prop_census_oracle ] );
+      ("canonical", [ QCheck_alcotest.to_alcotest prop_pointed_canonical ]);
       ( "census",
         [
           Alcotest.test_case "chain" `Quick test_census_chain;
           Alcotest.test_case "cycle uniform" `Quick test_census_cycle_uniform;
           Alcotest.test_case "shared registry" `Quick test_census_shared_registry;
-          Alcotest.test_case "bucketing ablation" `Quick test_registry_ablation;
+          Alcotest.test_case "counters for every worker count" `Quick test_census_counters;
+          Alcotest.test_case "budget leaves the registry usable" `Quick test_census_budget;
         ] );
       ( "hanf",
         [

@@ -122,7 +122,7 @@ let test_orbits_refine_wl () =
     let s = random_structure rng in
     let t = Orbit.make s in
     let ids = Orbit.orbit_ids (Orbit.root t) in
-    let colors = Wl.colors1 s in
+    let colors = Wl.refine s in
     Array.iteri
       (fun i id ->
         checkb "same orbit, same WL colour" true (colors.(i) = colors.(id)))

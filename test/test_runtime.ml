@@ -436,6 +436,8 @@ let test_engines_honour_budgets () =
   | _ -> Alcotest.fail "Ef.certify ignored a tiny budget");
   expect_exhausted "Iso.find_iso" (fun () ->
       Iso.find_iso ~budget:(tiny ()) (Gen.cycle 7) (Gen.cycle 7));
+  expect_exhausted "Iso.canonical" (fun () ->
+      Iso.canonical ~budget:(tiny ()) (Gen.complete 8));
   expect_exhausted "Eval.sat (MSO)" (fun () ->
       Eval.sat ~budget:(tiny ()) (Gen.cycle 5) So_queries.connectivity);
   expect_exhausted "Qbf.solve" (fun () ->

@@ -9,6 +9,8 @@ module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Io = Fmtk_structure.Structure_io
 module Gaifman = Fmtk_locality.Gaifman
+module Wl = Fmtk_structure.Wl
+module Budget = Fmtk_runtime.Budget
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let checki msg = Alcotest.check Alcotest.int msg
@@ -157,13 +159,6 @@ let test_iso_tricky_degree () =
   checkb "same degrees, not iso" false
     (Iso.isomorphic (sym (Gen.cycle 6)) (sym (Gen.union_of [ Gen.cycle 3; Gen.cycle 3 ])))
 
-let test_invariant_key () =
-  let k1 = Iso.invariant_key (Gen.cycle 5)
-  and k2 = Iso.invariant_key (Structure.relabel (Gen.cycle 5) [| 4; 2; 0; 3; 1 |]) in
-  Alcotest.check Alcotest.string "iso-invariant" k1 k2;
-  checkb "different structures differ" true
-    (Iso.invariant_key (Gen.cycle 5) <> Iso.invariant_key (Gen.cycle 6))
-
 let test_find_iso_mapping () =
   let a = Gen.path 4 in
   let b = Structure.relabel a [| 2; 0; 3; 1 |] in
@@ -175,6 +170,53 @@ let test_find_iso_mapping () =
         (Tuple.Set.for_all
            (fun t -> Structure.mem b "E" [| f.(t.(0)); f.(t.(1)) |])
            (Structure.rel a "E"))
+
+(* [Iso.canonical] against [Iso.find_iso]'s independent backtracking. *)
+let canonical_agrees a b =
+  (Iso.canonical a = Iso.canonical b) = Iso.isomorphic a b
+
+let test_canonical_cfi () =
+  (* 1-WL cannot tell a CFI pair apart; the canonical form must. *)
+  List.iter
+    (fun m ->
+      let a, b = Gen.cfi_pair m in
+      checkb (Printf.sprintf "m=%d: 1-WL blind" m) true (Wl.census_equal1 a b);
+      checkb (Printf.sprintf "m=%d: canonical forms differ" m) true
+        (Iso.canonical a <> Iso.canonical b);
+      checkb (Printf.sprintf "m=%d: agrees with find_iso" m) true (canonical_agrees a b))
+    [ 3; 4 ]
+
+let test_canonical_regular () =
+  (* Random 3-regular graphs of one size: 1-WL gives every vertex one
+     colour, so only the search tells the isomorphism types apart. Eight
+     vertices have few types, so both answers occur. *)
+  let rng = Random.State.make [| 7 |] in
+  let iso = ref 0 and non = ref 0 in
+  List.iter
+    (fun n ->
+      for _ = 1 to 15 do
+        let a = Gen.random_regular ~rng n 3 and b = Gen.random_regular ~rng n 3 in
+        if Iso.isomorphic a b then incr iso else incr non;
+        checkb (Printf.sprintf "%d vertices: agrees with find_iso" n) true
+          (canonical_agrees a b)
+      done)
+    [ 8; 10; 12 ];
+  checkb "isomorphic pairs met" true (!iso > 0);
+  checkb "non-isomorphic pairs met" true (!non > 0)
+
+let test_canonical_pruning () =
+  (* Without automorphism pruning each has up to 11! leaves; with it a
+     few dozen search nodes. One unit of fuel per node. *)
+  let star k =
+    graph_of ~size:(k + 1) (List.concat_map (fun i -> [ (0, i); (i, 0) ]) (List.init k succ))
+  in
+  List.iter
+    (fun (name, t) ->
+      let budget = Budget.create ~fuel:10_000 ~poll_interval:1 () in
+      match Iso.canonical ~budget t with
+      | _ -> ()
+      | exception Budget.Exhausted _ -> Alcotest.failf "%s: no pruning" name)
+    [ ("complete 12", Gen.complete 12); ("set 12", Gen.set 12); ("star 12", star 12) ]
 
 (* ---------- Graph algorithms ---------- *)
 
@@ -359,26 +401,70 @@ let gen_graph : Structure.t QCheck2.Gen.t =
   in
   return (graph_of edges ~size:n)
 
-let prop_relabel_iso =
-  QCheck2.Test.make ~count:100 ~name:"relabel yields isomorphic structure"
-    QCheck2.Gen.(pair gen_graph (int_range 0 1000))
-    (fun (g, seed) ->
-      let n = Structure.size g in
-      let perm = Array.init n Fun.id in
-      let rng = Random.State.make [| seed |] in
-      for i = n - 1 downto 1 do
-        let j = Random.State.int rng (i + 1) in
-        let tmp = perm.(i) in
-        perm.(i) <- perm.(j);
-        perm.(j) <- tmp
-      done;
-      Iso.isomorphic g (Structure.relabel g perm))
+(* Random structures over a random subset of nullary, unary, binary and
+   ternary relations with 0–2 constants, on 1–[max_n] elements and few
+   tuples. A pair shares its signature and size, on at most 4 elements,
+   so that it is often isomorphic. *)
+let gen_shape max_n =
+  QCheck2.Gen.(
+    let* n = int_range 1 max_n in
+    let* keep = list_repeat 4 bool in
+    let* consts = int_range 0 2 in
+    return
+      ( n,
+        List.filteri (fun i _ -> List.nth keep i) [ ("Z", 0); ("P", 1); ("E", 2); ("R", 3) ],
+        List.init consts (Printf.sprintf "c%d") ))
 
-let prop_iso_implies_key =
-  QCheck2.Test.make ~count:100 ~name:"isomorphic implies equal invariant keys"
-    QCheck2.Gen.(pair gen_graph gen_graph)
-    (fun (a, b) ->
-      (not (Iso.isomorphic a b)) || Iso.invariant_key a = Iso.invariant_key b)
+let gen_on (n, rels, consts) : Structure.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let elt = int_range 0 (n - 1) in
+  let* tuples =
+    flatten_l
+      (List.map
+         (fun (name, k) ->
+           map (fun ts -> (name, ts)) (list_size (int_range 0 n) (array_repeat k elt)))
+         rels)
+  in
+  let* pinned = list_repeat (List.length consts) elt in
+  return
+    (Structure.make (Signature.make ~consts rels) ~size:n
+       ~consts:(List.combine consts pinned) tuples)
+
+let gen_mixed_pair =
+  QCheck2.Gen.(
+    let* shape = gen_shape 4 in
+    pair (gen_on shape) (gen_on shape))
+
+let print_mixed = Format.asprintf "%a" Structure.pp
+
+(* A structure and a random permutation of its domain. *)
+let gen_relabelled =
+  QCheck2.Gen.(
+    let* a = gen_shape 8 >>= gen_on in
+    let* seed = int_range 0 1_000_000 in
+    let perm = Array.init (Structure.size a) Fun.id in
+    let rng = Random.State.make [| seed |] in
+    for i = Array.length perm - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
+    done;
+    return (a, perm))
+
+let prop_relabel_iso =
+  QCheck2.Test.make ~count:300 ~name:"relabel yields isomorphic structure"
+    ~print:(fun (a, _) -> print_mixed a)
+    gen_relabelled
+    (fun (a, perm) ->
+      let b = Structure.relabel a perm in
+      Iso.isomorphic a b && Iso.canonical a = Iso.canonical b)
+
+let prop_canonical_iso =
+  QCheck2.Test.make ~count:500 ~name:"canonical forms equal iff isomorphic"
+    ~print:(fun (a, b) -> print_mixed a ^ "\n" ^ print_mixed b)
+    gen_mixed_pair
+    (fun (a, b) -> canonical_agrees a b)
 
 let prop_tc_idempotent =
   QCheck2.Test.make ~count:100 ~name:"transitive closure is idempotent" gen_graph
@@ -540,7 +626,7 @@ let qcheck_cases =
     [
       prop_extension_matches_definition;
       prop_relabel_iso;
-      prop_iso_implies_key;
+      prop_canonical_iso;
       prop_tc_idempotent;
       prop_component_count;
       prop_io_roundtrip;
@@ -569,8 +655,10 @@ let () =
           Alcotest.test_case "cycles" `Quick test_iso_cycles;
           Alcotest.test_case "constants pinned" `Quick test_iso_constants_pinned;
           Alcotest.test_case "same degrees not iso" `Quick test_iso_tricky_degree;
-          Alcotest.test_case "invariant key" `Quick test_invariant_key;
           Alcotest.test_case "mapping is isomorphism" `Quick test_find_iso_mapping;
+          Alcotest.test_case "canonical form: CFI pairs" `Quick test_canonical_cfi;
+          Alcotest.test_case "canonical form: 3-regular pairs" `Quick test_canonical_regular;
+          Alcotest.test_case "canonical form: pruning" `Quick test_canonical_pruning;
         ] );
       ( "graph",
         [
