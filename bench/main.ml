@@ -1158,6 +1158,12 @@ type e24_entry = {
 }
 
 let e24 () =
+  (* A gate on positions and verdicts (timings are only reported): the
+     section fails unless sequential orbit pruning explores at least 5x
+     fewer positions than the unpruned search on the cycle and set rows,
+     the rigid L15/L16 row explores 65147 positions in both columns, and
+     every column and worker count gives the sequential verdict. *)
+  let check what ok = if not ok then failwith ("E24: " ^ what) in
   (* Forced fan-out: on single-domain containers the parallel columns
      measure the scheduling overhead honestly rather than hiding it. *)
   let forced =
@@ -1176,8 +1182,9 @@ let e24 () =
     pf "The -par columns force more workers than domains: overhead rows.@.";
   pf "  %-28s %11s %11s %11s %11s %7s %9s %9s@." "game" "plain ns" "orbit ns"
     "plain-par" "orbit-par" "orbitx" "plain pos" "orbit pos";
-  let workload name a b rounds =
+  let workload ?rigid name a b rounds =
     let last = ref { Ef.positions = 0; memo_hits = 0; workers = 1 } in
+    let verdicts = ref [] in
     let run ~orbit ~parallel () =
       let v, s =
         Ef.solve
@@ -1191,6 +1198,7 @@ let e24 () =
           ~rounds a b
       in
       last := s;
+      verdicts := v :: !verdicts;
       v
     in
     let unpruned_seq = sample_ns (run ~orbit:false ~parallel:false) in
@@ -1205,6 +1213,19 @@ let e24 () =
       unpruned_positions orbit_positions;
     pf "  %-28s min-max %s | %s | %s | %s@." "" (range_str unpruned_seq)
       (range_str orbit_seq) (range_str unpruned_par) (range_str orbit_par);
+    check (name ^ ": a column changed the verdict")
+      (List.for_all (( = ) (List.hd !verdicts)) !verdicts);
+    (match rigid with
+    | Some n ->
+        check
+          (Printf.sprintf "%s: %d and %d positions, not %d" name
+             unpruned_positions orbit_positions n)
+          (unpruned_positions = n && orbit_positions = n)
+    | None ->
+        check
+          (Printf.sprintf "%s: orbit pruning explores %d positions, not 5x fewer than %d"
+             name orbit_positions unpruned_positions)
+          (5 * orbit_positions <= unpruned_positions));
     entries :=
       {
         game = name;
@@ -1221,10 +1242,11 @@ let e24 () =
   workload "cycles C16 vs C16, 3 rounds" (Gen.cycle 16) (Gen.cycle 16) 3;
   workload "cycles C20 vs C21, 3 rounds" (Gen.cycle 20) (Gen.cycle 21) 3;
   workload "sets S10 vs S11, 4 rounds" (Gen.set 10) (Gen.set 11) 4;
-  workload "orders L15 vs L16, 4 rounds" (Gen.linear_order 15)
+  workload ~rigid:65147 "orders L15 vs L16, 4 rounds" (Gen.linear_order 15)
     (Gen.linear_order 16) 4;
-  pf "Shape: orbit >= 5x on cycle workloads (C_n roots collapse 2n -> 2);@.";
-  pf "rigid orders take the rigidity fast path (overhead < 5%%).@.";
+  pf "Gate: orbit pruning explores >= 5x fewer positions on the cycle and@.";
+  pf "set rows (C_n roots collapse 2n -> 2), both L15/L16 columns 65147;@.";
+  pf "rigid orders take the rigidity fast path (time reported, not gated).@.";
   (* Worker-scaling curve: the same solve forced through 1/2/4/8
      domains (work-stealing deques, pooled workers, L1 memo tiers),
      plus the automatic policy. Speedups are against the forced
@@ -1265,6 +1287,7 @@ let e24 () =
     pf "  %-28s auto (effective %d): %17.0f ns [%s], speedup %.2f@." name
       auto_s.Ef.workers auto.median (range_str auto)
       (seq.median /. auto.median);
+    check (name ^ ": a worker count changed the verdict") !verdicts_match;
     scale_rows :=
       (name, seq, per_worker, auto_s.Ef.workers, auto, !verdicts_match)
       :: !scale_rows

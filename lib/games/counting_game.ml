@@ -14,7 +14,6 @@
    matching logic below is counting-game-specific. *)
 
 module Structure = Fmtk_structure.Structure
-module Iso = Fmtk_structure.Iso
 module Budget = Fmtk_runtime.Budget
 
 (* No orbit field: symmetry pruning is unsound here because the
@@ -74,49 +73,22 @@ let perfect_matching rows n =
     order
 
 module Game = struct
-  type ctx = {
-    n : int; (* common domain size *)
-    dom_b : int list;
-    span : int;
-    pebbles : int;
-    extension_ok : (int * int) list -> int * int -> bool;
-  }
+  (* The board, plus what the bijection ranges over. *)
+  type ctx = { board : Board.ctx; n : int; dom_b : int list }
+  type pos = Board.pos
 
-  (* Same packed-position representation as the pebble game: a sorted
-     set of packed pairs plus the remaining rounds. *)
-  type pos = { rounds : int; packed : Packed.Key.t }
+  let key ctx = Board.key ctx.board
+  let terminal ctx = Board.terminal ctx.board
 
-  let key _ p = Packed.key ~rounds:p.rounds p.packed
-  let terminal _ p = if p.rounds = 0 then Some true else None
-
-  (* Base positions the spoiler's pebble choice can produce: keep all
-     pairs (an unused pebble, when one exists) or lift one. Identical to
-     the pebble game — the counting game differs only in how the round
-     is then played. *)
-  let bases ctx pos =
-    let lifted =
-      List.init (Array.length pos.packed) (Packed.remove pos.packed)
-    in
-    let bs =
-      if Array.length pos.packed < ctx.pebbles then pos.packed :: lifted
-      else lifted
-    in
-    if bs = [] then [ [||] ] else bs
-
-  let survives ctx ~recurse ~rounds base =
-    let base_pairs = Packed.to_pairs ~span:ctx.span base in
+  let survives ctx ~recurse base =
     let exception Stuck in
     match
       Array.init ctx.n (fun x ->
           let row =
             List.filter
               (fun y ->
-                ctx.extension_ok base_pairs (x, y)
-                && recurse
-                     {
-                       rounds = rounds - 1;
-                       packed = Packed.insert base ((x * ctx.span) + y);
-                     })
+                Board.legal ctx.board base (x, y)
+                && recurse (Board.place ctx.board base (x, y)))
               ctx.dom_b
           in
           (* An element with no admissible image refutes every bijection
@@ -127,7 +99,7 @@ module Game = struct
     | exception Stuck -> false
 
   let expand ctx ~recurse pos =
-    List.for_all (survives ctx ~recurse ~rounds:pos.rounds) (bases ctx pos)
+    List.for_all (survives ctx ~recurse) (Board.bases ctx.board pos)
 
   (* The bijection move does not decompose into independent root
      obligations (the matching couples all elements), so the root is a
@@ -138,44 +110,26 @@ end
 
 module Solver = Engine.Make (Game)
 
-let solve_result ~config ~budget ~pebbles ~rounds a b =
-  if pebbles <= 0 then invalid_arg "Counting_game: need at least one pebble";
-  if rounds < 0 then invalid_arg "Counting_game: negative round count";
-  let zero = { positions = 0; memo_hits = 0; workers = 1 } in
-  if not (Iso.partial_iso a b []) then (Ok false, zero)
-  else if rounds > 0 && Structure.size a <> Structure.size b then
-    (* No bijection A → B exists: the spoiler wins round one outright.
-       (At rank 0 the game never reaches a bijection move, so the
-       constants-only check above is the whole story — C^k sentences of
-       quantifier rank 0 cannot count the domain.) *)
-    (Ok false, zero)
-  else
-    let ctx =
-      {
-        Game.n = Structure.size a;
-        dom_b = Structure.domain b;
-        span = max 1 (Structure.size b);
-        pebbles;
-        extension_ok = Iso.extension_ok a b;
-      }
-    in
-    Solver.solve_result ~config ~budget ~depth_hint:rounds
-      ~width:(Structure.size a + Structure.size b)
-      ctx
-      { Game.rounds; packed = [||] }
-
-let solve ?(config = default_config) ?(budget = Budget.unlimited) ~pebbles
-    ~rounds a b =
-  match solve_result ~config ~budget ~pebbles ~rounds a b with
-  | Ok v, stats -> (v, stats)
-  | Error r, _ -> raise (Budget.Exhausted r)
-
 let solve_verdict ?(config = default_config) ?(budget = Budget.unlimited)
     ~pebbles ~rounds a b =
-  match solve_result ~config ~budget ~pebbles ~rounds a b with
-  | Ok true, stats -> (Equivalent, stats)
-  | Ok false, stats -> (Distinguished, stats)
-  | Error r, stats -> (Gave_up r, stats)
+  if pebbles <= 0 then invalid_arg "Counting_game: need at least one pebble";
+  if rounds < 0 then invalid_arg "Counting_game: negative round count";
+  match Board.setup ~orbit:false ~budget ~pebbles ~start:[] ~rounds a b with
+  (* Different sizes admit no bijection A → B: the spoiler wins round
+     one outright. (At rank 0 the game never reaches a bijection move,
+     so the constants-only check in [setup] is the whole story — C^k
+     sentences of quantifier rank 0 cannot count the domain.) *)
+  | Some (board, root) when rounds = 0 || Structure.size a = Structure.size b ->
+      let ctx = { Game.board; n = Structure.size a; dom_b = Structure.domain b } in
+      Solver.solve_verdict ~config ~budget ~depth_hint:rounds
+        ~width:(Structure.size a + Structure.size b)
+        ctx root
+  | _ -> (Distinguished, Engine.no_stats)
+
+let solve ?config ?budget ~pebbles ~rounds a b =
+  match solve_verdict ?config ?budget ~pebbles ~rounds a b with
+  | Gave_up r, _ -> raise (Budget.Exhausted r)
+  | verdict, stats -> (verdict = Equivalent, stats)
 
 let duplicator_wins ?config ?budget ~pebbles ~rounds a b =
   fst (solve ?config ?budget ~pebbles ~rounds a b)

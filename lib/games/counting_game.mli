@@ -1,8 +1,10 @@
 (** The bijective k-pebble counting game (Immerman–Lander; Hella) — the
     Ehrenfeucht–Fraïssé game of the counting logic C^k.
 
-    The board is the k-pebble board; a round differs from {!Pebble}'s in
-    who commits first. The spoiler picks a pebble pair; the duplicator
+    The board is the k-pebble board of every game here ({!Board}; its
+    lift rule is sound here too, a bijection winning from a position
+    winning from its subsets); a round differs from {!Pebble}'s in who
+    commits first. The spoiler picks a pebble pair; the duplicator
     must then exhibit a {e bijection} [f : A → B] (if none exists —
     different sizes — the duplicator loses immediately, which is how the
     game "counts"); the spoiler places the pebble on any [a ∈ A], its

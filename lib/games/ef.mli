@@ -7,7 +7,12 @@
     [G_n(A,B)] iff [A ≡n B] (agreement on all sentences of quantifier
     rank ≤ n).
 
-    The solver below decides winning exactly (complete back-and-forth
+    The n-round EF game is the n-round k-pebble game once k ≥ n, so it
+    is solved on the games' one board ({!Board}) with a pebble per
+    [start] pair and round: one is always free, the lift rule never
+    fires, and the search is EF's own, orbits refined lazily.
+
+    The solver decides winning exactly (complete back-and-forth
     search) and is exponential in [n] — use it for the small instances
     where the paper's proofs need certification, and the closed-form
     strategies of {!Strategy} for unbounded parameters. Pass a
@@ -31,7 +36,7 @@ module Budget = Fmtk_runtime.Budget
     disjoint unions of equal parts) collapse exponentially; rigid
     structures take the near-free rigidity fast path. [parallel] (default
     true) fans the orbit-pruned top-level spoiler moves out across
-    domains ([Domain.spawn]) through a work-stealing queue when the game
+    pooled domains through work-stealing deques when the game
     is big enough and [Domain.recommended_domain_count () > 1]; workers
     share one sharded, mutex-guarded memo, so they extend rather than
     repeat each other's searches and verdicts are identical to the
@@ -40,7 +45,7 @@ module Budget = Fmtk_runtime.Budget
     reporting a single recommended domain (tests use this to exercise the
     parallel path deterministically); [Some 1] forces the sequential
     path. *)
-type config = {
+type config = Board.config = {
   memo : bool;
   parallel : bool;
   workers : int option;
@@ -108,10 +113,10 @@ val solve_verdict :
 (** [certify ?config ?budget ?start ~rounds a b] is {!solve_verdict}
     plus, when the spoiler wins, a formula [φ] of rank ≤ [rounds] with
     [A ⊨ φ(ā)] and [B ⊭ φ(b̄)] (pebble pair [i] of [start] is the free
-    variable [x<i>]). One solve by the kernel's sequential value
-    function ({!Engine.Make.sequential}; [parallel] and [workers] do not
+    variable [x<i>]). One solve by the board's sequential value
+    function ({!Board.sequential}; [parallel] and [workers] do not
     apply), then a walk of the spoiler's winning strategy over its memo:
-    the first spoiler move, in the solver's order, that every reply
+    the first spoiler move, in the board's order, that every reply
     loses gives [∃x ⋀ψ] (in [A]) or [∀x ⋁ψ] (in [B]), one [ψ] per
     orbit-representative reply (automorphic replies falsify the same
     formulas), a rank-0 literal where a reply breaks the partial

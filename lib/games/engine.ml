@@ -22,7 +22,11 @@ let default_config = { memo = true; parallel = true; workers = None }
 
 type stats = { positions : int; memo_hits : int; workers : int }
 
+let no_stats = { positions = 0; memo_hits = 0; workers = 1 }
+
 type verdict = Equivalent | Distinguished | Gave_up of Budget.reason
+
+let verdict_of win = if win then Equivalent else Distinguished
 
 module type GAME = sig
   type ctx
@@ -115,6 +119,10 @@ end
    gives the fan-out cost it amortizes. *)
 let parallel_floor = 4096
 
+(* Positions this close to the root publish their obligations as
+   stealable tasks; deeper ones expand in place. *)
+let split_depth = 3
+
 (* [width^depth_hint >= parallel_floor], without overflow. *)
 let big_enough ~depth_hint ~width =
   let rec go acc d =
@@ -190,8 +198,7 @@ module Make (G : GAME) = struct
     let stats () = { positions = !explored; memo_hits = !hits; workers = 1 } in
     (solve, stats)
 
-  let solve_result ~config ~budget ~depth_hint ~width ?(split_depth = 3) ctx
-      root =
+  let solve_verdict ~config ~budget ~depth_hint ~width ctx root =
     let root_tasks = Array.of_list (G.tasks ctx root) in
     let w =
       worker_count config ~depth_hint ~width ~moves:(Array.length root_tasks)
@@ -199,8 +206,8 @@ module Make (G : GAME) = struct
     if depth_hint = 0 || w <= 1 then begin
       let value, stats = sequential ~config ~budget ctx in
       match value root with
-      | v -> (Ok v, stats ())
-      | exception Budget.Exhausted r -> (Error r, stats ())
+      | v -> (verdict_of v, stats ())
+      | exception Budget.Exhausted r -> (Gave_up r, stats ())
     end
     else begin
       (* Parallel path. Work lives in per-worker Chase–Lev deques: a
@@ -438,7 +445,7 @@ module Make (G : GAME) = struct
       | None ->
           let stats = { positions; memo_hits; workers = w } in
           match parked with
-          | Budget.Exhausted r :: _ -> (Error r, stats)
-          | _ -> (Ok (Atomic.get root_frame.alive), stats)
+          | Budget.Exhausted r :: _ -> (Gave_up r, stats)
+          | _ -> (verdict_of (Atomic.get root_frame.alive), stats)
     end
 end

@@ -15,8 +15,8 @@
       completed batches into; the sequential path keeps its single
       unlocked table — the lock-free fast path, unchanged;
     - a work-distribution runtime built on per-worker Chase–Lev deques
-      ({!Fmtk_runtime.Deque}): a worker expanding a position above the
-      split-depth cutoff publishes the position's conjunctive
+      ({!Fmtk_runtime.Deque}): a worker expanding a position less than
+      3 moves below the root publishes the position's conjunctive
       obligations as stealable tasks, so parallelism {e regenerates
       below the root} instead of dying when orbit pruning collapses the
       root frontier; idle workers steal the shallowest (largest)
@@ -32,7 +32,10 @@
       tasks poll through the stealing worker's own poller;
     - a {!stats} record aggregated across workers.
 
-    {!Ef}, {!Pebble} and {!Counting_game} are the three instances. *)
+    The games' rules live on one board ({!Board}: the k-pebble game,
+    lifting a pebble only when none is free, sound as winning positions
+    are closed under subsets; orbits refined lazily). {!Ef}, {!Pebble}
+    and {!Counting_game} play on it. *)
 
 module Budget = Fmtk_runtime.Budget
 
@@ -58,6 +61,9 @@ val default_config : config
     across worker counts agree exactly when no obligation fails and
     can differ slightly when one does; verdicts never differ. *)
 type stats = { positions : int; memo_hits : int; workers : int }
+
+(** The stats of a game decided before any search: nothing explored. *)
+val no_stats : stats
 
 (** Three-valued outcome of a budgeted solve. [Gave_up r] means the
     budget ran out for reason [r] before the game was decided — never a
@@ -94,8 +100,8 @@ module type GAME = sig
   (** Decomposition of a non-terminal position into independent
       obligations whose conjunction is the position's value — the units
       of parallel work. Must agree with [expand] at every position (the
-      kernel uses it at the root and, below the split-depth cutoff, in
-      place of [expand]); construction must be cheap and must not
+      kernel uses it at the root and, near the root in parallel runs,
+      in place of [expand]); construction must be cheap and must not
       invoke [recurse] — each obligation runs with the executing
       worker's own [recurse]. Games whose positions do not decompose
       (the counting game's bijection move) return a singleton, which
@@ -127,7 +133,7 @@ module Make (G : GAME) : sig
   (** [sequential ~config ~budget ctx] is the kernel's sequential value
       function, over one memo table that lives as long as it (capped by
       the budget), polling [budget] per call; and its counters.
-      [solve_result]'s sequential path applies it to the root;
+      [solve_verdict]'s sequential path applies it to the root;
       {!Ef.certify} keeps calling it to walk the memo. *)
   val sequential :
     config:config ->
@@ -135,23 +141,21 @@ module Make (G : GAME) : sig
     G.ctx ->
     (G.pos -> bool) * (unit -> stats)
 
-  (** [solve_result ~config ~budget ~depth_hint ~width ctx root] decides
-      the game from [root]: [Ok win] on a decided game, [Error reason]
-      when the budget ran out first. Stats are returned in both cases.
-      [depth_hint] (the round count) and [width] (the moves a position
-      offers before symmetry pruning) gate the parallel fan-out through
-      {!worker_count} — a 0-depth game is never fanned out. [split_depth] (default 3) is
-      the cutoff below the root down to which expanded positions
-      publish their obligations as stealable tasks; 0 restores
-      root-only distribution. Exceptions other than budget exhaustion
-      propagate (after every domain is joined). *)
-  val solve_result :
+  (** [solve_verdict ~config ~budget ~depth_hint ~width ctx root] decides
+      the game from [root]: [Equivalent] or [Distinguished], or
+      [Gave_up reason] when the budget ran out first. Stats are returned
+      in every case. [depth_hint] (the round count) and [width] (the
+      moves a position offers before symmetry pruning) gate the
+      parallel fan-out through {!worker_count} — a 0-depth game is
+      never fanned out. Positions up to 3 moves below the root publish
+      their obligations as stealable tasks. Exceptions other than budget
+      exhaustion propagate (after every domain is joined). *)
+  val solve_verdict :
     config:config ->
     budget:Budget.t ->
     depth_hint:int ->
     width:int ->
-    ?split_depth:int ->
     G.ctx ->
     G.pos ->
-    (bool, Budget.reason) result * stats
+    verdict * stats
 end

@@ -1,4 +1,4 @@
-(* Packed game positions, shared by the EF and pebble solvers.
+(* Packed game positions, the board's memo key material.
 
    A position is a sorted, deduplicated int array of pebble pairs packed
    as [x * span + y]; memo keys prepend the round count. Equality is a
@@ -50,6 +50,3 @@ let of_pairs ~span pairs =
   Array.of_list
     (List.sort_uniq Int.compare
        (List.map (fun (x, y) -> (x * span) + y) pairs))
-
-let to_pairs ~span packed =
-  Array.to_list (Array.map (fun p -> (p / span, p mod span)) packed)

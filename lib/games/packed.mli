@@ -4,7 +4,7 @@
     A position's pebbled pairs are packed into a sorted, deduplicated
     [int array]: the pair [(x, y)] becomes the single word
     [x * span + y], where [span = max 1 (size b)] is fixed per solve, so
-    packing is injective and [to_pairs] inverts it. Sortedness makes the
+    packing is injective. Sortedness makes the
     representation canonical — positions are sets of pairs, so any play
     order reaching the same set yields the same array.
 
@@ -38,9 +38,8 @@ module Tbl : Hashtbl.S with type key = Key.t
     pairs, so the copy is tiny. *)
 val insert : int array -> int -> int array
 
-(** [remove packed i] — the position with the [i]-th pair (0-based index
-    into the array, not a packed value) lifted. Used by the pebble game
-    to enumerate base positions. *)
+(** [remove packed i] — the position with its [i]-th pair (an index
+    into the array, not a packed value) lifted. *)
 val remove : int array -> int -> int array
 
 (** [key ~rounds packed] — the memo key: round count, then the position.
@@ -51,7 +50,3 @@ val key : rounds:int -> int array -> Key.t
     of the second structure must satisfy [y < span] (and [span >= 1]) or
     packing would collide. *)
 val of_pairs : span:int -> (int * int) list -> int array
-
-(** [to_pairs ~span packed] — inverse of {!of_pairs}, ascending in the
-    packed order. *)
-val to_pairs : span:int -> int array -> (int * int) list

@@ -1,97 +1,66 @@
 module Structure = Fmtk_structure.Structure
-module Iso = Fmtk_structure.Iso
-module Orbit = Fmtk_structure.Orbit
 module Budget = Fmtk_runtime.Budget
 
 type side = Left | Right
 type t = rounds_left:int -> (int * int) list -> side -> int -> int
 
+(* The first line [strategy] loses on the EF game's board, the spoiler
+   trying the moves [moves] offers. The strategy is promised the pairs in
+   play order, which the board's set does not keep: they are carried
+   newest-first (O(1) extension) and reversed for each call. *)
+let first_loss ~poller ~rounds ~moves ctx root strategy =
+  let rec go r pos rev_pairs trace =
+    if r = 0 then None
+    else
+      let pairs = List.rev rev_pairs in
+      List.find_map
+        (fun (base, in_b, picks) ->
+          let side = if in_b then Right else Left in
+          List.find_map
+            (fun e ->
+              Budget.check poller;
+              let trace = (side, e) :: trace in
+              match strategy ~rounds_left:(r - 1) pairs side e with
+              | exception _ -> Some (List.rev trace)
+              | reply ->
+                  let xy = Board.pair in_b e reply in
+                  if Board.legal ctx base xy then
+                    go (r - 1) (Board.place ctx base xy) (xy :: rev_pairs) trace
+                  else Some (List.rev trace))
+            picks)
+        (moves pos)
+  in
+  go rounds root [] []
+
 let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
     strategy =
-  let poller = Budget.poller budget in
-  if not (Iso.partial_iso a b []) then Some []
-  else
-    let extension_ok = Iso.extension_ok a b in
-    let dom_a = Structure.domain a and dom_b = Structure.domain b in
-    (* Symmetry pruning: spoiler moves in the same orbit of the pointwise
-       stabilizer of the position lead to isomorphic positions, so only
-       orbit representatives are played (see the mli for what a [None]
-       certifies in that mode). *)
-    let orbit_a, orbit_b =
-      if symmetry then (Some (Orbit.make ~budget a), Some (Orbit.make ~budget b))
-      else (None, None)
-    in
-    let moves_of ot o dom =
-      match (ot, o) with Some _, Some o -> Orbit.reps o | _ -> dom
-    in
-    let refine ot o pin =
-      match (ot, o) with
-      | Some t, Some o -> Some (Orbit.refine t o [ pin ])
-      | _ -> None
-    in
-    let root ot = match ot with Some t -> Some (Orbit.root t) | None -> None in
-    (* Pairs are carried newest-first (O(1) extension instead of a
-       quadratic [pairs @ [..]] append) and normalized back to play order
-       at the consumers: the strategy contract promises the position in
-       play order, while the extension check is order-insensitive. *)
-    let rec go r rev_pairs trace oa ob =
-      if r = 0 then None
-      else
-        let pairs = List.rev rev_pairs in
-        let moves =
-          List.map (fun e -> (Left, e)) (moves_of orbit_a oa dom_a)
-          @ List.map (fun e -> (Right, e)) (moves_of orbit_b ob dom_b)
-        in
-        List.find_map
-          (fun (side, e) ->
-            Budget.check poller;
-            let losing = Some (List.rev ((side, e) :: trace)) in
-            match strategy ~rounds_left:(r - 1) pairs side e with
-            | exception _ -> losing
-            | reply ->
-                let x, y =
-                  match side with Left -> (e, reply) | Right -> (reply, e)
-                in
-                if not (extension_ok rev_pairs (x, y)) then losing
-                else
-                  go (r - 1) ((x, y) :: rev_pairs) ((side, e) :: trace)
-                    (refine orbit_a oa x) (refine orbit_b ob y))
-          moves
-    in
-    go rounds [] [] (root orbit_a) (root orbit_b)
+  (* Symmetry pruning is the board's; the mli says what [None] means then. *)
+  match Board.setup ~orbit:symmetry ~budget ~pebbles:rounds ~start:[] ~rounds a b with
+  | None -> Some []
+  | Some (ctx, root) ->
+      first_loss ~poller:(Budget.poller budget) ~rounds ~moves:(Board.moves ctx)
+        ctx root strategy
 
 let verify_sampled ~rng ~lines ~rounds a b strategy =
-  if not (Iso.partial_iso a b []) then Some []
-  else
-    let extension_ok = Iso.extension_ok a b in
-    let na = Structure.size a and nb = Structure.size b in
-    let random_move () =
-      let i = Random.State.int rng (na + nb) in
-      if i < na then (Left, i) else (Right, i - na)
-    in
-    let play_line () =
-      (* Same reversed-pairs representation as [verify] above. *)
-      let rec go r rev_pairs trace =
-        if r = 0 then None
-        else
-          let side, e = random_move () in
-          let losing = Some (List.rev ((side, e) :: trace)) in
-          match strategy ~rounds_left:(r - 1) (List.rev rev_pairs) side e with
-          | exception _ -> losing
-          | reply ->
-              let x, y =
-                match side with Left -> (e, reply) | Right -> (reply, e)
-              in
-              if not (extension_ok rev_pairs (x, y)) then losing
-              else go (r - 1) ((x, y) :: rev_pairs) ((side, e) :: trace)
+  let budget = Budget.unlimited in
+  match Board.setup ~orbit:false ~budget ~pebbles:rounds ~start:[] ~rounds a b with
+  | None -> Some []
+  | Some (ctx, root) ->
+      let na = Structure.size a and nb = Structure.size b in
+      (* One uniformly random spoiler move per position. *)
+      let random_move pos =
+        let i = Random.State.int rng (na + nb) in
+        [ (if i < na then (pos, false, [ i ]) else (pos, true, [ i - na ])) ]
       in
-      go rounds [] []
-    in
-    let rec attempt i =
-      if i >= lines then None
-      else match play_line () with Some t -> Some t | None -> attempt (i + 1)
-    in
-    attempt 0
+      let poller = Budget.poller budget in
+      let rec attempt i =
+        if i >= lines then None
+        else
+          match first_loss ~poller ~rounds ~moves:random_move ctx root strategy with
+          | None -> attempt (i + 1)
+          | loss -> loss
+      in
+      attempt 0
 
 (* ---- Bare sets ---- *)
 

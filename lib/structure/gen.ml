@@ -117,7 +117,9 @@ let chorded_cycle n ~stride =
   done;
   Structure.of_graph Signature.graph ~size:n [ ("E", (src, dst)) ]
 
-let random_regular ~rng n d =
+exception Stalled
+
+let draw_regular ~rng n d =
   if d < 0 || d >= max n 1 then
     invalid_arg "Gen.random_regular: need 0 <= d < n";
   if n * d mod 2 <> 0 then
@@ -157,8 +159,7 @@ let random_regular ~rng n d =
   let cap = 200 * (m + 1) in
   while not (Queue.is_empty bad) do
     incr attempts;
-    if !attempts > cap then
-      failwith "Gen.random_regular: repair did not converge";
+    if !attempts > cap then raise_notrace Stalled;
     let i = Queue.pop bad in
     (* [i] may have been repaired as the partner of an earlier swap. *)
     if not ok.(i) then begin
@@ -191,6 +192,12 @@ let random_regular ~rng n d =
     dst.((2 * i) + 1) <- pu.(i)
   done;
   Structure.of_graph Signature.graph ~size:n [ ("E", (src, dst)) ]
+
+(* A repair can stall (small dense cases such as K4 leave no legal
+   switch); the pairing then starts over from the same [rng], so a first
+   pairing repaired within the cap draws nothing more from it. *)
+let rec random_regular ~rng n d =
+  try draw_regular ~rng n d with Stalled -> random_regular ~rng n d
 
 let random_undirected_graph ~rng n p =
   let tuples = ref [] in

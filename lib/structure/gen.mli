@@ -74,7 +74,7 @@ val chorded_cycle : int -> stride:int -> Structure.t
 (** [random_regular ~rng n d] samples an exactly [d]-regular simple
     undirected graph: configuration-model stub pairing followed by
     degree-preserving 2-switch repair of self-loops and duplicate
-    edges.
+    edges, with a fresh pairing from [rng] whenever a repair stalls.
     @raise Invalid_argument unless [0 <= d < n] and [n·d] is even. *)
 val random_regular : rng:Random.State.t -> int -> int -> Structure.t
 

@@ -165,5 +165,3 @@ let classes t =
   List.map
     (fun r -> List.rev (Hashtbl.find buckets r))
     (List.sort Int.compare (Hashtbl.fold (fun r _ acc -> r :: acc) buckets []))
-
-let same_orbit t x y = t.root_orbits.ids.(x) = t.root_orbits.ids.(y)

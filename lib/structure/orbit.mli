@@ -59,12 +59,8 @@ val refine : t -> orbits -> int list -> orbits
 
 (** [stabilizer t pinned] — orbits of the pointwise stabilizer of
     [pinned], from scratch (cached). Used where positions do not evolve
-    incrementally (the pebble game lifts pebbles, shrinking the pinned
-    set). *)
+    incrementally: a game board's lift shrinks the pinned set. *)
 val stabilizer : t -> int list -> orbits
 
 (** Root orbit partition as explicit classes (ascending), for tests. *)
 val classes : t -> int list list
-
-(** [same_orbit t x y] — some automorphism maps [x] to [y]. *)
-val same_orbit : t -> int -> int -> bool

@@ -531,6 +531,25 @@ let test_generators_regular () =
   let r2 = Gen.random_regular ~rng:(Random.State.make [| 7 |]) 40 3 in
   checkb "seeded determinism" true (Structure.equal r r2)
 
+(* Small dense inputs can stall the 2-switch repair (K4 is the only
+   simple 3-regular graph on 4 vertices); every seed must still give a
+   simple d-regular graph rather than an exception. *)
+let test_random_regular_small () =
+  List.iter
+    (fun n ->
+      for seed = 0 to 199 do
+        let g = Gen.random_regular ~rng:(Random.State.make [| seed |]) n 3 in
+        let deg = Array.make n 0 and simple = ref true in
+        Structure.iter_rel2 g "E" (fun u v ->
+            deg.(u) <- deg.(u) + 1;
+            if u = v || not (Structure.mem g "E" [| v; u |]) then simple := false);
+        checkb
+          (Printf.sprintf "n=%d seed %d: simple 3-regular" n seed)
+          true
+          (!simple && Array.for_all (( = ) 3) deg)
+      done)
+    [ 4; 6; 8 ]
+
 (* ---------- Streaming edge-list format ---------- *)
 
 let test_graph_format () =
@@ -671,7 +690,11 @@ let () =
           Alcotest.test_case "allocation bounds" `Quick test_allocation_bounds;
         ] );
       ( "generators",
-        [ Alcotest.test_case "regular families" `Quick test_generators_regular ] );
+        [
+          Alcotest.test_case "regular families" `Quick test_generators_regular;
+          Alcotest.test_case "random regular on small n" `Quick
+            test_random_regular_small;
+        ] );
       ( "io",
         [
           Alcotest.test_case "graph format" `Quick test_graph_format;

@@ -505,6 +505,45 @@ let test_api_parity () =
        ~depth_hint:1 ~width:20 ~moves:10
     = 5)
 
+(* ---------- Search sizes on the board ---------- *)
+
+let seq_config orbit = { Ef.default_config with workers = Some 1; orbit }
+
+(* EF is the board's pebble game with a pebble for every round, so no
+   position ever lifts one: sequential position counts stay those of the
+   E24/E26 trails (BENCH_games.json, BENCH_engine.json), with and
+   without orbit pruning. *)
+let test_ef_search_unchanged () =
+  List.iter
+    (fun (name, a, b, rounds, pruned, plain) ->
+      List.iter
+        (fun (orbit, expected) ->
+          let _, (s : Ef.stats) = Ef.solve ~config:(seq_config orbit) ~rounds a b in
+          Alcotest.(check int)
+            (Printf.sprintf "%s orbit=%b positions" name orbit)
+            expected s.positions)
+        [ (true, pruned); (false, plain) ])
+    [
+      ("C12/C13 r3", Gen.cycle 12, Gen.cycle 13, 3, 53, 964);
+      ("C16/C16 r3", Gen.cycle 16, Gen.cycle 16, 3, 74, 1695);
+      ("C20/C21 r3", Gen.cycle 20, Gen.cycle 21, 3, 101, 2924);
+      ("S10/S11 r4", Gen.set 10, Gen.set 11, 4, 7, 3481);
+      ("L7/L9 r3", Gen.linear_order 7, Gen.linear_order 9, 3, 585, 585);
+    ]
+
+(* The spoiler lifts a pebble only when none is free: lifting while one
+   is free reaches only subsets of the positions placing reaches, which
+   the duplicator wins whenever she wins the superset. The oracle lifts
+   whenever the rules allow it and must agree; the board explores fewer
+   positions (100 when every base is tried). *)
+let test_lift_only_when_full () =
+  let a = Gen.cycle 12 and b = Gen.union_of [ Gen.cycle 6; Gen.cycle 6 ] in
+  let v, (s : Pebble.stats) =
+    Pebble.solve ~config:(seq_config true) ~pebbles:3 ~rounds:5 a b
+  in
+  checkb "verdict = oracle" (oracle_pebble ~pebbles:3 ~rounds:5 a b) v;
+  checkb (Printf.sprintf "%d positions <= 69" s.positions) true (s.positions <= 69)
+
 (* ---------- Parallel vs sequential: the differential suite ---------- *)
 
 (* The parallel path is a different machine (work-stealing deques, a
@@ -701,4 +740,10 @@ let () =
           Alcotest.test_case "worker policy" `Quick test_worker_count_policy;
         ] );
       ("parity", [ Alcotest.test_case "api" `Quick test_api_parity ]);
+      ( "board",
+        [
+          Alcotest.test_case "EF search unchanged" `Quick test_ef_search_unchanged;
+          Alcotest.test_case "lift only when no pebble is free" `Quick
+            test_lift_only_when_full;
+        ] );
     ]
