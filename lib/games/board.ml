@@ -19,8 +19,7 @@ let default_config = { memo = true; parallel = true; workers = None; orbit = tru
 type ctx = {
   dom_a : int list;
   dom_b : int list;
-  colors_a : int array;
-  colors_b : int array;
+  colors : (int array * int array) Lazy.t;  (* joint WL; [replies] only *)
   span : int;
   pebbles : int;
   orbit_a : Orbit.t option;
@@ -51,7 +50,6 @@ let terminal _ p = if p.rounds = 0 then Some true else None
 let setup ~orbit ~budget ~pebbles ~start ~rounds a b =
   if not (Iso.partial_iso a b start) then None
   else begin
-    let colors_a, colors_b = Wl.colors_joint a b in
     let oracle s = if orbit then Some (Orbit.make ~budget s) else None in
     let orbit_a = oracle a and orbit_b = oracle b in
     let span = max 1 (Structure.size b) in
@@ -59,8 +57,7 @@ let setup ~orbit ~budget ~pebbles ~start ~rounds a b =
       {
         dom_a = Structure.domain a;
         dom_b = Structure.domain b;
-        colors_a;
-        colors_b;
+        colors = lazy (Wl.colors_joint a b);
         span;
         pebbles;
         orbit_a;
@@ -125,9 +122,10 @@ let moves ctx pos =
 (* Replies whose WL colour matches the spoiler's element come first: the
    good reply is usually found at once, and [List.exists] stops there. *)
 let replies ctx base side e =
+  let colors_a, colors_b = Lazy.force ctx.colors in
   let own, colors, candidates =
-    if side then (ctx.colors_b.(e), ctx.colors_a, reps base.oa ctx.dom_a)
-    else (ctx.colors_a.(e), ctx.colors_b, reps base.ob ctx.dom_b)
+    if side then (colors_b.(e), colors_a, reps base.oa ctx.dom_a)
+    else (colors_a.(e), colors_b, reps base.ob ctx.dom_b)
   in
   let matching, rest = List.partition (fun y -> colors.(y) = own) candidates in
   matching @ rest
@@ -144,6 +142,8 @@ let place ctx base ((x, y) as xy) =
     (* A repeated pair collapses: [insert] returns the same set. *)
     pairs = (if packed == base.packed then base.pairs else xy :: base.pairs);
   }
+
+let extend _ base xy = { base with rounds = base.rounds - 1; pairs = xy :: base.pairs }
 
 let answer ctx ~recurse base side e =
   List.exists
@@ -182,6 +182,8 @@ let solve_verdict ~config ~budget ~pebbles ~start ~rounds a b =
   | exception Budget.Exhausted r -> (Engine.Gave_up r, Engine.no_stats)
   | None -> (Engine.Distinguished, Engine.no_stats)
   | Some (ctx, root) ->
+      (* Forced before the fan-out: domains must not race on a lazy. *)
+      ignore (Lazy.force ctx.colors);
       Solver.solve_verdict ~config:(engine_config config) ~budget
         ~depth_hint:rounds
         ~width:(Structure.size a + Structure.size b)

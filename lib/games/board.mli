@@ -14,7 +14,8 @@
     lifting a pair before placing a free pebble reaches a subset of what
     placing alone reaches, answered by the same reply; so verdicts are
     those of the game where any pebble may move at any time, and
-    searches only shrink.
+    sequential searches only shrink (a parallel one may grow, see
+    {!Engine.stats}).
 
     {b Lazy orbits.} With [orbit] on, moves and replies range over one
     representative per orbit of each side's automorphisms fixing the
@@ -27,7 +28,18 @@
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget
 
-(** = {!Ef.config}. *)
+(** Solver configuration of every game on the board ({!Ef.config},
+    {!Pebble.config}). [memo] caches positions under packed keys (round
+    count + sorted pebbled pairs; the ablation bench turns it off).
+    [orbit] prunes spoiler moves and duplicator replies to one
+    representative per orbit of the stabilizer of the base a move starts
+    from ({!Fmtk_structure.Orbit}); game values are invariant under
+    automorphisms fixing the pebbled elements, so verdicts are unchanged
+    while symmetric structures collapse and rigid ones take a near-free
+    fast path. [parallel] fans the spoiler's moves out across pooled
+    domains when the game is big enough ({!Engine}); [workers] overrides
+    the automatic worker count ([Some 1] forces the sequential path,
+    [Some k] a [k]-domain fan-out on any machine). *)
 type config = {
   memo : bool;
   parallel : bool;
@@ -77,6 +89,11 @@ val pair : bool -> int -> int -> int * int
 val legal : ctx -> pos -> int * int -> bool
 
 val place : ctx -> pos -> int * int -> pos
+
+(** [place] without the memo key, for lines of play that read no memo
+    and, with a pebble per round, never lift ({!Strategy}): [key] and
+    lifts on the result are meaningless. *)
+val extend : ctx -> pos -> int * int -> pos
 
 (** [answer ctx ~recurse base in_b e] — some legal reply to the move
     wins, [recurse] deciding the child positions. *)

@@ -1,17 +1,9 @@
-(* Bijective k-pebble counting game over the generic kernel — see
-   counting_game.mli.
-
-   Move semantics (Immerman–Lander / Hella): from a base position the
-   duplicator must commit to a bijection f : A → B before the spoiler
-   places the chosen pebble on any a ∈ A (landing on (a, f a)). The
-   duplicator therefore survives a base iff the bipartite "good pairs"
-   graph — (x, y) such that pebbling (x, y) keeps a partial isomorphism
-   AND the resulting child position is winning — admits a perfect
-   matching, which is how the exists-bijection-forall-element quantifier
-   alternation becomes finite: the per-element requirements are
-   independent, so any system of distinct representatives glues into a
-   witnessing bijection. The kernel supplies memo/budget/stats; only the
-   matching logic below is counting-game-specific. *)
+(* Bijective k-pebble counting game on the board — see counting_game.mli.
+   The duplicator survives a base iff the bipartite "good pairs" graph —
+   (x, y) such that pebbling (x, y) keeps a partial isomorphism AND the
+   child position is winning — has a perfect matching: the per-element
+   requirements are independent, so any system of distinct
+   representatives glues into a witnessing bijection. *)
 
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget

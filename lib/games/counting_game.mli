@@ -44,7 +44,7 @@ type config = Engine.config = {
 
 val default_config : config
 
-(** Counters of one solve (= {!Engine.stats}); see {!Ef.stats}. *)
+(** Counters of one solve (= {!Engine.stats}). *)
 type stats = Engine.stats = {
   positions : int;
   memo_hits : int;

@@ -25,26 +25,7 @@
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget
 
-(** Solver configuration. [memo] (default true) caches game positions,
-    keyed by round count + the played pairs packed into a flat int array
-    (order-insensitive); the ablation bench disables it. [orbit] (default
-    true) prunes both spoiler moves and duplicator replies to one
-    representative per orbit of the automorphism group's pointwise
-    stabilizer of the position ({!Fmtk_structure.Orbit}) — game values
-    are invariant under automorphisms fixing the played elements, so
-    verdicts are unchanged while symmetric structures (cycles, sets,
-    disjoint unions of equal parts) collapse exponentially; rigid
-    structures take the near-free rigidity fast path. [parallel] (default
-    true) fans the orbit-pruned top-level spoiler moves out across
-    pooled domains through work-stealing deques when the game
-    is big enough and [Domain.recommended_domain_count () > 1]; workers
-    share one sharded, mutex-guarded memo, so they extend rather than
-    repeat each other's searches and verdicts are identical to the
-    sequential path. [workers] (default [None]) overrides the automatic
-    worker count: [Some k] forces a [k]-domain fan-out even on machines
-    reporting a single recommended domain (tests use this to exercise the
-    parallel path deterministically); [Some 1] forces the sequential
-    path. *)
+(** Solver configuration, the board's ({!Board.config}). *)
 type config = Board.config = {
   memo : bool;
   parallel : bool;
@@ -52,16 +33,11 @@ type config = Board.config = {
   orbit : bool;
 }
 
+(** Everything on, automatic worker count. *)
 val default_config : config
 
-(** Counters of one solve (an equation with {!Engine.stats} — all game
-    solvers report through the shared kernel record), returned on
-    decided AND on [Gave_up] runs. [positions] is the number of distinct
-    game positions expanded (memo misses); [memo_hits] the number of
-    searches answered from the memo; [workers] the domains actually
-    used. In parallel runs the counters are aggregated atomically across
-    workers; position counts can vary slightly run to run because
-    workers race to expand the same position. *)
+(** Counters of one solve, returned on decided AND on [Gave_up] runs
+    (= {!Engine.stats}, which says how parallel runs count). *)
 type stats = Engine.stats = {
   positions : int;
   memo_hits : int;

@@ -1,15 +1,6 @@
-(* The generic game-engine kernel — see engine.mli.
-
-   Every model-comparison game in the toolbox (EF, k-pebble, bijective
-   counting) is a back-and-forth search over packed positions; this
-   module owns, exactly once, the machinery that used to be duplicated
-   per solver: the packed int-array memo with budget-capped insertion,
-   amortized budget polling, the stats record, the three-valued
-   verdict, and — for parallel runs — a work-stealing runtime built on
-   per-worker Chase–Lev deques ({!Fmtk_runtime.Deque}), worker domains
-   from the process-wide {!Fmtk_runtime.Pool}, and a two-tier memo
-   (thread-local L1 over a 64-way sharded, claim-based shared table).
-   A game plugs in only its move semantics ({!GAME}). *)
+(* The generic game-engine kernel — see engine.mli for what it owns
+   (memo, budget polling, stats, verdicts, the work-stealing fan-out). A
+   game plugs in only its move semantics ({!GAME}). *)
 
 module Budget = Fmtk_runtime.Budget
 module Deque = Fmtk_runtime.Deque

@@ -59,7 +59,11 @@ val default_config : config
     ran). Parallel runs may expand (and count) obligations a
     sequential run would have short-circuited past, so position counts
     across worker counts agree exactly when no obligation fails and
-    can differ slightly when one does; verdicts never differ. *)
+    can differ when one does: a split position's owner runs its own
+    obligations last-first, so when the refuting move comes early in
+    the game's order a parallel count can be several times the
+    sequential one (3-pebble C_12 vs C_6 ⊎ C_6 over 5 rounds: 69
+    sequential, about 430 on 2 workers). Verdicts never differ. *)
 type stats = { positions : int; memo_hits : int; workers : int }
 
 (** The stats of a game decided before any search: nothing explored. *)

@@ -14,21 +14,15 @@
     kernel ({!Engine}): packed-key memo, orbit pruning, parallel fan-out,
     stats and three-valued verdicts. The spoiler lifts a pebble only
     when none is free, which keeps every verdict (winning positions are
-    closed under subsets) and shrinks searches (C_12 vs C_6 ⊎ C_6, 3
-    pebbles, 5 rounds: 100 → 69 positions); orbits are refined lazily
-    and stabilizers looked up only on a lift. *)
+    closed under subsets) and shrinks sequential searches (C_12 vs
+    C_6 ⊎ C_6, 3 pebbles, 5 rounds: 100 → 69 positions; parallel ones
+    can grow, see {!Engine.stats}); orbits are refined lazily and
+    stabilizers looked up only on a lift. *)
 
 module Structure = Fmtk_structure.Structure
 module Budget = Fmtk_runtime.Budget
 
-(** Solver configuration: {!Ef.config}, read the same way. [memo]
-    caches positions under packed int-array keys (round count + sorted
-    packed pairs); [orbit] prunes spoiler moves and duplicator replies to
-    representatives of the stabilizer orbits of the base a move starts
-    from ({!Fmtk_structure.Orbit}); [parallel] fans the spoiler-move
-    obligations out across domains through the kernel's work-stealing
-    queue, workers sharing one sharded memo; [workers] overrides the
-    automatic worker count ([Some 1] forces the sequential path). *)
+(** Solver configuration, the board's ({!Board.config}). *)
 type config = Ef.config = {
   memo : bool;
   parallel : bool;
@@ -39,7 +33,7 @@ type config = Ef.config = {
 (** = {!Ef.default_config}: everything on, automatic worker count. *)
 val default_config : config
 
-(** Counters of one solve (= {!Engine.stats}); see {!Ef.stats}. *)
+(** Counters of one solve (= {!Engine.stats}). *)
 type stats = Engine.stats = {
   positions : int;
   memo_hits : int;

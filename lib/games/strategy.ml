@@ -4,31 +4,28 @@ module Budget = Fmtk_runtime.Budget
 type side = Left | Right
 type t = rounds_left:int -> (int * int) list -> side -> int -> int
 
-(* The first line [strategy] loses on the EF game's board, the spoiler
-   trying the moves [moves] offers. The strategy is promised the pairs in
+(* The first line [strategy] loses on the EF game's board: [spoiler pos
+   play] plays the spoiler's moves at [pos] through [play base in_b e]
+   until one returns a losing line. A line reads no memo, so it extends
+   positions without their keys. The strategy is promised the pairs in
    play order, which the board's set does not keep: they are carried
    newest-first (O(1) extension) and reversed for each call. *)
-let first_loss ~poller ~rounds ~moves ctx root strategy =
+let first_loss ~poller ~rounds ~spoiler ctx root strategy =
   let rec go r pos rev_pairs trace =
     if r = 0 then None
     else
       let pairs = List.rev rev_pairs in
-      List.find_map
-        (fun (base, in_b, picks) ->
+      spoiler pos (fun base in_b e ->
+          Budget.check poller;
           let side = if in_b then Right else Left in
-          List.find_map
-            (fun e ->
-              Budget.check poller;
-              let trace = (side, e) :: trace in
-              match strategy ~rounds_left:(r - 1) pairs side e with
-              | exception _ -> Some (List.rev trace)
-              | reply ->
-                  let xy = Board.pair in_b e reply in
-                  if Board.legal ctx base xy then
-                    go (r - 1) (Board.place ctx base xy) (xy :: rev_pairs) trace
-                  else Some (List.rev trace))
-            picks)
-        (moves pos)
+          let trace = (side, e) :: trace in
+          match strategy ~rounds_left:(r - 1) pairs side e with
+          | exception _ -> Some (List.rev trace)
+          | reply ->
+              let xy = Board.pair in_b e reply in
+              if Board.legal ctx base xy then
+                go (r - 1) (Board.extend ctx base xy) (xy :: rev_pairs) trace
+              else Some (List.rev trace))
   in
   go rounds root [] []
 
@@ -38,8 +35,12 @@ let verify ?(symmetry = false) ?(budget = Budget.unlimited) ~rounds a b
   match Board.setup ~orbit:symmetry ~budget ~pebbles:rounds ~start:[] ~rounds a b with
   | None -> Some []
   | Some (ctx, root) ->
-      first_loss ~poller:(Budget.poller budget) ~rounds ~moves:(Board.moves ctx)
-        ctx root strategy
+      let spoiler pos play =
+        List.find_map
+          (fun (base, in_b, picks) -> List.find_map (play base in_b) picks)
+          (Board.moves ctx pos)
+      in
+      first_loss ~poller:(Budget.poller budget) ~rounds ~spoiler ctx root strategy
 
 let verify_sampled ~rng ~lines ~rounds a b strategy =
   let budget = Budget.unlimited in
@@ -48,15 +49,15 @@ let verify_sampled ~rng ~lines ~rounds a b strategy =
   | Some (ctx, root) ->
       let na = Structure.size a and nb = Structure.size b in
       (* One uniformly random spoiler move per position. *)
-      let random_move pos =
+      let spoiler pos play =
         let i = Random.State.int rng (na + nb) in
-        [ (if i < na then (pos, false, [ i ]) else (pos, true, [ i - na ])) ]
+        if i < na then play pos false i else play pos true (i - na)
       in
       let poller = Budget.poller budget in
       let rec attempt i =
         if i >= lines then None
         else
-          match first_loss ~poller ~rounds ~moves:random_move ctx root strategy with
+          match first_loss ~poller ~rounds ~spoiler ctx root strategy with
           | None -> attempt (i + 1)
           | loss -> loss
       in

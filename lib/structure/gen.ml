@@ -193,11 +193,33 @@ let draw_regular ~rng n d =
   done;
   Structure.of_graph Signature.graph ~size:n [ ("E", (src, dst)) ]
 
-(* A repair can stall (small dense cases such as K4 leave no legal
-   switch); the pairing then starts over from the same [rng], so a first
-   pairing repaired within the cap draws nothing more from it. *)
+(* Past half density a 2-switch rarely finds both new edges absent (near
+   K_n, almost never): take the complement of an (n-1-d)-regular draw. A
+   stalled repair (C4 can leave no legal switch) starts the pairing over
+   from the same [rng], so converged draws are unchanged; at most half
+   density a second pairing has always been enough (n <= 40, 200 seeds). *)
 let rec random_regular ~rng n d =
-  try draw_regular ~rng n d with Stalled -> random_regular ~rng n d
+  if 2 * d > n && d < n then begin
+    let g = random_regular ~rng n (n - 1 - d) in
+    let src = Array.make (n * d) 0 and dst = Array.make (n * d) 0 in
+    let k = ref 0 in
+    for u = 0 to n - 1 do
+      for v = 0 to n - 1 do
+        if u <> v && not (Structure.mem g "E" [| u; v |]) then begin
+          src.(!k) <- u;
+          dst.(!k) <- v;
+          incr k
+        end
+      done
+    done;
+    Structure.of_graph Signature.graph ~size:n [ ("E", (src, dst)) ]
+  end
+  else
+    let rec draw tries =
+      try draw_regular ~rng n d with Stalled when tries > 1 -> draw (tries - 1)
+    in
+    try draw 32
+    with Stalled -> invalid_arg "Gen.random_regular: 32 pairings stalled"
 
 let random_undirected_graph ~rng n p =
   let tuples = ref [] in

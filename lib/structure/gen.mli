@@ -74,8 +74,10 @@ val chorded_cycle : int -> stride:int -> Structure.t
 (** [random_regular ~rng n d] samples an exactly [d]-regular simple
     undirected graph: configuration-model stub pairing followed by
     degree-preserving 2-switch repair of self-loops and duplicate
-    edges, with a fresh pairing from [rng] whenever a repair stalls.
-    @raise Invalid_argument unless [0 <= d < n] and [n·d] is even. *)
+    edges, with a fresh pairing from [rng] whenever a repair stalls;
+    past half density ([2d > n]) the complement of such a graph.
+    @raise Invalid_argument unless [0 <= d < n] and [n·d] is even, or
+    when 32 pairings in a row stall. *)
 val random_regular : rng:Random.State.t -> int -> int -> Structure.t
 
 (** [cfi_pair m] (m ≥ 3) is a Cai–Fürer–Immerman pair over the base

@@ -532,23 +532,41 @@ let test_generators_regular () =
   checkb "seeded determinism" true (Structure.equal r r2)
 
 (* Small dense inputs can stall the 2-switch repair (K4 is the only
-   simple 3-regular graph on 4 vertices); every seed must still give a
-   simple d-regular graph rather than an exception. *)
+   simple 3-regular graph on 4 vertices), and near K_n a switch almost
+   never finds both new edges absent; every seed must still give a
+   simple d-regular graph rather than an exception or a spin. *)
 let test_random_regular_small () =
   List.iter
-    (fun n ->
+    (fun (n, d) ->
       for seed = 0 to 199 do
-        let g = Gen.random_regular ~rng:(Random.State.make [| seed |]) n 3 in
+        let g = Gen.random_regular ~rng:(Random.State.make [| seed |]) n d in
         let deg = Array.make n 0 and simple = ref true in
         Structure.iter_rel2 g "E" (fun u v ->
             deg.(u) <- deg.(u) + 1;
             if u = v || not (Structure.mem g "E" [| v; u |]) then simple := false);
         checkb
-          (Printf.sprintf "n=%d seed %d: simple 3-regular" n seed)
+          (Printf.sprintf "n=%d seed %d: simple %d-regular" n seed d)
           true
-          (!simple && Array.for_all (( = ) 3) deg)
+          (!simple && Array.for_all (( = ) d) deg)
       done)
-    [ 4; 6; 8 ]
+    [ (4, 3); (6, 3); (8, 3); (4, 2); (10, 7); (12, 10) ];
+  (* Complete graphs as regular specs, admitted by the server's store
+     (at most 10^6 tuples): built, not refused or left spinning. *)
+  List.iter
+    (fun n ->
+      let spec = Printf.sprintf "regular:%d:%d:1" n (n - 1) in
+      match Spec.parse spec with
+      | Error e -> Alcotest.fail e
+      | Ok g ->
+          let c = Option.get (Structure.csr_of_rel g "E") in
+          let complete = ref (Structure.tuple_count g = n * (n - 1)) in
+          for u = 0 to n - 1 do
+            for v = 0 to n - 1 do
+              if u <> v && not (Csr.mem c u v) then complete := false
+            done
+          done;
+          checkb (spec ^ " is K_n") true !complete)
+    [ 100; 1000 ]
 
 (* ---------- Streaming edge-list format ---------- *)
 
